@@ -200,10 +200,11 @@ fn run_pick(
             if let Some(p) = partitions {
                 cfg.partitions = p;
             }
-            let run = match shards {
-                Some(s) => podscale::run_podscale_sharded(seed, &cfg, s),
-                None => podscale::run_podscale(seed, &cfg),
+            let opts = podscale::RunOpts {
+                shards,
+                ..podscale::RunOpts::default()
             };
+            let run = podscale::run_podscale(seed, &cfg, &opts);
             out.telemetry = Some(("podscale", run.telemetry.clone()));
             out.reports.push(run.report);
         }
@@ -212,7 +213,8 @@ fn run_pick(
             if let Some(p) = partitions {
                 cfg.partitions = p;
             }
-            let run = megapod::run_megapod(seed, &cfg, shards.unwrap_or_else(default_shards));
+            let opts = podscale::RunOpts::sharded(shards.unwrap_or_else(default_shards));
+            let run = podscale::run_podscale(seed, &cfg, &opts);
             out.telemetry = Some(("megapod", run.telemetry.clone()));
             out.reports.push(run.report);
         }

@@ -53,7 +53,7 @@ use ustore_sim::{
     FaultKind, FaultModelConfig, FaultSchedule, FleetShape, Json, ScraperConfig, Sim,
 };
 
-use crate::podscale::fnv1a;
+use crate::podscale::world_digest;
 
 /// 4 KiB pages, matching the disk model's sector-error granularity.
 const PAGE: u64 = 4096;
@@ -587,13 +587,11 @@ fn run_campaign(
     for rt in &s.runtimes {
         rt.publish_residency(&s.sim);
     }
-    let metrics_json = s.sim.metrics_snapshot().to_json().to_string();
-    let spans_json = s.sim.with_spans(|t| t.to_json()).to_string();
-    let csv = scraper.to_csv();
-    let mut digest = fnv1a(metrics_json.as_bytes());
-    digest ^= fnv1a(spans_json.as_bytes()).rotate_left(1);
-    digest ^= fnv1a(csv.as_bytes()).rotate_left(2);
-    digest ^= schedule.digest().rotate_left(3);
+    let digest = world_digest(
+        &s.sim.metrics_snapshot().to_json().to_string(),
+        &s.sim.with_spans(|t| t.to_json()).to_string(),
+        &scraper.to_csv(),
+    ) ^ schedule.digest().rotate_left(3);
 
     let t = tracker.borrow();
     CampaignOutcome {

@@ -9,11 +9,11 @@
 //! `BENCH_podscale.json` are reported against alongside the pod.
 //!
 //! Run it with `repro megapod --shards N` or via `repro perf` (full
-//! mode), both of which use [`run_megapod`].
+//! mode), both of which run it through [`crate::podscale::run_podscale`].
 
 use std::time::Duration;
 
-use crate::podscale::{run_podscale_sharded, PodConfig, PodscaleRun};
+use crate::podscale::PodConfig;
 
 /// The megapod shape: 256 units × (4 hosts + 16 disks) = 1024 hosts and
 /// 4096 disks, 16 unit-group worlds, 48 archival clients.
@@ -45,11 +45,6 @@ pub fn megapod_quick() -> PodConfig {
 /// removes.
 pub fn megapod_partitioned() -> PodConfig {
     megapod().partitioned()
-}
-
-/// Runs the megapod on the sharded engine.
-pub fn run_megapod(seed: u64, cfg: &PodConfig, shards: usize) -> PodscaleRun {
-    run_podscale_sharded(seed, cfg, shards)
 }
 
 #[cfg(test)]

@@ -10,7 +10,7 @@
 //! - **podscale** — [`crate::podscale`]: 64 units / 256 hosts / 1024
 //!   disks under one Master, mixed archival workload. The scale target.
 //! - **sharding** — the same pod on the sharded parallel engine
-//!   ([`crate::podscale::run_podscale_sharded`]) at 1, 2, 4, … threads
+//!   ([`crate::podscale::RunOpts::shards`]) at 1, 2, 4, … threads
 //!   (digests must be identical at every count), plus the 4096-disk
 //!   [`crate::megapod`] at the largest count.
 //!
@@ -22,11 +22,8 @@
 //! identical: the determinism guard for the engine's interning and heap
 //! rewrites.
 //!
-//! [`PRE_OVERHAUL_BASELINE_QUICK`]/[`PRE_OVERHAUL_BASELINE_FULL`] pin the
-//! numbers this same harness measured
-//! against the pre-overhaul engine (string-keyed metrics, tombstone
-//! cancellation), so `BENCH_podscale.json` always carries a before/after
-//! pair and CI can print the trajectory.
+//! Wall-clock numbers depend on the machine, so the report carries no
+//! baseline from another one; compare against a run on the same machine.
 
 use std::time::Instant;
 
@@ -37,10 +34,7 @@ use ustore::TracePlan;
 use crate::degraded;
 use crate::fuzz;
 use crate::megapod;
-use crate::podscale::{
-    run_podscale, run_podscale_profiled, run_podscale_sharded, run_podscale_sharded_profiled,
-    run_podscale_sharded_traced, run_podscale_traced, PodConfig,
-};
+use crate::podscale::{run_podscale, PodConfig, RunOpts};
 use crate::profile;
 use crate::report::{Report, Row};
 use crate::slo;
@@ -77,55 +71,6 @@ pub struct PerfSample {
     pub peak_queue_depth: f64,
     /// Heap allocations per processed event, if a counter was provided.
     pub allocs_per_event: Option<f64>,
-}
-
-/// Numbers a historical engine scored on this same harness.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Baseline {
-    /// Which engine produced these numbers.
-    pub engine: &'static str,
-    /// `degraded` events/sec.
-    pub degraded_events_per_sec: f64,
-    /// `degraded` allocations/event.
-    pub degraded_allocs_per_event: f64,
-    /// Quick-mode podscale events/sec.
-    pub podscale_events_per_sec: f64,
-    /// Quick-mode podscale allocations/event.
-    pub podscale_allocs_per_event: f64,
-}
-
-/// Measured by this harness in quick mode against the engine as of PR 3
-/// (commit 18004b5) — string-keyed `BTreeMap<(String,String)>` metrics on
-/// every `count`/`observe`, `format!` span/trace mirroring,
-/// tombstone-`HashSet` event cancellation, unsized heap.
-pub const PRE_OVERHAUL_BASELINE_QUICK: Baseline = Baseline {
-    engine: "pre-overhaul (PR 3, commit 18004b5)",
-    degraded_events_per_sec: 344_507.0,
-    degraded_allocs_per_event: 19.67,
-    podscale_events_per_sec: 299_407.0,
-    podscale_allocs_per_event: 20.20,
-};
-
-/// Full-mode numbers for the same pre-overhaul engine. The full pod runs
-/// 20 virtual seconds with 32 clients, so the unreclaimed cancellation
-/// tombstones pile up and drag events/sec well below the quick run — the
-/// clearest symptom of the leak the overhaul removes.
-pub const PRE_OVERHAUL_BASELINE_FULL: Baseline = Baseline {
-    engine: "pre-overhaul (PR 3, commit 18004b5)",
-    degraded_events_per_sec: 364_630.0,
-    degraded_allocs_per_event: 19.67,
-    podscale_events_per_sec: 119_191.0,
-    podscale_allocs_per_event: 21.06,
-};
-
-/// The baseline matching a run mode (quick vs full workloads differ, so
-/// speedups must compare like with like).
-pub fn pre_overhaul_baseline(quick: bool) -> &'static Baseline {
-    if quick {
-        &PRE_OVERHAUL_BASELINE_QUICK
-    } else {
-        &PRE_OVERHAUL_BASELINE_FULL
-    }
 }
 
 /// One point of the shard-scaling sweep.
@@ -194,10 +139,6 @@ pub struct PerfReport {
     pub podscale_digest: u64,
     /// Whether two same-seed podscale runs produced identical digests.
     pub deterministic: bool,
-    /// `degraded` events/sec relative to [`PRE_OVERHAUL_BASELINE`].
-    pub degraded_speedup: f64,
-    /// podscale events/sec relative to [`PRE_OVERHAUL_BASELINE`].
-    pub podscale_speedup: f64,
     /// The sharded-engine scaling sweep (pod at 1..=N shards + megapod).
     pub sharding: ShardScaling,
     /// The wall-clock profiler section: profiled sharded + classic runs,
@@ -280,18 +221,16 @@ pub fn run_perf(opts: &PerfOptions) -> PerfReport {
     };
     // Run the pod twice with the same seed: the second run both feeds the
     // best-of measurement and proves telemetry determinism.
-    let (podscale_sample, first) = measure(
-        1,
-        opts.alloc_counter,
-        || run_podscale(opts.seed, &pod),
-        |run| (run.sim_seconds, run.events, run.peak_queue_depth),
-    );
-    let (podscale_sample2, second) = measure(
-        1,
-        opts.alloc_counter,
-        || run_podscale(opts.seed, &pod),
-        |run| (run.sim_seconds, run.events, run.peak_queue_depth),
-    );
+    let classic = || {
+        measure(
+            1,
+            opts.alloc_counter,
+            || run_podscale(opts.seed, &pod, &RunOpts::default()),
+            |run| (run.sim_seconds, run.events, run.peak_queue_depth),
+        )
+    };
+    let (podscale_sample, first) = classic();
+    let (podscale_sample2, second) = classic();
     let deterministic = first.digest == second.digest && first.events == second.events;
     let podscale_best = if podscale_sample2.events_per_sec > podscale_sample.events_per_sec {
         podscale_sample2
@@ -322,7 +261,7 @@ pub fn run_perf(opts: &PerfOptions) -> PerfReport {
         let (sample, run) = measure(
             shard_iters,
             opts.alloc_counter,
-            || run_podscale_sharded(opts.seed, pod, shards),
+            || run_podscale(opts.seed, pod, &RunOpts::sharded(shards)),
             |run| (run.sim_seconds, run.events, run.peak_queue_depth),
         );
         let stats = run.sharding.expect("sharded run carries shard stats");
@@ -373,17 +312,26 @@ pub fn run_perf(opts: &PerfOptions) -> PerfReport {
     // The profiler section: one profiled sharded run at the largest count
     // (its digest must match the unprofiled sweep point) plus a profiled
     // classic run.
-    let prof_sharded = run_podscale_sharded_profiled(opts.seed, &pod, max_shards);
-    let prof_classic = run_podscale_profiled(opts.seed, &pod);
+    let profiled = |shards| RunOpts {
+        shards,
+        profile: true,
+        trace: None,
+    };
+    let prof_sharded = run_podscale(opts.seed, &pod, &profiled(Some(max_shards)));
+    let prof_classic = run_podscale(opts.seed, &pod, &profiled(None));
     let unprofiled_digest = sharding.counts.last().expect("sweep has points").digest;
     let profile = profile::profile_section(&prof_sharded, &prof_classic, Some(unprofiled_digest));
 
     // The SLO section: one traced sharded run at the largest count (its
     // digest must match the unprofiled sweep point — tracing must not
     // perturb the simulation) plus a traced classic run.
-    let slo_sharded =
-        run_podscale_sharded_traced(opts.seed, &pod, max_shards, TracePlan::default());
-    let slo_classic = run_podscale_traced(opts.seed, &pod, TracePlan::default());
+    let traced = |shards| RunOpts {
+        shards,
+        profile: false,
+        trace: Some(TracePlan::default()),
+    };
+    let slo_sharded = run_podscale(opts.seed, &pod, &traced(Some(max_shards)));
+    let slo_classic = run_podscale(opts.seed, &pod, &traced(None));
     let slo = slo::slo_section(&slo_sharded, &slo_classic, Some(unprofiled_digest));
 
     // The control-plane section: the same pod with per-world metadata
@@ -391,8 +339,7 @@ pub fn run_perf(opts: &PerfOptions) -> PerfReport {
     // the master_lookup before/after and the lease hit rate alongside the
     // per-partition replicated-log lengths.
     let leased_pod = pod.clone().partitioned();
-    let leased_run =
-        run_podscale_sharded_traced(opts.seed, &leased_pod, max_shards, TracePlan::default());
+    let leased_run = run_podscale(opts.seed, &leased_pod, &traced(Some(max_shards)));
     let metadata = slo::metadata_section(slo_sharded.slo.as_ref(), &leased_run, &leased_pod);
 
     // The fault-model section: a small reference fuzz campaign set under
@@ -407,8 +354,6 @@ pub fn run_perf(opts: &PerfOptions) -> PerfReport {
     });
     let faults = fuzz::faults_section(&fuzz_run);
 
-    let base = pre_overhaul_baseline(opts.quick);
-    let speedup = |cur: f64, b: f64| if b > 0.0 { cur / b } else { f64::NAN };
     PerfReport {
         quick: opts.quick,
         seed: opts.seed,
@@ -417,8 +362,6 @@ pub fn run_perf(opts: &PerfOptions) -> PerfReport {
         pod,
         podscale_digest: first.digest,
         deterministic,
-        degraded_speedup: speedup(degraded_sample.events_per_sec, base.degraded_events_per_sec),
-        podscale_speedup: speedup(podscale_best.events_per_sec, base.podscale_events_per_sec),
         sharding,
         profile,
         slo,
@@ -460,9 +403,8 @@ fn shard_sample_json(s: &ShardSample) -> Json {
 impl PerfReport {
     /// The `BENCH_podscale.json` document.
     pub fn to_bench_json(&self) -> Json {
-        let b = pre_overhaul_baseline(self.quick);
         Json::obj([
-            ("schema", Json::str("ustore-bench-podscale-v7")),
+            ("schema", Json::str("ustore-bench-podscale-v8")),
             ("mode", Json::str(if self.quick { "quick" } else { "full" })),
             ("seed", Json::u64(self.seed)),
             (
@@ -479,35 +421,6 @@ impl PerfReport {
                 Json::obj([
                     ("degraded", sample_json(&self.degraded)),
                     ("podscale", sample_json(&self.podscale)),
-                ]),
-            ),
-            (
-                "baseline",
-                Json::obj([
-                    ("engine", Json::str(b.engine)),
-                    (
-                        "degraded_events_per_sec",
-                        Json::f64(b.degraded_events_per_sec),
-                    ),
-                    (
-                        "degraded_allocs_per_event",
-                        Json::f64(b.degraded_allocs_per_event),
-                    ),
-                    (
-                        "podscale_events_per_sec",
-                        Json::f64(b.podscale_events_per_sec),
-                    ),
-                    (
-                        "podscale_allocs_per_event",
-                        Json::f64(b.podscale_allocs_per_event),
-                    ),
-                ]),
-            ),
-            (
-                "speedup",
-                Json::obj([
-                    ("degraded_events_per_sec", Json::f64(self.degraded_speedup)),
-                    ("podscale_events_per_sec", Json::f64(self.podscale_speedup)),
                 ]),
             ),
             (
@@ -602,20 +515,6 @@ impl PerfReport {
         }
         if let Some(a) = self.podscale.allocs_per_event {
             rows.push(Row::measured_only("podscale allocs/event", a, ""));
-        }
-        if pre_overhaul_baseline(self.quick).degraded_events_per_sec > 0.0 {
-            rows.push(Row::new(
-                "degraded speedup vs pre-overhaul",
-                1.0,
-                self.degraded_speedup,
-                "x",
-            ));
-            rows.push(Row::new(
-                "podscale speedup vs pre-overhaul",
-                1.0,
-                self.podscale_speedup,
-                "x",
-            ));
         }
         for s in &self.sharding.counts {
             rows.push(Row::measured_only(
@@ -725,8 +624,6 @@ mod tests {
             pod: PodConfig::quick(),
             podscale_digest: 0xdead_beef,
             deterministic: true,
-            degraded_speedup: 3.0,
-            podscale_speedup: 2.0,
             sharding: ShardScaling {
                 groups: 8,
                 counts: vec![shard(1), shard(2), shard(4)],
@@ -746,7 +643,8 @@ mod tests {
             faults: Json::obj([("replay", Json::obj([("digest_matches", Json::Bool(true))]))]),
         };
         let j = rep.to_bench_json().to_string();
-        assert!(j.contains(r#""schema":"ustore-bench-podscale-v7""#));
+        assert!(j.contains(r#""schema":"ustore-bench-podscale-v8""#));
+        assert!(!j.contains(r#""baseline""#) && !j.contains(r#""speedup""#));
         assert!(j.contains(r#""events_per_sec":200"#));
         assert!(j.contains(r#""two_runs_identical":true"#));
         assert!(j.contains(r#""podscale_digest":"00000000deadbeef""#));

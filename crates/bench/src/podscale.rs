@@ -22,12 +22,12 @@ use std::rc::Rc;
 use std::time::{Duration, Instant};
 
 use ustore::{
-    ClientLibConfig, MasterConfig, Mounted, ShardedPod, ShardedPodConfig, SpaceInfo, SystemConfig,
-    TelemetryPlan, TracePlan, UStoreClient, UStoreSystem, WatchdogConfig,
+    ClientLibConfig, HealthWatchdog, MasterConfig, Mounted, ShardedPod, ShardedPodConfig,
+    SpaceInfo, SystemConfig, TelemetryPlan, TracePlan, UStoreClient, UStoreSystem, WatchdogConfig,
 };
 use ustore_net::BlockDevice;
 use ustore_sim::{
-    Json, ProfSnapshot, Profiler, RequestTracer, ScraperConfig, Sim, SimTime, TraceLevel,
+    Json, ProfSnapshot, Profiler, RequestTracer, Scraper, ScraperConfig, Sim, SimTime, TraceLevel,
     TraceSnapshot, TrafficSnapshot,
 };
 
@@ -55,7 +55,7 @@ pub struct PodConfig {
     /// Telemetry scrape cadence (scraper + Master watchdog are installed,
     /// as they would be in production).
     pub scrape_interval: Duration,
-    /// Unit-group worlds for the sharded engine ([`run_podscale_sharded`]).
+    /// Unit-group worlds for the sharded engine ([`RunOpts::shards`]).
     /// Part of the scenario, not the execution: the decomposition (and so
     /// the telemetry digest) depends on it, while the shard count does
     /// not. Must divide into `units` (1..=units).
@@ -126,6 +126,25 @@ impl PodConfig {
         }
     }
 
+    /// The deployment shape both engines build.
+    pub fn system(&self) -> SystemConfig {
+        SystemConfig {
+            units: self.units,
+            hosts: self.hosts_per_unit,
+            disks: self.disks_per_unit,
+            fanin: self.fanin,
+            master: MasterConfig {
+                partitions: self.partitions.max(1),
+                ..MasterConfig::default()
+            },
+            clientlib: ClientLibConfig {
+                location_lease: self.location_lease,
+                ..ClientLibConfig::default()
+            },
+            ..SystemConfig::default()
+        }
+    }
+
     /// Total hosts in the pod.
     pub fn hosts(&self) -> u32 {
         self.units * self.hosts_per_unit
@@ -137,7 +156,7 @@ impl PodConfig {
     }
 }
 
-/// Engine statistics specific to a sharded ([`run_podscale_sharded`]) run.
+/// Engine statistics specific to a sharded ([`RunOpts::shards`]) run.
 #[derive(Debug, Clone)]
 pub struct ShardStats {
     /// Executor threads used.
@@ -169,7 +188,7 @@ pub struct PodscaleRun {
     /// JSON + span log JSON + scraped time-series CSV). Two same-seed
     /// runs must produce the same digest. Sharded runs combine per-world
     /// digests in world-id order; the result is identical for every shard
-    /// count but differs from the single-world [`run_podscale`] digest
+    /// count but differs from the classic engine's single-world digest
     /// (different decomposition, different RNG streams).
     pub digest: u64,
     /// Events the engine processed over the whole run (summed across
@@ -180,7 +199,7 @@ pub struct PodscaleRun {
     /// Peak live event-queue depth (for sharded runs: the per-shard max;
     /// see [`ShardStats`] for the whole-sim sum).
     pub peak_queue_depth: f64,
-    /// Sharded-engine statistics (`None` for [`run_podscale`]).
+    /// Sharded-engine statistics (`None` on the classic engine).
     pub sharding: Option<ShardStats>,
     /// Completed archival writes.
     pub writes_ok: u64,
@@ -190,13 +209,11 @@ pub struct PodscaleRun {
     pub io_errors: u64,
     /// Machine-readable summary (`{"experiment","seed","hosts",...}`).
     pub telemetry: Json,
-    /// Wall-clock profiler snapshot (profiled runs only — see
-    /// [`run_podscale_profiled`] / [`run_podscale_sharded_profiled`]).
+    /// Wall-clock profiler snapshot ([`RunOpts::profile`] runs only).
     pub prof: Option<ProfSnapshot>,
     /// Cross-world traffic matrix snapshot (profiled sharded runs only).
     pub traffic: Option<TrafficSnapshot>,
-    /// Request-lifecycle trace snapshot (traced runs only — see
-    /// [`run_podscale_traced`] / [`run_podscale_sharded_traced`]).
+    /// Request-lifecycle trace snapshot ([`RunOpts::trace`] runs only).
     pub slo: Option<TraceSnapshot>,
     /// Replicated-log length of every metadata partition at the end of
     /// the run, as `(partition, applied length)` pairs in partition order
@@ -217,6 +234,14 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
     }
     h
+}
+
+/// Digest of one world's telemetry export: metrics snapshot JSON, span
+/// log JSON and scraped time-series CSV.
+pub(crate) fn world_digest(metrics_json: &str, spans_json: &str, scrape_csv: &str) -> u64 {
+    fnv1a(metrics_json.as_bytes())
+        ^ fnv1a(spans_json.as_bytes()).rotate_left(1)
+        ^ fnv1a(scrape_csv.as_bytes()).rotate_left(2)
 }
 
 /// Drives the mixed archival workload against already-built clients:
@@ -340,362 +365,289 @@ fn drive_workload(
     (writes_ok.get(), reads_ok.get(), io_errors.get())
 }
 
-/// Runs the pod-scale experiment once.
+/// How to execute one pod-scale run. None of these change what the pod
+/// simulates: the digest depends on the engine's decomposition only.
+#[derive(Debug, Clone, Default)]
+pub struct RunOpts {
+    /// `None` runs the classic single-world engine; `Some(n)` runs the
+    /// sharded engine on `n` executor threads (the decomposition into
+    /// `world_groups` unit-group worlds is fixed by the scenario, so every
+    /// `n` yields the same digest).
+    pub shards: Option<usize>,
+    /// Attach the wall-clock profiler (and, sharded, the cross-world
+    /// traffic matrix): populates `prof`, `traffic` and
+    /// `run_wall_seconds`.
+    pub profile: bool,
+    /// Attach the request-lifecycle tracer: populates `slo`.
+    pub trace: Option<TracePlan>,
+}
+
+impl RunOpts {
+    /// The sharded engine on `shards` threads, no profiling or tracing.
+    pub fn sharded(shards: usize) -> RunOpts {
+        RunOpts {
+            shards: Some(shards),
+            ..RunOpts::default()
+        }
+    }
+}
+
+/// The pod after bring-up, on either engine.
+enum Pod {
+    Classic {
+        system: Box<UStoreSystem>,
+        scraper: Scraper,
+        _watchdog: HealthWatchdog,
+        profiler: Profiler,
+        tracer: RequestTracer,
+    },
+    Sharded(Box<ShardedPod>),
+}
+
+impl Pod {
+    fn advance(&mut self, d: Duration) {
+        match self {
+            Pod::Classic { system, .. } => {
+                system.sim.run_until(system.sim.now() + d);
+            }
+            Pod::Sharded(pod) => pod.run_for(d),
+        }
+    }
+}
+
+/// Runs the pod-scale experiment once: build and settle the pod on the
+/// engine `opts` selects, drive the archival workload, then fold every
+/// world's telemetry export into one digest (in world-id order; the
+/// classic engine is the one-world case).
+///
+/// The classic engine also installs the production Master-side watchdog.
+/// The sharded engine does not (it needs cross-world disk metrics; the
+/// healthy-pod workload never exercises it), so digests compare across
+/// shard counts but not with the classic engine.
 ///
 /// # Panics
 ///
 /// Panics if bring-up fails (no active master, allocations not served) —
-/// a pod that cannot bring up is a broken system, not a measurement.
-pub fn run_podscale(seed: u64, cfg: &PodConfig) -> PodscaleRun {
-    run_podscale_opts(seed, cfg, false, None)
-}
-
-/// [`run_podscale`] with the wall-clock profiler attached to the classic
-/// single-threaded engine (world 0, lookahead 0). The simulation itself —
-/// events, telemetry, digest — is bit-identical to the unprofiled run; only
-/// `prof` and `run_wall_seconds` are populated.
-pub fn run_podscale_profiled(seed: u64, cfg: &PodConfig) -> PodscaleRun {
-    run_podscale_opts(seed, cfg, true, None)
-}
-
-/// [`run_podscale`] with the request-lifecycle tracer attached to the
-/// classic single-threaded engine. The simulation itself — events,
-/// telemetry, digest — is bit-identical to the untraced run; only `slo`
-/// is additionally populated.
-pub fn run_podscale_traced(seed: u64, cfg: &PodConfig, plan: TracePlan) -> PodscaleRun {
-    run_podscale_opts(seed, cfg, false, Some(plan))
-}
-
-fn run_podscale_opts(
-    seed: u64,
-    cfg: &PodConfig,
-    profile: bool,
-    trace: Option<TracePlan>,
-) -> PodscaleRun {
-    let tracer = match &trace {
-        Some(plan) => RequestTracer::on(plan.sample_every, plan.exemplars),
-        None => RequestTracer::off(),
-    };
-    let sim = ustore_sim::Sim::new(seed);
-    sim.set_reqtracer(tracer.clone());
-    let system = UStoreSystem::build(
-        sim,
-        SystemConfig {
-            units: cfg.units,
-            hosts: cfg.hosts_per_unit,
-            disks: cfg.disks_per_unit,
-            fanin: cfg.fanin,
-            master: MasterConfig {
-                partitions: cfg.partitions.max(1),
-                ..MasterConfig::default()
-            },
-            clientlib: ClientLibConfig {
-                location_lease: cfg.location_lease,
-                ..ClientLibConfig::default()
-            },
-            ..SystemConfig::default()
-        },
-    );
-    // Pod-scale runs are about engine throughput; keep the trace buffer to
-    // warnings so it measures the system, not the logger.
-    system.sim.with_trace(|t| t.set_min_level(TraceLevel::Warn));
-    let profiler = if profile {
-        Profiler::on(1)
-    } else {
-        Profiler::off()
-    };
-    system.sim.set_wallclock_prof(profiler.clone(), 0);
-    let wall0 = Instant::now();
-    system.settle();
-    assert!(
-        system.active_master().is_some(),
-        "pod bring-up must elect a master"
-    );
-
-    // Production telemetry: scraper + Master-side watchdog over every disk.
-    let scraper = system.start_telemetry(ScraperConfig {
+/// a pod that cannot bring up is a broken system, not a measurement — or
+/// on a degenerate sharded shape (`shards` 0, `world_groups` outside
+/// `1..=units`).
+pub fn run_podscale(seed: u64, cfg: &PodConfig, opts: &RunOpts) -> PodscaleRun {
+    let scraper_config = ScraperConfig {
         interval: cfg.scrape_interval,
         retention: 1024,
-    });
-    let _dog = system
-        .install_watchdog(&scraper, WatchdogConfig::default())
-        .expect("watchdog installs once a master is active");
+    };
+    let names: Vec<String> = (0..cfg.clients).map(|c| format!("archive-{c}")).collect();
+    // Build and settle: the only step where the two engines differ.
+    let (mut pod, clients, wall0) = match opts.shards {
+        None => {
+            let tracer = match &opts.trace {
+                Some(plan) => RequestTracer::on(plan.sample_every, plan.exemplars),
+                None => RequestTracer::off(),
+            };
+            let sim = Sim::new(seed);
+            sim.set_reqtracer(tracer.clone());
+            let system = UStoreSystem::build(sim, cfg.system());
+            // Pod-scale runs are about engine throughput; keep the trace
+            // buffer to warnings so it measures the system, not the logger.
+            system.sim.with_trace(|t| t.set_min_level(TraceLevel::Warn));
+            let profiler = if opts.profile {
+                Profiler::on(1)
+            } else {
+                Profiler::off()
+            };
+            system.sim.set_wallclock_prof(profiler.clone(), 0);
+            let wall0 = Instant::now();
+            system.settle();
+            let scraper = system.start_telemetry(scraper_config);
+            let watchdog = system
+                .install_watchdog(&scraper, WatchdogConfig::default())
+                .expect("pod bring-up must elect a master");
+            let clients = names.iter().map(|n| system.client(n)).collect();
+            let pod = Pod::Classic {
+                system: Box::new(system),
+                scraper,
+                _watchdog: watchdog,
+                profiler,
+                tracer,
+            };
+            (pod, clients, wall0)
+        }
+        Some(shards) => {
+            let mut pod = ShardedPod::build(
+                seed,
+                &ShardedPodConfig {
+                    system: cfg.system(),
+                    groups: cfg.world_groups,
+                    shards,
+                    clients: names,
+                    telemetry: Some(TelemetryPlan {
+                        start: SimTime::from_secs(15),
+                        scraper: scraper_config,
+                    }),
+                    trace_level: TraceLevel::Warn,
+                    profile: opts.profile,
+                    trace: opts.trace.clone(),
+                },
+            );
+            let wall0 = Instant::now();
+            pod.run_until(SimTime::from_secs(15));
+            assert!(
+                pod.active_master().is_some(),
+                "pod bring-up must elect a master"
+            );
+            let clients = pod.clients.clone();
+            (Pod::Sharded(Box::new(pod)), clients, wall0)
+        }
+    };
 
-    // Allocate one space per client, spread across distinct services so
-    // the allocator fans out over units instead of packing one disk, then
-    // run the mixed archival workload for the measured window.
-    let clients: Vec<_> = (0..cfg.clients)
-        .map(|c| system.client(&format!("archive-{c}")))
-        .collect();
-    let (writes_ok, reads_ok, io_errors) = drive_workload(&system.sim, &clients, cfg, |d| {
-        system.sim.run_until(system.sim.now() + d);
-    });
+    let sim = match &pod {
+        Pod::Classic { system, .. } => system.sim.clone(),
+        Pod::Sharded(p) => p.sim.clone(),
+    };
+    let (writes_ok, reads_ok, io_errors) = drive_workload(&sim, &clients, cfg, |d| pod.advance(d));
     let run_wall_seconds = wall0.elapsed().as_secs_f64();
-
-    // Telemetry digest: the full export, fingerprinted. Residency gauges
-    // are published first so the snapshot is complete.
-    for rt in &system.runtimes {
-        rt.publish_residency(&system.sim);
-    }
-    let metrics_json = system.sim.metrics_snapshot().to_json().to_string();
-    let spans_json = system.sim.with_spans(|t| t.to_json()).to_string();
-    let csv = scraper.to_csv();
-    let mut digest = fnv1a(metrics_json.as_bytes());
-    digest ^= fnv1a(spans_json.as_bytes()).rotate_left(1);
-    digest ^= fnv1a(csv.as_bytes()).rotate_left(2);
-
-    let snapshot = system.sim.metrics_snapshot();
-    let peak_queue_depth = snapshot.gauge("sim", "queue_depth_max").unwrap_or(0.0);
-    let events = system.sim.events_processed();
-    let telemetry = Json::obj([
-        ("experiment", Json::str("podscale")),
-        ("seed", Json::u64(seed)),
-        ("units", Json::u64(u64::from(cfg.units))),
-        ("hosts", Json::u64(u64::from(cfg.hosts()))),
-        ("disks", Json::u64(u64::from(cfg.disks()))),
-        ("clients", Json::u64(u64::from(cfg.clients))),
-        ("partitions", Json::u64(u64::from(cfg.partitions.max(1)))),
-        ("sim_seconds", Json::f64(system.sim.now().as_secs_f64())),
-        ("events", Json::u64(events)),
-        ("peak_queue_depth", Json::f64(peak_queue_depth)),
-        ("writes_ok", Json::u64(writes_ok)),
-        ("reads_ok", Json::u64(reads_ok)),
-        ("io_errors", Json::u64(io_errors)),
-        ("telemetry_digest", Json::str(format!("{digest:016x}"))),
-    ]);
-    let report = Report::new(
-        format!(
-            "podscale — {} units, {} hosts, {} disks",
-            cfg.units,
-            cfg.hosts(),
-            cfg.disks()
-        ),
-        vec![
-            Row::measured_only("hosts", f64::from(cfg.hosts()), ""),
-            Row::measured_only("disks", f64::from(cfg.disks()), ""),
-            Row::measured_only("events processed", events as f64, ""),
-            Row::measured_only("peak live queue depth", peak_queue_depth, ""),
-            Row::measured_only("archival writes", writes_ok as f64, ""),
-            Row::measured_only("restore reads", reads_ok as f64, ""),
-            Row::measured_only("io errors", io_errors as f64, ""),
-        ],
-    );
-    let sim_seconds = system.sim.now().as_secs_f64();
-    let partition_logs: Vec<(u32, u64)> = system
-        .partition_log_lens()
-        .into_iter()
-        .enumerate()
-        .map(|(k, len)| (k as u32, len))
-        .collect();
-    // Break the engine's Rc cycles (pending recurring timers capture the
-    // sim and components) so back-to-back harness runs in one process
-    // don't accumulate each run's heap.
-    system.sim.teardown();
-    PodscaleRun {
-        report,
-        digest,
-        events,
-        sim_seconds,
-        peak_queue_depth,
-        sharding: None,
-        writes_ok,
-        reads_ok,
-        io_errors,
-        telemetry,
-        prof: profiler.snapshot(),
-        traffic: None,
-        slo: tracer.snapshot(),
-        partition_logs,
-        run_wall_seconds,
-    }
-}
-
-/// Runs the pod-scale experiment on the sharded parallel engine: the pod
-/// is decomposed into `cfg.world_groups` unit-group worlds plus a control
-/// world and executed by `shards` OS threads through adaptive epoch
-/// windows (the per-pair lookahead matrix encodes the pod's star-shaped
-/// control-plane topology; the network base latency is the minimum
-/// cross-world lookahead).
-///
-/// The workload recipe is [`run_podscale`]'s, driven from the control
-/// world. The telemetry digest combines per-world exports in world-id
-/// order and is bit-identical for every `shards` value — only wall-clock
-/// changes. The Master-side watchdog is not installed (it needs
-/// cross-world disk metrics; the healthy-pod benchmark does not exercise
-/// it), so digests are comparable across shard counts but not with
-/// [`run_podscale`].
-///
-/// # Panics
-///
-/// Panics if bring-up fails, or on a degenerate shape (`shards` 0,
-/// `world_groups` outside `1..=units`).
-pub fn run_podscale_sharded(seed: u64, cfg: &PodConfig, shards: usize) -> PodscaleRun {
-    run_podscale_sharded_opts(seed, cfg, shards, false, None)
-}
-
-/// [`run_podscale_sharded`] with the wall-clock shard profiler and the
-/// cross-world traffic matrix enabled. The simulation is bit-identical to
-/// the unprofiled run (same digest); `prof`, `traffic`, and
-/// `run_wall_seconds` are additionally populated.
-pub fn run_podscale_sharded_profiled(seed: u64, cfg: &PodConfig, shards: usize) -> PodscaleRun {
-    run_podscale_sharded_opts(seed, cfg, shards, true, None)
-}
-
-/// [`run_podscale_sharded`] with the request-lifecycle tracer installed
-/// in every world. The simulation is bit-identical to the untraced run
-/// (same digest); `slo` is additionally populated.
-pub fn run_podscale_sharded_traced(
-    seed: u64,
-    cfg: &PodConfig,
-    shards: usize,
-    plan: TracePlan,
-) -> PodscaleRun {
-    run_podscale_sharded_opts(seed, cfg, shards, false, Some(plan))
-}
-
-fn run_podscale_sharded_opts(
-    seed: u64,
-    cfg: &PodConfig,
-    shards: usize,
-    profile: bool,
-    trace: Option<TracePlan>,
-) -> PodscaleRun {
-    let mut pod = ShardedPod::build(
-        seed,
-        &ShardedPodConfig {
-            system: SystemConfig {
-                units: cfg.units,
-                hosts: cfg.hosts_per_unit,
-                disks: cfg.disks_per_unit,
-                fanin: cfg.fanin,
-                master: MasterConfig {
-                    partitions: cfg.partitions.max(1),
-                    ..MasterConfig::default()
-                },
-                clientlib: ClientLibConfig {
-                    location_lease: cfg.location_lease,
-                    ..ClientLibConfig::default()
-                },
-                ..SystemConfig::default()
-            },
-            groups: cfg.world_groups,
-            shards,
-            clients: (0..cfg.clients).map(|c| format!("archive-{c}")).collect(),
-            telemetry: Some(TelemetryPlan {
-                start: SimTime::from_secs(15),
-                scraper: ScraperConfig {
-                    interval: cfg.scrape_interval,
-                    retention: 1024,
-                },
-            }),
-            trace_level: TraceLevel::Warn,
-            profile,
-            trace,
-        },
-    );
-    let wall0 = Instant::now();
-    pod.run_until(SimTime::from_secs(15));
-    assert!(
-        pod.active_master().is_some(),
-        "pod bring-up must elect a master"
-    );
-
-    let sim = pod.sim.clone();
-    let clients = pod.clients.clone();
-    let (writes_ok, reads_ok, io_errors) = drive_workload(&sim, &clients, cfg, |d| pod.run_for(d));
-    let run_wall_seconds = wall0.elapsed().as_secs_f64();
-    let prof = pod.prof_snapshot();
-    let traffic = pod.traffic_snapshot();
-    let slo = pod.trace_snapshot();
-
-    let sim_seconds = pod.now().as_secs_f64();
-    let epochs = pod.epochs();
-    let sync_rounds = pod.sync_rounds();
-    let cross_messages = pod.cross_messages();
     drop((sim, clients));
-    let worlds = pod.finalize();
 
-    // Combine per-world digests in world-id order. The per-world digest is
-    // the single-world formula; the fold is order-sensitive so a swap of
-    // two worlds' telemetry cannot cancel out.
+    let (worlds, sim_seconds, prof, traffic, slo, engine) = match pod {
+        Pod::Classic {
+            system,
+            scraper,
+            _watchdog,
+            profiler,
+            tracer,
+        } => {
+            let sim_seconds = system.sim.now().as_secs_f64();
+            let worlds = vec![system.finalize(Some(&scraper))];
+            let (prof, slo) = (profiler.snapshot(), tracer.snapshot());
+            (worlds, sim_seconds, prof, None, slo, None)
+        }
+        Pod::Sharded(pod) => {
+            let engine = (pod.epochs(), pod.sync_rounds(), pod.cross_messages());
+            let sim_seconds = pod.now().as_secs_f64();
+            let (prof, traffic, slo) = (
+                pod.prof_snapshot(),
+                pod.traffic_snapshot(),
+                pod.trace_snapshot(),
+            );
+            (
+                pod.finalize(),
+                sim_seconds,
+                prof,
+                traffic,
+                slo,
+                Some(engine),
+            )
+        }
+    };
+
+    // Combine per-world digests in world-id order. The fold is
+    // order-sensitive so a swap of two worlds' telemetry cannot cancel
+    // out; for one world it is that world's digest.
     let mut digest = 0u64;
     let mut events = 0u64;
     let mut peak_max = 0f64;
     let mut peak_sum = 0f64;
     let mut partition_logs: Vec<(u32, u64)> = Vec::new();
     for w in &worlds {
-        let mut d = fnv1a(w.metrics_json.as_bytes());
-        d ^= fnv1a(w.spans_json.as_bytes()).rotate_left(1);
-        d ^= fnv1a(w.scrape_csv.as_bytes()).rotate_left(2);
-        digest = digest.rotate_left(7) ^ d;
+        digest =
+            digest.rotate_left(7) ^ world_digest(&w.metrics_json, &w.spans_json, &w.scrape_csv);
         events += w.events;
         peak_max = peak_max.max(w.peak_queue_depth);
         peak_sum += w.peak_queue_depth;
         partition_logs.extend(w.partition_logs.iter().copied());
     }
     partition_logs.sort_unstable();
-    let sharding = ShardStats {
-        shards,
-        groups: cfg.world_groups,
-        epochs,
-        sync_rounds,
-        cross_messages,
-        peak_queue_depth_max: peak_max,
-        peak_queue_depth_sum: peak_sum,
-    };
+    let sharding = opts.shards.zip(engine).map(
+        |(shards, (epochs, sync_rounds, cross_messages))| ShardStats {
+            shards,
+            groups: cfg.world_groups,
+            epochs,
+            sync_rounds,
+            cross_messages,
+            peak_queue_depth_max: peak_max,
+            peak_queue_depth_sum: peak_sum,
+        },
+    );
 
-    let telemetry = Json::obj([
-        ("experiment", Json::str("podscale_sharded")),
+    let mut telemetry = vec![
+        ("experiment", Json::str("podscale")),
         ("seed", Json::u64(seed)),
         ("units", Json::u64(u64::from(cfg.units))),
         ("hosts", Json::u64(u64::from(cfg.hosts()))),
         ("disks", Json::u64(u64::from(cfg.disks()))),
         ("clients", Json::u64(u64::from(cfg.clients))),
-        ("world_groups", Json::u64(u64::from(cfg.world_groups))),
-        ("partitions", Json::u64(u64::from(cfg.partitions.max(1)))),
-        ("shards", Json::u64(shards as u64)),
-        ("epochs", Json::u64(epochs)),
-        ("sync_rounds", Json::u64(sync_rounds)),
-        ("cross_messages", Json::u64(cross_messages)),
-        ("sim_seconds", Json::f64(sim_seconds)),
-        ("events", Json::u64(events)),
-        ("peak_queue_depth_max", Json::f64(peak_max)),
-        ("peak_queue_depth_sum", Json::f64(peak_sum)),
+    ];
+    let mut rows = vec![
+        Row::measured_only("hosts", f64::from(cfg.hosts()), ""),
+        Row::measured_only("disks", f64::from(cfg.disks()), ""),
+        Row::measured_only("events processed", events as f64, ""),
+    ];
+    let partitions = ("partitions", Json::u64(u64::from(cfg.partitions.max(1))));
+    let title = match &sharding {
+        None => {
+            telemetry.extend([
+                partitions,
+                ("sim_seconds", Json::f64(sim_seconds)),
+                ("events", Json::u64(events)),
+                ("peak_queue_depth", Json::f64(peak_max)),
+            ]);
+            rows.push(Row::measured_only("peak live queue depth", peak_max, ""));
+            format!(
+                "podscale — {} units, {} hosts, {} disks",
+                cfg.units,
+                cfg.hosts(),
+                cfg.disks()
+            )
+        }
+        Some(s) => {
+            telemetry[0].1 = Json::str("podscale_sharded");
+            telemetry.extend([
+                ("world_groups", Json::u64(u64::from(s.groups))),
+                partitions,
+                ("shards", Json::u64(s.shards as u64)),
+                ("epochs", Json::u64(s.epochs)),
+                ("sync_rounds", Json::u64(s.sync_rounds)),
+                ("cross_messages", Json::u64(s.cross_messages)),
+                ("sim_seconds", Json::f64(sim_seconds)),
+                ("events", Json::u64(events)),
+                ("peak_queue_depth_max", Json::f64(peak_max)),
+                ("peak_queue_depth_sum", Json::f64(peak_sum)),
+            ]);
+            rows.extend([
+                Row::measured_only("epoch windows", s.epochs as f64, ""),
+                Row::measured_only("sync rounds", s.sync_rounds as f64, ""),
+                Row::measured_only("cross-world messages", s.cross_messages as f64, ""),
+                Row::measured_only("peak queue depth (per-shard max)", peak_max, ""),
+                Row::measured_only("peak queue depth (whole-sim sum)", peak_sum, ""),
+            ]);
+            format!(
+                "podscale (sharded) — {} units in {} worlds on {} threads",
+                cfg.units, s.groups, s.shards
+            )
+        }
+    };
+    telemetry.extend([
         ("writes_ok", Json::u64(writes_ok)),
         ("reads_ok", Json::u64(reads_ok)),
         ("io_errors", Json::u64(io_errors)),
         ("telemetry_digest", Json::str(format!("{digest:016x}"))),
     ]);
-    let report = Report::new(
-        format!(
-            "podscale (sharded) — {} units in {} worlds on {} threads",
-            cfg.units, cfg.world_groups, shards
-        ),
-        vec![
-            Row::measured_only("hosts", f64::from(cfg.hosts()), ""),
-            Row::measured_only("disks", f64::from(cfg.disks()), ""),
-            Row::measured_only("events processed", events as f64, ""),
-            Row::measured_only("epoch windows", epochs as f64, ""),
-            Row::measured_only("sync rounds", sync_rounds as f64, ""),
-            Row::measured_only("cross-world messages", cross_messages as f64, ""),
-            Row::measured_only("peak queue depth (per-shard max)", peak_max, ""),
-            Row::measured_only("peak queue depth (whole-sim sum)", peak_sum, ""),
-            Row::measured_only("archival writes", writes_ok as f64, ""),
-            Row::measured_only("restore reads", reads_ok as f64, ""),
-            Row::measured_only("io errors", io_errors as f64, ""),
-        ],
-    );
+    rows.extend([
+        Row::measured_only("archival writes", writes_ok as f64, ""),
+        Row::measured_only("restore reads", reads_ok as f64, ""),
+        Row::measured_only("io errors", io_errors as f64, ""),
+    ]);
     PodscaleRun {
-        report,
+        report: Report::new(title, rows),
         digest,
         events,
         sim_seconds,
         peak_queue_depth: peak_max,
-        sharding: Some(sharding),
+        sharding,
         writes_ok,
         reads_ok,
         io_errors,
-        telemetry,
+        telemetry: Json::obj(telemetry),
         prof,
         traffic,
         slo,
@@ -710,7 +662,7 @@ mod tests {
 
     #[test]
     fn tiny_pod_brings_up_and_serves_io() {
-        let run = run_podscale(901, &PodConfig::tiny());
+        let run = run_podscale(901, &PodConfig::tiny(), &RunOpts::default());
         assert!(run.writes_ok > 0, "archival writes completed");
         assert!(run.reads_ok > 0, "restore reads completed");
         assert_eq!(run.io_errors, 0, "healthy pod serves all IO");
@@ -720,7 +672,7 @@ mod tests {
     #[test]
     fn sharded_tiny_pod_serves_io_and_reports_shard_stats() {
         let cfg = PodConfig::tiny();
-        let run = run_podscale_sharded(904, &cfg, 2);
+        let run = run_podscale(904, &cfg, &RunOpts::sharded(2));
         assert!(run.writes_ok > 0, "archival writes completed");
         assert!(run.reads_ok > 0, "restore reads completed");
         assert_eq!(run.io_errors, 0, "healthy pod serves all IO");
@@ -738,7 +690,11 @@ mod tests {
         if !RequestTracer::compiled_in() {
             return;
         }
-        let run = run_podscale_traced(905, &PodConfig::tiny(), TracePlan::default());
+        let opts = RunOpts {
+            trace: Some(TracePlan::default()),
+            ..RunOpts::default()
+        };
+        let run = run_podscale(905, &PodConfig::tiny(), &opts);
         let slo = run.slo.expect("traced run snapshots");
         assert!(slo.seen > 0, "workload completed under trace");
         assert!(slo.worst().is_some(), "slowest exemplar retained");
@@ -754,7 +710,7 @@ mod tests {
     fn partitioned_leased_tiny_pod_serves_io() {
         let cfg = PodConfig::tiny().partitioned();
         assert_eq!(cfg.partitions, cfg.world_groups);
-        let run = run_podscale_sharded(906, &cfg, 2);
+        let run = run_podscale(906, &cfg, &RunOpts::sharded(2));
         assert!(run.writes_ok > 0, "archival writes completed");
         assert!(run.reads_ok > 0, "restore reads completed");
         assert_eq!(run.io_errors, 0, "healthy pod serves all IO and lookups");
@@ -773,11 +729,11 @@ mod tests {
     #[test]
     fn same_seed_runs_share_a_digest() {
         let cfg = PodConfig::tiny();
-        let a = run_podscale(902, &cfg);
-        let b = run_podscale(902, &cfg);
+        let a = run_podscale(902, &cfg, &RunOpts::default());
+        let b = run_podscale(902, &cfg, &RunOpts::default());
         assert_eq!(a.digest, b.digest, "telemetry digest is deterministic");
         assert_eq!(a.events, b.events);
-        let c = run_podscale(903, &cfg);
+        let c = run_podscale(903, &cfg, &RunOpts::default());
         assert_ne!(a.digest, c.digest, "different seed, different telemetry");
     }
 }

@@ -21,10 +21,7 @@
 
 use ustore_sim::{export, Json, Phase, SpanTracer};
 
-use crate::podscale::{
-    run_podscale_profiled, run_podscale_sharded, run_podscale_sharded_profiled, PodConfig,
-    PodscaleRun,
-};
+use crate::podscale::{run_podscale, PodConfig, PodscaleRun, RunOpts};
 
 /// Profile-run options.
 #[derive(Debug, Clone, Copy)]
@@ -87,9 +84,14 @@ pub fn run_profile(opts: &ProfileOptions) -> ProfileRun {
     } else {
         PodConfig::pod()
     };
-    let sharded = run_podscale_sharded_profiled(opts.seed, &pod, opts.shards);
-    let unprofiled = run_podscale_sharded(opts.seed, &pod, opts.shards);
-    let classic = run_podscale_profiled(opts.seed, &pod);
+    let profiled = |shards| RunOpts {
+        shards,
+        profile: true,
+        trace: None,
+    };
+    let sharded = run_podscale(opts.seed, &pod, &profiled(Some(opts.shards)));
+    let unprofiled = run_podscale(opts.seed, &pod, &RunOpts::sharded(opts.shards));
+    let classic = run_podscale(opts.seed, &pod, &profiled(None));
     let coverage = coverage_fraction(&sharded);
     ProfileRun {
         seed: opts.seed,

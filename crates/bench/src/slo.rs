@@ -25,9 +25,7 @@
 use ustore::TracePlan;
 use ustore_sim::{export, Json, SpanTracer, Stage, TraceRecord, TraceSnapshot};
 
-use crate::podscale::{
-    run_podscale_sharded, run_podscale_sharded_traced, run_podscale_traced, PodConfig, PodscaleRun,
-};
+use crate::podscale::{run_podscale, PodConfig, PodscaleRun, RunOpts};
 
 /// The quantiles every SLO table reports, with display labels.
 pub const SLO_QUANTILES: [(&str, f64); 3] = [("p50", 0.5), ("p99", 0.99), ("p99.9", 0.999)];
@@ -100,16 +98,21 @@ pub fn run_slo(opts: &SloOptions) -> SloRun {
         sample_every: opts.sample_every,
         exemplars: opts.exemplars,
     };
-    let sharded = run_podscale_sharded_traced(opts.seed, &pod, opts.shards, plan.clone());
-    let untraced = run_podscale_sharded(opts.seed, &pod, opts.shards);
-    let classic = run_podscale_traced(opts.seed, &pod, plan.clone());
+    let traced = |shards| RunOpts {
+        shards,
+        profile: false,
+        trace: Some(plan.clone()),
+    };
+    let sharded = run_podscale(opts.seed, &pod, &traced(Some(opts.shards)));
+    let untraced = run_podscale(opts.seed, &pod, &RunOpts::sharded(opts.shards));
+    let classic = run_podscale(opts.seed, &pod, &traced(None));
     // The same pod with the control plane scaled out: per-world metadata
     // partitions plus client location leases. Traced for the before/after
     // master_lookup comparison, untraced for its own purity gate (leased
     // digests are a different scenario, so they get their own pair).
     let leased_pod = pod.clone().partitioned();
-    let leased = run_podscale_sharded_traced(opts.seed, &leased_pod, opts.shards, plan);
-    let leased_untraced = run_podscale_sharded(opts.seed, &leased_pod, opts.shards);
+    let leased = run_podscale(opts.seed, &leased_pod, &traced(Some(opts.shards)));
+    let leased_untraced = run_podscale(opts.seed, &leased_pod, &RunOpts::sharded(opts.shards));
     let min_coverage = sharded.slo.as_ref().and_then(|s| {
         SLO_QUANTILES
             .iter()

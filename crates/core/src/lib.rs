@@ -64,8 +64,8 @@ pub use master::{Master, MasterConfig, UnitConf};
 pub use messages::{MasterError, SpaceInfo};
 pub use meta::MetaRouter;
 pub use sharded::{
-    partition_world, world_of_unit, PodWorld, ShardedPod, ShardedPodConfig, TelemetryPlan,
-    TracePlan, WorldTelemetry,
+    partition_world, world_of_unit, ShardedPod, ShardedPodConfig, TelemetryPlan, TracePlan,
+    WorldTelemetry,
 };
 pub use system::{
     coord_addr, host_addr, master_addr, unit_conf_for, unit_host_addr, SystemConfig, UStoreSystem,

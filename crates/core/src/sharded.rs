@@ -18,13 +18,14 @@
 
 use std::cell::RefCell;
 use std::fmt;
+use std::ops::Range;
 use std::rc::Rc;
 use std::sync::Arc;
 use std::time::Duration;
 
-use ustore_consensus::{CoordConfig, CoordGroup, CoordServer};
-use ustore_fabric::{FabricRuntime, Topology};
-use ustore_net::{Addr, Envelope, Network, RpcNode};
+use ustore_consensus::{group_addrs, CoordGroup, CoordServer};
+use ustore_fabric::Topology;
+use ustore_net::{Addr, Envelope, Network};
 use ustore_sim::{
     FastMap, LookaheadMatrix, ProfSnapshot, Profiler, RequestTracer, Routed, Scraper,
     ScraperConfig, ShardCoordinator, ShardWorld, Sim, SimTime, TraceLevel, TraceSnapshot,
@@ -32,11 +33,13 @@ use ustore_sim::{
 };
 
 use crate::clientlib::UStoreClient;
-use crate::controller::Controller;
-use crate::endpoint::Endpoint;
 use crate::ids::UnitId;
 use crate::master::Master;
-use crate::system::{coord_addr, master_addr, unit_conf_for, unit_host_addr, SystemConfig};
+use crate::meta::MetaRouter;
+use crate::system::{
+    client, coord_addrs, coord_servers, finalize_world, master_addr, masters, network,
+    partition_groups, start_pipeline, unit_hardware, unit_host_addr, SystemConfig, UnitHardware,
+};
 
 /// When (and how) each world starts its telemetry pipeline. Scheduled at
 /// an absolute instant so every world samples on the same clock.
@@ -120,27 +123,16 @@ pub struct WorldTelemetry {
 }
 
 /// One world of the sharded pod.
-pub struct PodWorld {
+struct PodWorld {
     id: usize,
     sim: Sim,
     net: Network,
-    runtimes: Vec<FabricRuntime>,
-    endpoints: Vec<Endpoint>,
-    controllers: Vec<Rc<Controller>>,
+    hw: UnitHardware,
     coord: Vec<CoordServer>,
     coord_groups: Vec<CoordGroup>,
     masters: Vec<Master>,
+    clients: Vec<UStoreClient>,
     scraper: Rc<RefCell<Option<Scraper>>>,
-}
-
-impl fmt::Debug for PodWorld {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("PodWorld")
-            .field("id", &self.id)
-            .field("units", &self.runtimes.len())
-            .field("endpoints", &self.endpoints.len())
-            .finish()
-    }
 }
 
 impl ShardWorld for PodWorld {
@@ -162,45 +154,14 @@ impl ShardWorld for PodWorld {
     }
 
     fn finalize(self: Box<Self>) -> Box<dyn std::any::Any + Send> {
-        // Residency gauges are published right before the snapshot so the
-        // export is complete, mirroring the single-world harness.
-        for rt in &self.runtimes {
-            rt.publish_residency(&self.sim);
-        }
-        let _ = (
-            &self.endpoints,
-            &self.controllers,
+        Box::new(finalize_world(
+            self.id,
+            &self.sim,
+            &self.hw.runtimes,
             &self.coord,
-            &self.masters,
-        );
-        let mut partition_logs: Vec<(u32, u64)> = Vec::new();
-        if let Some(base) = self.coord.iter().map(|s| s.applied_len()).max() {
-            partition_logs.push((0, base));
-        }
-        partition_logs.extend(self.coord_groups.iter().map(|g| (g.group(), g.log_len())));
-        let telemetry = Box::new(WorldTelemetry {
-            world: self.id,
-            metrics_json: self.sim.metrics_snapshot().to_json().to_string(),
-            spans_json: self.sim.with_spans(|t| t.to_json()).to_string(),
-            scrape_csv: self
-                .scraper
-                .borrow()
-                .as_ref()
-                .map(|s| s.to_csv())
-                .unwrap_or_default(),
-            events: self.sim.events_processed(),
-            peak_queue_depth: self
-                .sim
-                .metrics_snapshot()
-                .gauge("sim", "queue_depth_max")
-                .unwrap_or(0.0),
-            partition_logs,
-        });
-        // Break the engine's Rc cycles (pending recurring timers capture
-        // the sim and components) so harnesses running many sharded pods
-        // in one process don't accumulate every world's heap.
-        self.sim.teardown();
-        telemetry
+            &self.coord_groups,
+            self.scraper.borrow().as_ref(),
+        ))
     }
 }
 
@@ -219,6 +180,15 @@ fn world_seed(root: u64, world: usize) -> u64 {
 /// Units per unit-group world.
 fn units_per_group(units: u32, groups: u32) -> u32 {
     units.div_ceil(groups)
+}
+
+/// The deploy units unit-group world `w` hosts (none for world 0).
+fn world_units(w: usize, units: u32, groups: u32) -> Range<u32> {
+    if w == 0 {
+        return 0..0;
+    }
+    let per = units_per_group(units, groups);
+    (w as u32 - 1) * per..(w as u32 * per).min(units)
 }
 
 /// The world a unit's hosts are placed in (shard-placement rule:
@@ -254,26 +224,23 @@ pub fn partition_world(partition: u32, partitions: u32, units: u32, groups: u32)
 fn build_placement(cfg: &ShardedPodConfig) -> Arc<FastMap<Addr, usize>> {
     let sys = &cfg.system;
     let mut placement: FastMap<Addr, usize> = FastMap::default();
-    for i in 0..sys.coord_nodes {
-        placement.insert(coord_addr(i), 0);
-    }
-    for i in 0..sys.masters {
-        let m = master_addr(i);
-        placement.insert(Addr::new(format!("{m}-zk")), 0);
-        placement.insert(m, 0);
-    }
     // Metadata partitions: each partition's replica group lives in the
     // unit-group world owning its units (or world 0 when the maps don't
-    // align); the masters' per-partition client sockets stay in world 0.
+    // align); the masters and their per-partition client sockets stay in
+    // world 0.
+    let coord_addrs = coord_addrs(sys);
     let partitions = sys.master.partitions.max(1);
-    for k in 1..partitions {
+    for k in 0..partitions {
         let world = partition_world(k, partitions, sys.units, cfg.groups);
-        for i in 0..sys.coord_nodes {
-            placement.insert(Addr::new(format!("p{k}-{}", coord_addr(i))), world);
+        for a in group_addrs(&coord_addrs, k) {
+            placement.insert(a, world);
         }
         for m in 0..sys.masters {
-            placement.insert(Addr::new(format!("{}-zk-p{k}", master_addr(m))), 0);
+            placement.insert(MetaRouter::coord_socket(&master_addr(m), k), 0);
         }
+    }
+    for m in 0..sys.masters {
+        placement.insert(master_addr(m), 0);
     }
     for name in &cfg.clients {
         placement.insert(Addr::new(name.as_str()), 0);
@@ -289,183 +256,73 @@ fn build_placement(cfg: &ShardedPodConfig) -> Arc<FastMap<Addr, usize>> {
     Arc::new(placement)
 }
 
-/// Starts the per-world telemetry pipeline at `plan.start`: a gauge
-/// publisher (disk residency + network counters) registered *before* the
-/// scraper at the same cadence, exactly like the single-world harness.
-fn install_telemetry(
-    sim: &Sim,
-    net: &Network,
-    runtimes: &[FabricRuntime],
-    plan: Option<TelemetryPlan>,
-) -> Rc<RefCell<Option<Scraper>>> {
-    let slot: Rc<RefCell<Option<Scraper>>> = Rc::new(RefCell::new(None));
-    let Some(plan) = plan else { return slot };
-    let runtimes = runtimes.to_vec();
-    let net = net.clone();
-    let slot2 = slot.clone();
-    sim.schedule_at(plan.start, move |sim| {
-        let interval = plan.scraper.interval;
-        sim.every(interval, interval, move |sim| {
-            for rt in &runtimes {
-                rt.publish_residency(sim);
-            }
-            net.publish_metrics(sim);
-        });
-        *slot2.borrow_mut() = Some(Scraper::start(sim, plan.scraper.clone()));
-    });
-    slot
-}
-
-/// Builds the control world: coordination cluster, Masters and clients.
-fn build_control_world(
+/// Everything one world is built from. `Send`, so a worker thread can
+/// build the worlds it executes.
+#[derive(Clone)]
+struct WorldSpec {
+    id: usize,
     seed: u64,
-    cfg: &ShardedPodConfig,
+    cfg: ShardedPodConfig,
+    /// The deploy units this world hosts (empty for the control world).
+    units: Range<u32>,
     placement: Arc<FastMap<Addr, usize>>,
     lookahead: Arc<LookaheadMatrix>,
     traffic: Option<Arc<TrafficMatrix>>,
     tracer: RequestTracer,
-) -> (PodWorld, Vec<UStoreClient>) {
-    let sys = &cfg.system;
-    let sim = Sim::new(world_seed(seed, 0));
-    sim.with_trace(|t| t.set_min_level(cfg.trace_level));
-    sim.set_reqtracer(tracer);
-    let net = Network::new(sys.net.clone());
-    net.enable_shard_routing_with_lookahead(0, placement, lookahead);
-    if let Some(m) = traffic {
-        net.set_traffic_matrix(m);
-    }
-    let net2 = net.clone();
-    sim.on_teardown(move || net2.teardown());
+}
 
-    let coord_addrs: Vec<Addr> = (0..sys.coord_nodes).map(coord_addr).collect();
-    let coord: Vec<CoordServer> = (0..sys.coord_nodes)
-        .map(|i| CoordServer::new(&sim, &net, i, coord_addrs.clone(), CoordConfig::default()))
-        .collect();
-    // Metadata-partition replica groups whose placement falls back to the
-    // control world (misaligned partition/world maps).
-    let partitions = sys.master.partitions.max(1);
-    let coord_groups: Vec<CoordGroup> = (1..partitions)
-        .filter(|&k| partition_world(k, partitions, sys.units, cfg.groups) == 0)
-        .map(|k| CoordGroup::new(&sim, &net, k, &coord_addrs, CoordConfig::default()))
-        .collect();
-    let unit_confs: Vec<_> = (0..sys.units)
-        .map(|u| unit_conf_for(UnitId(u), sys))
-        .collect();
-    let master_addrs: Vec<Addr> = (0..sys.masters).map(master_addr).collect();
-    let masters: Vec<Master> = master_addrs
-        .iter()
-        .map(|a| {
-            Master::new(
-                &sim,
-                &net,
-                a.clone(),
-                coord_addrs.clone(),
-                unit_confs.clone(),
-                sys.master.clone(),
-            )
-        })
-        .collect();
-    let clients: Vec<UStoreClient> = cfg
-        .clients
-        .iter()
-        .map(|name| {
-            UStoreClient::new(
-                &net,
-                Addr::new(name.as_str()),
-                master_addrs.clone(),
-                sys.clientlib.clone(),
-            )
-        })
-        .collect();
-    let scraper = install_telemetry(&sim, &net, &[], cfg.telemetry.clone());
-    (
+impl WorldSpec {
+    /// Builds the world: the control world (0) gets the coordination
+    /// cluster, the Masters and the clients; every world gets the
+    /// metadata-partition replica groups placed in it, its units'
+    /// hardware, and its own telemetry pipeline.
+    fn build(self) -> PodWorld {
+        let sys = &self.cfg.system;
+        let id = self.id;
+        let sim = Sim::new(world_seed(self.seed, id));
+        sim.with_trace(|t| t.set_min_level(self.cfg.trace_level));
+        sim.set_reqtracer(self.tracer);
+        let net = network(&sim, sys);
+        net.enable_shard_routing_with_lookahead(id, self.placement, self.lookahead);
+        if let Some(m) = self.traffic {
+            net.set_traffic_matrix(m);
+        }
+        let control = id == 0;
+        let coord = if control {
+            coord_servers(&sim, &net, sys)
+        } else {
+            Vec::new()
+        };
+        let partitions = sys.master.partitions.max(1);
+        let coord_groups = partition_groups(&sim, &net, sys, |k| {
+            partition_world(k, partitions, sys.units, self.cfg.groups) == id
+        });
+        let (masters, clients) = if control {
+            let masters = masters(&sim, &net, sys);
+            let clients = self.cfg.clients.iter().map(|n| client(&net, sys, n));
+            (masters, clients.collect())
+        } else {
+            (Vec::new(), Vec::new())
+        };
+        let hw = unit_hardware(&sim, &net, sys, self.units);
+        let scraper: Rc<RefCell<Option<Scraper>>> = Rc::new(RefCell::new(None));
+        if let Some(plan) = self.cfg.telemetry.clone() {
+            let (net, runtimes, slot) = (net.clone(), hw.runtimes.clone(), scraper.clone());
+            sim.schedule_at(plan.start, move |sim| {
+                *slot.borrow_mut() = Some(start_pipeline(sim, &net, runtimes, plan.scraper));
+            });
+        }
         PodWorld {
-            id: 0,
+            id,
             sim,
             net,
-            runtimes: Vec::new(),
-            endpoints: Vec::new(),
-            controllers: Vec::new(),
+            hw,
             coord,
             coord_groups,
             masters,
+            clients,
             scraper,
-        },
-        clients,
-    )
-}
-
-/// Builds unit-group world `id` hosting units `lo..hi`.
-#[allow(clippy::too_many_arguments)]
-fn build_unit_world(
-    id: usize,
-    seed: u64,
-    sys: &SystemConfig,
-    groups: u32,
-    lo: u32,
-    hi: u32,
-    placement: Arc<FastMap<Addr, usize>>,
-    lookahead: Arc<LookaheadMatrix>,
-    telemetry: Option<TelemetryPlan>,
-    trace_level: TraceLevel,
-    traffic: Option<Arc<TrafficMatrix>>,
-    tracer: RequestTracer,
-) -> PodWorld {
-    let sim = Sim::new(world_seed(seed, id));
-    sim.with_trace(|t| t.set_min_level(trace_level));
-    sim.set_reqtracer(tracer);
-    let net = Network::new(sys.net.clone());
-    net.enable_shard_routing_with_lookahead(id, placement, lookahead);
-    if let Some(m) = traffic {
-        net.set_traffic_matrix(m);
-    }
-    let net2 = net.clone();
-    sim.on_teardown(move || net2.teardown());
-    // Metadata-partition replica groups co-located with this world's
-    // units: the partition's log lives next to the data it describes.
-    let partitions = sys.master.partitions.max(1);
-    let coord_addrs: Vec<Addr> = (0..sys.coord_nodes).map(coord_addr).collect();
-    let coord_groups: Vec<CoordGroup> = (1..partitions)
-        .filter(|&k| partition_world(k, partitions, sys.units, groups) == id)
-        .map(|k| CoordGroup::new(&sim, &net, k, &coord_addrs, CoordConfig::default()))
-        .collect();
-    let master_addrs: Vec<Addr> = (0..sys.masters).map(master_addr).collect();
-    let mut runtimes = Vec::new();
-    let mut endpoints = Vec::new();
-    let mut controllers = Vec::new();
-    for u in lo..hi {
-        let unit = UnitId(u);
-        let (topology, switch_config) = Topology::upper_switched(sys.hosts, sys.disks, sys.fanin);
-        let runtime = FabricRuntime::new(&sim, topology, switch_config, sys.runtime.clone());
-        for h in runtime.host_ids() {
-            let rpc = RpcNode::new(&net, unit_host_addr(unit, h));
-            if h.0 < 2 {
-                controllers.push(Controller::new(unit, rpc.clone(), runtime.clone()));
-            }
-            endpoints.push(Endpoint::new(
-                &sim,
-                unit,
-                h,
-                rpc,
-                runtime.clone(),
-                master_addrs.clone(),
-                sys.endpoint.clone(),
-            ));
         }
-        runtimes.push(runtime);
-    }
-    let scraper = install_telemetry(&sim, &net, &runtimes, telemetry);
-    PodWorld {
-        id,
-        sim,
-        net,
-        runtimes,
-        endpoints,
-        controllers,
-        coord: Vec::new(),
-        coord_groups,
-        masters: Vec::new(),
-        scraper,
     }
 }
 
@@ -553,13 +410,10 @@ impl ShardedPod {
             if w == 0 || partitions == 1 {
                 return None;
             }
-            let per = units_per_group(units, groups);
-            let lo = (w as u32 - 1) * per;
-            let hi = ((w as u32) * per).min(units);
-            let router = crate::meta::MetaRouter::new(partitions, units);
-            let p = router.partition_of_unit(UnitId(lo));
-            (lo..hi)
-                .all(|u| router.partition_of_unit(UnitId(u)) == p)
+            let mut own = world_units(w, units, groups);
+            let router = MetaRouter::new(partitions, units);
+            let p = router.partition_of_unit(UnitId(own.start));
+            own.all(|u| router.partition_of_unit(UnitId(u)) == p)
                 .then_some(p)
         };
         let matrix = Arc::new(LookaheadMatrix::from_reachability(
@@ -575,74 +429,37 @@ impl ShardedPod {
                 )
             },
         ));
-        let (control, clients) = build_control_world(
+        let spec = |id: usize| WorldSpec {
+            id,
             seed,
-            cfg,
-            placement.clone(),
-            matrix.clone(),
-            traffic.clone(),
-            tracer.clone(),
-        );
+            cfg: cfg.clone(),
+            units: world_units(id, sys.units, cfg.groups),
+            placement: placement.clone(),
+            lookahead: matrix.clone(),
+            traffic: traffic.clone(),
+            tracer: tracer.clone(),
+        };
+        let control = spec(0).build();
         let sim = control.sim.clone();
         let net = control.net.clone();
         let masters = control.masters.clone();
+        let clients = control.clients.clone();
 
+        // Unit-group worlds are assigned to shards round-robin; those on
+        // shard 0 are built here, the rest on their worker threads.
         let mut local: Vec<(usize, Box<dyn ShardWorld<Msg = Envelope>>)> =
             vec![(0, Box::new(control))];
         let mut remote: Vec<Vec<(usize, WorldBuilder<Envelope>)>> =
             (1..cfg.shards).map(|_| Vec::new()).collect();
-        let per = units_per_group(sys.units, cfg.groups);
-        for g in 0..cfg.groups {
-            let id = 1 + g as usize;
-            let lo = g * per;
-            let hi = ((g + 1) * per).min(sys.units);
-            let shard = (g as usize) % cfg.shards;
-            if shard == 0 {
-                local.push((
-                    id,
-                    Box::new(build_unit_world(
-                        id,
-                        seed,
-                        sys,
-                        cfg.groups,
-                        lo,
-                        hi,
-                        placement.clone(),
-                        matrix.clone(),
-                        cfg.telemetry.clone(),
-                        cfg.trace_level,
-                        traffic.clone(),
-                        tracer.clone(),
-                    )),
-                ));
-            } else {
-                let sys = sys.clone();
-                let groups = cfg.groups;
-                let placement = placement.clone();
-                let matrix = matrix.clone();
-                let telemetry = cfg.telemetry.clone();
-                let trace_level = cfg.trace_level;
-                let traffic = traffic.clone();
-                let tracer = tracer.clone();
-                remote[shard - 1].push((
-                    id,
-                    Box::new(move || {
-                        Box::new(build_unit_world(
-                            id,
-                            seed,
-                            &sys,
-                            groups,
-                            lo,
-                            hi,
-                            placement,
-                            matrix,
-                            telemetry,
-                            trace_level,
-                            traffic,
-                            tracer,
-                        )) as Box<dyn ShardWorld<Msg = Envelope>>
-                    }) as WorldBuilder<Envelope>,
-                ));
+        for g in 0..cfg.groups as usize {
+            let spec = spec(1 + g);
+            match g % cfg.shards {
+                0 => local.push((spec.id, Box::new(spec.build()))),
+                shard => remote[shard - 1].push((
+                    spec.id,
+                    Box::new(move || Box::new(spec.build()) as Box<dyn ShardWorld<Msg = Envelope>>)
+                        as WorldBuilder<Envelope>,
+                )),
             }
         }
 
@@ -738,6 +555,7 @@ impl ShardedPod {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::system::coord_addr;
     use std::cell::Cell;
     use ustore_net::BlockDevice;
     use ustore_sim::Phase;
@@ -758,15 +576,9 @@ mod tests {
         }
     }
 
-    #[test]
-    fn sharded_pod_brings_up_and_serves_cross_world_io() {
-        let mut pod = ShardedPod::build(2001, &pod_cfg(4, 2, 2, 1));
-        pod.run_until(SimTime::from_secs(15));
-        assert!(pod.active_master().is_some(), "master elected");
-        assert!(pod.cross_messages() > 0, "heartbeats crossed worlds");
-
-        // Allocate, mount and do a write/read round trip: every hop
-        // (client → master → controller/endpoint → disk) crosses worlds.
+    /// Allocates and mounts a space through the pod's first client, then
+    /// writes `payload` and reads it back.
+    fn round_trip(pod: &mut ShardedPod, payload: &'static [u8]) {
         let client = pod.clients[0].clone();
         let info = Rc::new(RefCell::new(None));
         let i2 = info.clone();
@@ -790,15 +602,15 @@ mod tests {
         mounted.write(
             &pod.sim,
             4096,
-            b"cold bits".to_vec(),
+            payload.to_vec(),
             Box::new(move |sim, r| {
                 r.expect("write");
                 m3.read(
                     sim,
                     4096,
-                    9,
+                    payload.len() as u64,
                     Box::new(move |_, r| {
-                        assert_eq!(r.expect("read"), b"cold bits".to_vec());
+                        assert_eq!(r.expect("read"), payload.to_vec());
                         o.set(true);
                     }),
                 );
@@ -806,6 +618,18 @@ mod tests {
         );
         pod.run_for(Duration::from_secs(10));
         assert!(ok.get(), "cross-world IO round trip completed");
+    }
+
+    #[test]
+    fn sharded_pod_brings_up_and_serves_cross_world_io() {
+        let mut pod = ShardedPod::build(2001, &pod_cfg(4, 2, 2, 1));
+        pod.run_until(SimTime::from_secs(15));
+        assert!(pod.active_master().is_some(), "master elected");
+        assert!(pod.cross_messages() > 0, "heartbeats crossed worlds");
+
+        // Every hop (client → master → controller/endpoint → disk)
+        // crosses worlds.
+        round_trip(&mut pod, b"cold bits");
     }
 
     #[test]
@@ -883,46 +707,7 @@ mod tests {
         let mut pod = ShardedPod::build(2004, &cfg);
         pod.run_until(SimTime::from_secs(15));
         assert!(pod.active_master().is_some(), "master elected");
-
-        let client = pod.clients[0].clone();
-        let info = Rc::new(RefCell::new(None));
-        let i2 = info.clone();
-        client.allocate(&pod.sim, "svc", 1 << 30, move |_, r| {
-            *i2.borrow_mut() = Some(r.expect("allocate"));
-        });
-        pod.run_for(Duration::from_secs(10));
-        let info = info.borrow_mut().take().expect("allocation served");
-
-        let mounted = Rc::new(RefCell::new(None));
-        let m2 = mounted.clone();
-        client.mount(&pod.sim, info.name, move |_, r| {
-            *m2.borrow_mut() = Some(r.expect("mount"));
-        });
-        pod.run_for(Duration::from_secs(15));
-        let mounted = mounted.borrow_mut().take().expect("mount served");
-
-        let ok = Rc::new(Cell::new(false));
-        let o = ok.clone();
-        let m3 = mounted.clone();
-        mounted.write(
-            &pod.sim,
-            4096,
-            b"trace me".to_vec(),
-            Box::new(move |sim, r| {
-                r.expect("write");
-                m3.read(
-                    sim,
-                    4096,
-                    8,
-                    Box::new(move |_, r| {
-                        r.expect("read");
-                        o.set(true);
-                    }),
-                );
-            }),
-        );
-        pod.run_for(Duration::from_secs(10));
-        assert!(ok.get(), "traced IO round trip completed");
+        round_trip(&mut pod, b"trace me");
 
         if !RequestTracer::compiled_in() {
             assert!(pod.trace_snapshot().is_none());
@@ -972,5 +757,25 @@ mod tests {
             placement.get(&unit_host_addr(UnitId(7), ustore_fabric::HostId(3))),
             Some(&4)
         );
+
+        // Partitioned: every socket a Master opens and every replica of
+        // every partition group has a placement entry.
+        let mut cfg = pod_cfg(8, 4, 2, 1);
+        cfg.system.master.partitions = 4;
+        let sys = &cfg.system;
+        let placement = build_placement(&cfg);
+        let coord_addrs = coord_addrs(sys);
+        for k in 0..4 {
+            for m in 0..sys.masters {
+                let socket = MetaRouter::coord_socket(&master_addr(m), k);
+                assert_eq!(placement.get(&socket), Some(&0), "{socket}");
+            }
+            let world = partition_world(k, 4, sys.units, cfg.groups);
+            for a in group_addrs(&coord_addrs, k) {
+                assert_eq!(placement.get(&a), Some(&world), "{a}");
+            }
+        }
+        // Partitions 1..4 each own two units, i.e. exactly one world.
+        assert_eq!(partition_world(3, 4, 8, 4), 4);
     }
 }

@@ -8,6 +8,7 @@
 //! EndPoint per host, and two Controllers on the first two hosts.
 
 use std::fmt;
+use std::ops::Range;
 use std::rc::Rc;
 use std::time::Duration;
 
@@ -21,6 +22,8 @@ use crate::controller::Controller;
 use crate::endpoint::{Endpoint, EndpointConfig};
 use crate::ids::UnitId;
 use crate::master::{Master, MasterConfig, UnitConf};
+use crate::meta::MetaRouter;
+use crate::sharded::WorldTelemetry;
 use crate::watchdog::{HealthWatchdog, WatchdogConfig};
 
 /// Deployment shape.
@@ -151,101 +154,227 @@ pub fn unit_conf_for(unit: UnitId, config: &SystemConfig) -> UnitConf {
     }
 }
 
+/// The shared network of one world. Tearing the simulator down also
+/// severs the network/RPC closure tables, so repeated in-process builds
+/// don't accumulate heap.
+pub(crate) fn network(sim: &Sim, sys: &SystemConfig) -> Network {
+    let net = Network::new(sys.net.clone());
+    let net2 = net.clone();
+    sim.on_teardown(move || net2.teardown());
+    net
+}
+
+/// Addresses of the base coordination replicas.
+pub(crate) fn coord_addrs(sys: &SystemConfig) -> Vec<Addr> {
+    (0..sys.coord_nodes).map(coord_addr).collect()
+}
+
+fn master_addrs(sys: &SystemConfig) -> Vec<Addr> {
+    (0..sys.masters).map(master_addr).collect()
+}
+
+/// The base coordination cluster (metadata partition 0).
+pub(crate) fn coord_servers(sim: &Sim, net: &Network, sys: &SystemConfig) -> Vec<CoordServer> {
+    (0..sys.coord_nodes)
+        .map(|i| CoordServer::new(sim, net, i, coord_addrs(sys), CoordConfig::default()))
+        .collect()
+}
+
+/// The replica groups of metadata partitions `1..partitions` for which
+/// `keep` holds (partition 0 is the base cluster itself).
+pub(crate) fn partition_groups(
+    sim: &Sim,
+    net: &Network,
+    sys: &SystemConfig,
+    keep: impl Fn(u32) -> bool,
+) -> Vec<CoordGroup> {
+    let addrs = coord_addrs(sys);
+    (1..sys.master.partitions.max(1))
+        .filter(|&k| keep(k))
+        .map(|k| CoordGroup::new(sim, net, k, &addrs, CoordConfig::default()))
+        .collect()
+}
+
+/// The Master processes; each manages every unit of the deployment.
+pub(crate) fn masters(sim: &Sim, net: &Network, sys: &SystemConfig) -> Vec<Master> {
+    let unit_confs: Vec<UnitConf> = (0..sys.units)
+        .map(|u| unit_conf_for(UnitId(u), sys))
+        .collect();
+    master_addrs(sys)
+        .into_iter()
+        .map(|a| {
+            Master::new(
+                sim,
+                net,
+                a,
+                coord_addrs(sys),
+                unit_confs.clone(),
+                sys.master.clone(),
+            )
+        })
+        .collect()
+}
+
+/// A storage client at `name` that knows every Master.
+pub(crate) fn client(net: &Network, sys: &SystemConfig, name: &str) -> UStoreClient {
+    UStoreClient::new(
+        net,
+        Addr::new(name),
+        master_addrs(sys),
+        sys.clientlib.clone(),
+    )
+}
+
+/// The hardware and host processes of a block of deploy units.
+#[derive(Default)]
+pub(crate) struct UnitHardware {
+    pub(crate) runtimes: Vec<FabricRuntime>,
+    pub(crate) endpoints: Vec<Endpoint>,
+    pub(crate) controllers: Vec<Rc<Controller>>,
+}
+
+/// Builds deploy units `units`: per unit a USB fabric, then one RPC node
+/// per host serving an EndPoint (the first two hosts also serve a
+/// Controller).
+pub(crate) fn unit_hardware(
+    sim: &Sim,
+    net: &Network,
+    sys: &SystemConfig,
+    units: Range<u32>,
+) -> UnitHardware {
+    let master_addrs = master_addrs(sys);
+    let mut hw = UnitHardware::default();
+    for u in units {
+        let unit = UnitId(u);
+        let (topology, switch_config) = Topology::upper_switched(sys.hosts, sys.disks, sys.fanin);
+        let runtime = FabricRuntime::new(sim, topology, switch_config, sys.runtime.clone());
+        for h in runtime.host_ids() {
+            let rpc = RpcNode::new(net, unit_host_addr(unit, h));
+            if h.0 < 2 {
+                hw.controllers
+                    .push(Controller::new(unit, rpc.clone(), runtime.clone()));
+            }
+            hw.endpoints.push(Endpoint::new(
+                sim,
+                unit,
+                h,
+                rpc,
+                runtime.clone(),
+                master_addrs.clone(),
+                sys.endpoint.clone(),
+            ));
+        }
+        hw.runtimes.push(runtime);
+    }
+    hw
+}
+
+/// Starts a world's telemetry pipeline: a gauge publisher (disk residency
+/// and network counters) and a [`Scraper`] recording the whole registry
+/// at `config.interval`. The publisher timer is registered *before* the
+/// scraper at the same cadence, so each scrape observes freshly published
+/// gauges (the simulator fires same-instant timers in registration order).
+pub(crate) fn start_pipeline(
+    sim: &Sim,
+    net: &Network,
+    runtimes: Vec<FabricRuntime>,
+    config: ScraperConfig,
+) -> Scraper {
+    let net = net.clone();
+    sim.every(config.interval, config.interval, move |sim| {
+        for rt in &runtimes {
+            rt.publish_residency(sim);
+        }
+        net.publish_metrics(sim);
+    });
+    Scraper::start(sim, config)
+}
+
+/// `(partition, applied log length)` of the metadata partitions whose
+/// replicas are `coord` (the base cluster, partition 0) and `groups`.
+fn partition_logs(coord: &[CoordServer], groups: &[CoordGroup]) -> Vec<(u32, u64)> {
+    let base = coord.iter().map(|s| s.applied_len()).max().map(|l| (0, l));
+    base.into_iter()
+        .chain(groups.iter().map(|g| (g.group(), g.log_len())))
+        .collect()
+}
+
+/// Exports world `world`'s telemetry and tears its engine down. Residency
+/// gauges are published right before the snapshot so the export is
+/// complete; the teardown breaks the engine's Rc cycles (pending recurring
+/// timers capture the sim and components) so harnesses running many pods
+/// in one process don't accumulate every world's heap.
+pub(crate) fn finalize_world(
+    world: usize,
+    sim: &Sim,
+    runtimes: &[FabricRuntime],
+    coord: &[CoordServer],
+    groups: &[CoordGroup],
+    scraper: Option<&Scraper>,
+) -> WorldTelemetry {
+    for rt in runtimes {
+        rt.publish_residency(sim);
+    }
+    let metrics = sim.metrics_snapshot();
+    let telemetry = WorldTelemetry {
+        world,
+        metrics_json: metrics.to_json().to_string(),
+        spans_json: sim.with_spans(|t| t.to_json()).to_string(),
+        scrape_csv: scraper.map(|s| s.to_csv()).unwrap_or_default(),
+        events: sim.events_processed(),
+        peak_queue_depth: metrics.gauge("sim", "queue_depth_max").unwrap_or(0.0),
+        partition_logs: partition_logs(coord, groups),
+    };
+    sim.teardown();
+    telemetry
+}
+
 impl UStoreSystem {
     /// Builds and starts a deployment. Run the simulator for a few virtual
     /// seconds ([`UStoreSystem::settle`]) before using it: enumeration and
     /// the master election take that long, as they do in reality.
     pub fn build(sim: Sim, config: SystemConfig) -> UStoreSystem {
         assert!(config.units >= 1, "need at least one deploy unit");
-        let net = Network::new(config.net.clone());
-        // Tearing the simulator down also severs the network/RPC closure
-        // tables, so repeated in-process builds don't accumulate heap.
-        let net2 = net.clone();
-        sim.on_teardown(move || net2.teardown());
-        // Coordination cluster.
-        let coord_addrs: Vec<Addr> = (0..config.coord_nodes).map(coord_addr).collect();
-        let coord: Vec<CoordServer> = (0..config.coord_nodes)
-            .map(|i| CoordServer::new(&sim, &net, i, coord_addrs.clone(), CoordConfig::default()))
-            .collect();
-        // One extra replica group per metadata partition beyond the first
-        // (partition 0 is the base cluster itself).
-        let partition_groups: Vec<CoordGroup> = (1..config.master.partitions.max(1))
-            .map(|k| CoordGroup::new(&sim, &net, k, &coord_addrs, CoordConfig::default()))
-            .collect();
-        // Hardware + SysConf, one entry per deploy unit.
-        let mut runtimes = Vec::new();
-        let mut unit_confs = Vec::new();
-        for u in 0..config.units {
-            let unit = UnitId(u);
-            let (topology, switch_config) =
-                Topology::upper_switched(config.hosts, config.disks, config.fanin);
-            let runtime = FabricRuntime::new(&sim, topology, switch_config, config.runtime.clone());
-            unit_confs.push(unit_conf_for(unit, &config));
-            runtimes.push(runtime);
-        }
-        // Masters manage every unit.
-        let master_addrs: Vec<Addr> = (0..config.masters).map(master_addr).collect();
-        let masters: Vec<Master> = master_addrs
-            .iter()
-            .map(|a| {
-                Master::new(
-                    &sim,
-                    &net,
-                    a.clone(),
-                    coord_addrs.clone(),
-                    unit_confs.clone(),
-                    config.master.clone(),
-                )
-            })
-            .collect();
-        // Per-host machines: one RPC node each, serving EndPoint (and the
-        // first two per unit also serve a Controller).
-        let mut endpoints = Vec::new();
-        let mut controllers = Vec::new();
-        for (u, runtime) in runtimes.iter().enumerate() {
-            let unit = UnitId(u as u32);
-            for h in runtime.host_ids() {
-                let rpc = RpcNode::new(&net, unit_host_addr(unit, h));
-                if h.0 < 2 {
-                    controllers.push(Controller::new(unit, rpc.clone(), runtime.clone()));
-                }
-                endpoints.push(Endpoint::new(
-                    &sim,
-                    unit,
-                    h,
-                    rpc,
-                    runtime.clone(),
-                    master_addrs.clone(),
-                    config.endpoint.clone(),
-                ));
-            }
-        }
+        let net = network(&sim, &config);
+        let coord = coord_servers(&sim, &net, &config);
+        let partition_groups = partition_groups(&sim, &net, &config, |_| true);
+        let masters = masters(&sim, &net, &config);
+        let hw = unit_hardware(&sim, &net, &config, 0..config.units);
         UStoreSystem {
             sim,
             net,
-            runtime: runtimes[0].clone(),
-            runtimes,
+            runtime: hw.runtimes[0].clone(),
+            runtimes: hw.runtimes,
             coord,
             partition_groups,
             masters,
-            endpoints,
-            controllers,
+            endpoints: hw.endpoints,
+            controllers: hw.controllers,
             config,
         }
+    }
+
+    /// Exports the deployment's telemetry as world 0 of a one-world pod
+    /// (see [`WorldTelemetry`]) and tears the simulator down. `scraper` is
+    /// the pipeline [`UStoreSystem::start_telemetry`] returned, if any.
+    pub fn finalize(self, scraper: Option<&Scraper>) -> WorldTelemetry {
+        finalize_world(
+            0,
+            &self.sim,
+            &self.runtimes,
+            &self.coord,
+            &self.partition_groups,
+            scraper,
+        )
     }
 
     /// Replicated-log length of every metadata partition, in partition
     /// order (index 0 = the base cluster, which also carries elections and
     /// sessions; indices 1.. = the per-partition groups).
     pub fn partition_log_lens(&self) -> Vec<u64> {
-        let base = self
-            .coord
-            .iter()
-            .map(|s| s.applied_len())
-            .max()
-            .unwrap_or(0);
-        std::iter::once(base)
-            .chain(self.partition_groups.iter().map(|g| g.log_len()))
+        partition_logs(&self.coord, &self.partition_groups)
+            .into_iter()
+            .map(|(_, len)| len)
             .collect()
     }
 
@@ -262,13 +391,7 @@ impl UStoreSystem {
 
     /// Creates a connected storage client at `name`.
     pub fn client(&self, name: &str) -> UStoreClient {
-        let masters: Vec<Addr> = (0..self.config.masters).map(master_addr).collect();
-        UStoreClient::new(
-            &self.net,
-            Addr::new(name),
-            masters,
-            self.config.clientlib.clone(),
-        )
+        client(&self.net, &self.config, name)
     }
 
     /// The currently active master, if any.
@@ -328,16 +451,11 @@ impl UStoreSystem {
     /// Kills a master process (service socket, coordination sessions —
     /// including its per-partition metadata sessions).
     pub fn kill_master(&self, i: usize) {
-        self.net.set_down(&self.sim, &master_addr(i as u32));
-        self.net.set_down(
-            &self.sim,
-            &Addr::new(format!("{}-zk", master_addr(i as u32))),
-        );
-        for k in 1..self.config.master.partitions.max(1) {
-            self.net.set_down(
-                &self.sim,
-                &Addr::new(format!("{}-zk-p{k}", master_addr(i as u32))),
-            );
+        let m = master_addr(i as u32);
+        self.net.set_down(&self.sim, &m);
+        for k in 0..self.config.master.partitions.max(1) {
+            self.net
+                .set_down(&self.sim, &MetaRouter::coord_socket(&m, k));
         }
         self.masters[i].pause();
     }
@@ -346,21 +464,8 @@ impl UStoreSystem {
     /// network counters, refreshed right before every sample) and a
     /// [`Scraper`] that records the whole registry into ring-buffered time
     /// series at `config.interval`.
-    ///
-    /// The publisher timer is registered *before* the scraper at the same
-    /// cadence, so each scrape observes freshly published gauges (the
-    /// simulator fires same-instant timers in registration order).
     pub fn start_telemetry(&self, config: ScraperConfig) -> Scraper {
-        let runtimes = self.runtimes.clone();
-        let net = self.net.clone();
-        self.sim
-            .every(config.interval, config.interval, move |sim| {
-                for rt in &runtimes {
-                    rt.publish_residency(sim);
-                }
-                net.publish_metrics(sim);
-            });
-        Scraper::start(&self.sim, config)
+        start_pipeline(&self.sim, &self.net, self.runtimes.clone(), config)
     }
 
     /// Installs the Master-side health watchdog over `scraper`'s series:
@@ -402,12 +507,18 @@ impl UStoreSystem {
         ))
     }
 
-    /// All disks currently attached and enumerated somewhere.
-    pub fn ready_disks(&self) -> Vec<DiskId> {
-        self.runtime
-            .disk_ids()
-            .into_iter()
-            .filter(|d| self.runtime.disk_ready(*d))
+    /// All disks currently attached and enumerated somewhere, across
+    /// every deploy unit.
+    pub fn ready_disks(&self) -> Vec<(UnitId, DiskId)> {
+        self.runtimes
+            .iter()
+            .enumerate()
+            .flat_map(|(u, rt)| {
+                rt.disk_ids()
+                    .into_iter()
+                    .filter(|d| rt.disk_ready(*d))
+                    .map(move |d| (UnitId(u as u32), d))
+            })
             .collect()
     }
 }

@@ -1,15 +1,13 @@
 //! Golden determinism: the engine overhaul (key interning, slot-reuse
 //! cancellation, id-keyed scraping) must not perturb simulation outcomes
 //! or telemetry byte order. Two same-seed runs of each benchmark scenario
-//! must produce bit-for-bit identical telemetry exports.
+//! must produce bit-for-bit identical telemetry exports, and the tiny pod's
+//! digests are pinned so a refactor that changes them fails here.
 
 use ustore::TracePlan;
 use ustore_bench::degraded::run_degraded_traced;
 use ustore_bench::fuzz::{run_fuzz, FuzzOptions};
-use ustore_bench::podscale::{
-    fnv1a, run_podscale, run_podscale_profiled, run_podscale_sharded,
-    run_podscale_sharded_profiled, run_podscale_sharded_traced, run_podscale_traced, PodConfig,
-};
+use ustore_bench::podscale::{fnv1a, run_podscale, PodConfig, PodscaleRun, RunOpts};
 use ustore_sim::faultgen::{Bathtub, FaultModelConfig, FaultSchedule, FleetShape, Weibull};
 use ustore_sim::{canonical_merge, Profiler, RequestTracer, Routed, SimRng, SimTime};
 
@@ -55,11 +53,49 @@ fn degraded_telemetry_varies_with_seed() {
     );
 }
 
+/// Pinned `(telemetry digest, events)` of the tiny pod at seed 7: the
+/// classic engine, the sharded engine (any shard count) and the sharded
+/// partitioned + leased pod. Re-golden one line only for a deliberate
+/// change to what the pod simulates or exports.
+const GOLDEN_TINY_CLASSIC: (u64, u64) = (0xaa6f_9122_d3f9_7a14, 21_669);
+const GOLDEN_TINY_SHARDED: (u64, u64) = (0x0b37_b5d5_1ce4_5bcb, 22_160);
+const GOLDEN_TINY_PARTITIONED_LEASED: (u64, u64) = (0xe5ee_8613_c9dc_3dc9, 60_646);
+
+fn assert_golden(run: &PodscaleRun, golden: (u64, u64), name: &str) {
+    assert_eq!(
+        (run.digest, run.events),
+        golden,
+        "{name}: digest {:#018x} / {} events drifted from the pinned golden",
+        run.digest,
+        run.events
+    );
+}
+
+fn classic() -> RunOpts {
+    RunOpts::default()
+}
+
+fn profiled(shards: Option<usize>) -> RunOpts {
+    RunOpts {
+        shards,
+        profile: true,
+        trace: None,
+    }
+}
+
+fn traced(shards: Option<usize>) -> RunOpts {
+    RunOpts {
+        shards,
+        profile: false,
+        trace: Some(TracePlan::default()),
+    }
+}
+
 #[test]
 fn podscale_digest_is_deterministic_across_same_seed_runs() {
     let cfg = PodConfig::tiny();
-    let a = run_podscale(7, &cfg);
-    let b = run_podscale(7, &cfg);
+    let a = run_podscale(7, &cfg, &classic());
+    let b = run_podscale(7, &cfg, &classic());
     assert_eq!(a.events, b.events, "event counts differ");
     assert_eq!(a.digest, b.digest, "telemetry digests differ");
     assert_eq!(
@@ -67,6 +103,7 @@ fn podscale_digest_is_deterministic_across_same_seed_runs() {
         b.telemetry.to_string(),
         "pod telemetry JSON differs"
     );
+    assert_golden(&a, GOLDEN_TINY_CLASSIC, "classic tiny pod");
 }
 
 /// Golden test for the sharded parallel engine: the same pod, same seed,
@@ -80,11 +117,12 @@ fn podscale_sharded_digest_is_identical_for_shards_1_2_4() {
     let cfg = PodConfig::tiny();
     let runs: Vec<_> = [1usize, 2, 4]
         .into_iter()
-        .map(|s| (s, run_podscale_sharded(7, &cfg, s)))
+        .map(|s| (s, run_podscale(7, &cfg, &RunOpts::sharded(s))))
         .collect();
     let (_, base) = &runs[0];
     assert!(base.writes_ok > 0 && base.reads_ok > 0, "workload served");
     assert_eq!(base.io_errors, 0, "healthy pod serves all IO");
+    assert_golden(base, GOLDEN_TINY_SHARDED, "sharded tiny pod");
     for (s, run) in &runs[1..] {
         assert_eq!(
             run.digest, base.digest,
@@ -130,11 +168,16 @@ fn partitioned_leased_sharded_digest_is_identical_for_shards_1_2_4() {
     assert!(cfg.partitions > 1, "partitioned shape under test");
     let runs: Vec<_> = [1usize, 2, 4]
         .into_iter()
-        .map(|s| (s, run_podscale_sharded(7, &cfg, s)))
+        .map(|s| (s, run_podscale(7, &cfg, &RunOpts::sharded(s))))
         .collect();
     let (_, base) = &runs[0];
     assert!(base.writes_ok > 0 && base.reads_ok > 0, "workload served");
     assert_eq!(base.io_errors, 0, "healthy pod serves all IO");
+    assert_golden(
+        base,
+        GOLDEN_TINY_PARTITIONED_LEASED,
+        "partitioned leased tiny pod",
+    );
     for (s, run) in &runs[1..] {
         assert_eq!(
             run.digest, base.digest,
@@ -158,7 +201,7 @@ fn partitioned_leased_sharded_digest_is_identical_for_shards_1_2_4() {
     // The monolithic pod at the same seed is a different scenario (extra
     // replica groups, refresh lookups): its digest must differ, or the
     // partitioned comparison above is vacuous.
-    let mono = run_podscale_sharded(7, &PodConfig::tiny(), 2);
+    let mono = run_podscale(7, &PodConfig::tiny(), &RunOpts::sharded(2));
     assert_ne!(
         mono.digest, base.digest,
         "partitioned and monolithic scenarios produced identical telemetry"
@@ -368,8 +411,8 @@ fn profiling_leaves_sharded_digests_bit_identical() {
     }
     let cfg = PodConfig::tiny();
     for shards in [1usize, 2, 4] {
-        let plain = run_podscale_sharded(7, &cfg, shards);
-        let profiled = run_podscale_sharded_profiled(7, &cfg, shards);
+        let plain = run_podscale(7, &cfg, &RunOpts::sharded(shards));
+        let profiled = run_podscale(7, &cfg, &profiled(Some(shards)));
         assert_eq!(
             profiled.digest, plain.digest,
             "profiling changed the telemetry digest at --shards {shards}"
@@ -381,8 +424,8 @@ fn profiling_leaves_sharded_digests_bit_identical() {
         );
         assert!(plain.prof.is_none() && plain.traffic.is_none());
     }
-    let plain = run_podscale(7, &cfg);
-    let profiled = run_podscale_profiled(7, &cfg);
+    let plain = run_podscale(7, &cfg, &classic());
+    let profiled = run_podscale(7, &cfg, &profiled(None));
     assert_eq!(
         profiled.digest, plain.digest,
         "profiling changed the classic engine's telemetry digest"
@@ -403,8 +446,8 @@ fn tracing_leaves_sharded_digests_bit_identical() {
     }
     let cfg = PodConfig::tiny();
     for shards in [1usize, 2, 4] {
-        let plain = run_podscale_sharded(7, &cfg, shards);
-        let traced = run_podscale_sharded_traced(7, &cfg, shards, TracePlan::default());
+        let plain = run_podscale(7, &cfg, &RunOpts::sharded(shards));
+        let traced = run_podscale(7, &cfg, &traced(Some(shards)));
         assert_eq!(
             traced.digest, plain.digest,
             "tracing changed the telemetry digest at --shards {shards}"
@@ -414,8 +457,8 @@ fn tracing_leaves_sharded_digests_bit_identical() {
         assert!(snap.seen > 0, "tracer saw the pod's requests");
         assert!(plain.slo.is_none());
     }
-    let plain = run_podscale(7, &cfg);
-    let traced = run_podscale_traced(7, &cfg, TracePlan::default());
+    let plain = run_podscale(7, &cfg, &classic());
+    let traced = run_podscale(7, &cfg, &traced(None));
     assert_eq!(
         traced.digest, plain.digest,
         "tracing changed the classic engine's telemetry digest"
@@ -433,7 +476,7 @@ fn profiled_phase_sums_approximate_measured_wall_time() {
     if !Profiler::compiled_in() {
         return;
     }
-    let run = run_podscale_sharded_profiled(7, &PodConfig::tiny(), 2);
+    let run = run_podscale(7, &PodConfig::tiny(), &profiled(Some(2)));
     let prof = run.prof.expect("profiled run has a snapshot");
     let wall_ns = run.run_wall_seconds * 1e9;
     assert!(wall_ns > 0.0);

@@ -242,6 +242,9 @@ fn multi_unit_deployment_allocates_and_fails_over_per_unit() {
     assert_eq!(s.runtimes.len(), 2);
     assert_eq!(s.endpoints.len(), 8);
     assert_eq!(s.controllers.len(), 4);
+    let ready = s.ready_disks();
+    assert_eq!(ready.len(), 32, "both units' disks are ready");
+    assert_eq!(ready.iter().filter(|(u, _)| *u == UnitId(1)).count(), 16);
     let client = s.client("tenant");
     // 32 disks available; the balance rule fills unit 0's 16 disks with
     // one service each before spilling into unit 1.

@@ -15,7 +15,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicI64, Ordering};
 
-use ustore_bench::podscale::{run_podscale, run_podscale_sharded, PodConfig};
+use ustore_bench::podscale::{run_podscale, PodConfig, RunOpts};
 
 /// Delegates to the system allocator while tracking net live bytes.
 struct LiveBytes;
@@ -80,20 +80,20 @@ fn repeated_pod_runs_hold_live_memory_flat() {
     // Single-world engine: the classic path relies purely on the
     // Sim::teardown sweep to break the deployment's Rc cycles.
     assert_flat("classic tiny pod", 256 * 1024, || {
-        let run = run_podscale(41, &cfg);
+        let run = run_podscale(41, &cfg, &RunOpts::default());
         assert!(run.writes_ok > 0, "workload served");
     });
     // Sharded engine: per-world sims are torn down by their executor
     // threads; the join must not strand world state either.
     assert_flat("sharded tiny pod", 256 * 1024, || {
-        let run = run_podscale_sharded(42, &cfg, 2);
+        let run = run_podscale(42, &cfg, &RunOpts::sharded(2));
         assert!(run.writes_ok > 0, "workload served");
     });
     // The partitioned+leased shape adds partition coordinator groups and
     // the client lease map — those must be swept too.
     let leased = PodConfig::tiny().partitioned();
     assert_flat("partitioned leased tiny pod", 256 * 1024, || {
-        let run = run_podscale_sharded(43, &leased, 2);
+        let run = run_podscale(43, &leased, &RunOpts::sharded(2));
         assert!(run.writes_ok > 0, "workload served");
     });
 }
