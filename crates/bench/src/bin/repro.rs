@@ -664,8 +664,7 @@ fn run_slo_command(
         );
         std::process::exit(1);
     }
-    if ustore_sim::RequestTracer::compiled_in() && !matches!(run.lease_hit_rate, Some(r) if r > 0.0)
-    {
+    if !matches!(run.lease_hit_rate, Some(r) if r > 0.0) {
         eprintln!(
             "error: the leased run never hit the location-lease cache (hit rate {:?}) — the lease path is dead",
             run.lease_hit_rate

@@ -27,8 +27,8 @@ use ustore::{
 };
 use ustore_net::BlockDevice;
 use ustore_sim::{
-    Json, ProfSnapshot, Profiler, RequestTracer, Scraper, ScraperConfig, Sim, SimTime, TraceLevel,
-    TraceSnapshot, TrafficSnapshot,
+    Json, ProfSnapshot, ProfTrack, Profiler, RequestTracer, Scraper, ScraperConfig, Sim, SimTime,
+    TraceLevel, TraceSnapshot, TrafficSnapshot,
 };
 
 use crate::report::{Report, Row};
@@ -399,6 +399,7 @@ enum Pod {
         scraper: Scraper,
         _watchdog: HealthWatchdog,
         profiler: Profiler,
+        track: ProfTrack,
         tracer: RequestTracer,
     },
     Sharded(Box<ShardedPod>),
@@ -407,12 +408,26 @@ enum Pod {
 impl Pod {
     fn advance(&mut self, d: Duration) {
         match self {
-            Pod::Classic { system, .. } => {
+            Pod::Classic {
+                system,
+                profiler,
+                track,
+                ..
+            } => classic_window(&system.sim, profiler, track, || {
                 system.sim.run_until(system.sim.now() + d);
-            }
+            }),
             Pod::Sharded(pod) => pod.run_for(d),
         }
     }
+}
+
+/// Runs one window of the classic engine under the profiler: the same
+/// per-world execute probe the sharded engine applies to every world and
+/// round, plus the window's sim-time advance.
+fn classic_window(sim: &Sim, prof: &Profiler, track: &ProfTrack, run: impl FnOnce()) {
+    let start = sim.now();
+    prof.execute(track, 0, sim, run);
+    prof.epoch(sim.now().duration_since(start), false);
 }
 
 /// Runs the pod-scale experiment once: build and settle the pod on the
@@ -455,9 +470,9 @@ pub fn run_podscale(seed: u64, cfg: &PodConfig, opts: &RunOpts) -> PodscaleRun {
             } else {
                 Profiler::off()
             };
-            system.sim.set_wallclock_prof(profiler.clone(), 0);
+            let track = profiler.register_track("classic-engine");
             let wall0 = Instant::now();
-            system.settle();
+            classic_window(&system.sim, &profiler, &track, || system.settle());
             let scraper = system.start_telemetry(scraper_config);
             let watchdog = system
                 .install_watchdog(&scraper, WatchdogConfig::default())
@@ -468,6 +483,7 @@ pub fn run_podscale(seed: u64, cfg: &PodConfig, opts: &RunOpts) -> PodscaleRun {
                 scraper,
                 _watchdog: watchdog,
                 profiler,
+                track,
                 tracer,
             };
             (pod, clients, wall0)
@@ -515,6 +531,7 @@ pub fn run_podscale(seed: u64, cfg: &PodConfig, opts: &RunOpts) -> PodscaleRun {
             _watchdog,
             profiler,
             tracer,
+            ..
         } => {
             let sim_seconds = system.sim.now().as_secs_f64();
             let worlds = vec![system.finalize(Some(&scraper))];
@@ -687,9 +704,6 @@ mod tests {
 
     #[test]
     fn traced_tiny_pod_attributes_ttfb() {
-        if !RequestTracer::compiled_in() {
-            return;
-        }
         let opts = RunOpts {
             trace: Some(TracePlan::default()),
             ..RunOpts::default()

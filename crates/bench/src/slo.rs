@@ -69,7 +69,7 @@ pub struct SloRun {
     /// proof that tracing is a pure observability side channel.
     pub digest_matches_untraced: bool,
     /// Minimum coverage over kinds and reported quantiles on the sharded
-    /// snapshot. `None` when the build has no tracer (`--no-default-features`).
+    /// snapshot. `None` when no request completed.
     pub min_coverage: Option<f64>,
     /// The partitioned + leased pod shape (the same pod with one metadata
     /// partition per unit-group world and client location leases).
@@ -82,7 +82,7 @@ pub struct SloRun {
     /// Tracer-purity gate for the partitioned + leased configuration.
     pub leased_digest_matches: bool,
     /// Fraction of location-lease consultations the leased run served
-    /// from cache. `None` when the build has no tracer.
+    /// from cache. `None` when the leased run consulted no lease.
     pub lease_hit_rate: Option<f64>,
 }
 
@@ -282,13 +282,11 @@ impl SloRun {
                 self.shards
             ),
         );
-        let Some(snap) = &self.sharded.slo else {
-            p(
-                &mut out,
-                "no trace snapshot captured (built without the `reqtrace` feature)".to_string(),
-            );
-            return out;
-        };
+        let snap = self
+            .sharded
+            .slo
+            .as_ref()
+            .expect("traced run has a snapshot");
         p(
             &mut out,
             format!(
@@ -436,48 +434,41 @@ impl SloRun {
                     .map_or_else(|| "no".to_string(), |d| format!("{} ms", d.as_millis())),
             ),
         );
-        match &self.leased.slo {
-            None => p(
-                &mut out,
-                "  (no trace snapshot — built without the `reqtrace` feature)".to_string(),
+        let leased = self.leased.slo.as_ref().expect("traced run has a snapshot");
+        p(
+            &mut out,
+            format!(
+                "  lease consultations: {} hits / {} misses{}",
+                leased.lease_hits,
+                leased.lease_misses,
+                leased
+                    .lease_hit_rate()
+                    .map_or_else(String::new, |r| format!(" (hit rate {:.1}%)", r * 100.0)),
             ),
-            Some(snap) => {
-                p(
-                    &mut out,
-                    format!(
-                        "  lease consultations: {} hits / {} misses{}",
-                        snap.lease_hits,
-                        snap.lease_misses,
-                        snap.lease_hit_rate()
-                            .map_or_else(String::new, |r| format!(" (hit rate {:.1}%)", r * 100.0)),
-                    ),
-                );
-                // The median is where the lease shows up: hits are served
-                // locally (recorded as zero), so at hit rates above 50%
-                // the median consultation becomes free. The tail is the
-                // residual misses, measured under full workload.
-                let q = |h: &ustore_sim::Histogram, q: f64| {
-                    h.quantile(q).map_or_else(|| "n/a".to_string(), fmt_ms)
-                };
-                let base = self.sharded.slo.as_ref();
-                p(
-                    &mut out,
-                    format!(
-                        "  master_lookup p50: {} unpartitioned -> {} partitioned+leased",
-                        base.map_or_else(|| "n/a".to_string(), |s| q(&s.master_lookup, 0.5)),
-                        q(&snap.master_lookup, 0.5),
-                    ),
-                );
-                p(
-                    &mut out,
-                    format!(
-                        "  master_lookup p99: {} unpartitioned -> {} partitioned+leased (residual misses)",
-                        base.map_or_else(|| "n/a".to_string(), |s| q(&s.master_lookup, 0.99)),
-                        q(&snap.master_lookup, 0.99),
-                    ),
-                );
-            }
-        }
+        );
+        // The median is where the lease shows up: hits are served
+        // locally (recorded as zero), so at hit rates above 50% the
+        // median consultation becomes free. The tail is the residual
+        // misses, measured under full workload.
+        let q = |h: &ustore_sim::Histogram, q: f64| {
+            h.quantile(q).map_or_else(|| "n/a".to_string(), fmt_ms)
+        };
+        p(
+            &mut out,
+            format!(
+                "  master_lookup p50: {} unpartitioned -> {} partitioned+leased",
+                q(&snap.master_lookup, 0.5),
+                q(&leased.master_lookup, 0.5),
+            ),
+        );
+        p(
+            &mut out,
+            format!(
+                "  master_lookup p99: {} unpartitioned -> {} partitioned+leased (residual misses)",
+                q(&snap.master_lookup, 0.99),
+                q(&leased.master_lookup, 0.99),
+            ),
+        );
         p(
             &mut out,
             format!(
@@ -540,7 +531,6 @@ fn worst_exemplar_timeline(w: &TraceRecord) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ustore_sim::RequestTracer;
 
     #[test]
     fn quick_slo_covers_ttfb_and_keeps_digest() {
@@ -570,11 +560,6 @@ mod tests {
             "every metadata partition applied log entries: {:?}",
             run.leased.partition_logs
         );
-        if !RequestTracer::compiled_in() {
-            assert!(run.sharded.slo.is_none());
-            assert!(run.lease_hit_rate.is_none());
-            return;
-        }
         assert!(
             run.lease_hit_rate.expect("leases consulted") > 0.0,
             "steady-state directory refreshes must hit the lease cache"

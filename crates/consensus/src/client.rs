@@ -592,11 +592,6 @@ impl Election {
         e
     }
 
-    /// This participant's candidate node path, once created.
-    pub fn candidate_path(&self) -> Option<String> {
-        self.me.borrow().clone()
-    }
-
     fn evaluate(self: &Rc<Self>, sim: &Sim) {
         let Some(me) = self.me.borrow().clone() else {
             return;

@@ -283,7 +283,7 @@ impl WorldSpec {
         sim.with_trace(|t| t.set_min_level(self.cfg.trace_level));
         sim.set_reqtracer(self.tracer);
         let net = network(&sim, sys);
-        net.enable_shard_routing_with_lookahead(id, self.placement, self.lookahead);
+        net.enable_shard_routing(id, self.placement, self.lookahead);
         if let Some(m) = self.traffic {
             net.set_traffic_matrix(m);
         }
@@ -463,7 +463,7 @@ impl ShardedPod {
             }
         }
 
-        let coordinator = ShardCoordinator::with_matrix(matrix, local, remote, profiler.clone());
+        let coordinator = ShardCoordinator::new(&matrix, local, remote, profiler.clone());
         ShardedPod {
             coordinator,
             sim,
@@ -513,9 +513,8 @@ impl ShardedPod {
     }
 
     /// Wall-clock profiler snapshot (phase slabs, epoch statistics,
-    /// thread tracks). `None` unless built with `profile: true` (or the
-    /// crate was compiled without `wallprof`). Take it after the last
-    /// `run_until` so no worker is mid-epoch.
+    /// thread tracks). `None` unless built with `profile: true`. Take it
+    /// after the last `run_until` so no worker is mid-epoch.
     pub fn prof_snapshot(&self) -> Option<ProfSnapshot> {
         self.profiler.snapshot()
     }
@@ -528,9 +527,8 @@ impl ShardedPod {
 
     /// Request-lifecycle trace snapshot (per-stage TTFB attribution,
     /// sampled traces, slowest exemplars). `None` unless built with
-    /// `trace: Some(..)` (or the crate was compiled without `reqtrace`).
-    /// Take it after the last `run_until` so no request is mid-flight on
-    /// a worker.
+    /// `trace: Some(..)`. Take it after the last `run_until` so no request
+    /// is mid-flight on a worker.
     pub fn trace_snapshot(&self) -> Option<TraceSnapshot> {
         self.tracer.snapshot()
     }
@@ -669,10 +667,6 @@ mod tests {
         let mut pod = ShardedPod::build(2003, &cfg);
         pod.run_until(SimTime::from_secs(15));
         assert!(pod.cross_messages() > 0);
-        if !Profiler::compiled_in() {
-            assert!(pod.prof_snapshot().is_none());
-            return;
-        }
         let prof = pod.prof_snapshot().expect("profiled build snapshots");
         assert_eq!(prof.worlds.len(), 3, "control + 2 unit worlds");
         assert_eq!(prof.epochs, pod.epochs());
@@ -708,11 +702,6 @@ mod tests {
         pod.run_until(SimTime::from_secs(15));
         assert!(pod.active_master().is_some(), "master elected");
         round_trip(&mut pod, b"trace me");
-
-        if !RequestTracer::compiled_in() {
-            assert!(pod.trace_snapshot().is_none());
-            return;
-        }
         let snap = pod.trace_snapshot().expect("traced build snapshots");
         assert!(snap.seen >= 2, "write + read completed under trace");
         assert_eq!(snap.live_at_end, 0, "no request left mid-flight");

@@ -874,12 +874,6 @@ impl Disk {
             }
         });
     }
-
-    /// Whether the disk is currently serving or queueing commands.
-    pub fn is_busy(&self) -> bool {
-        let i = self.inner.borrow();
-        i.busy || !i.queue.is_empty()
-    }
 }
 
 #[cfg(test)]

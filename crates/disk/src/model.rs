@@ -1,6 +1,6 @@
 //! Pure service-time model of one disk.
 //!
-//! [`IoModel::service_time`] maps an IO command to the time the drive (plus
+//! [`IoModel::service`] maps an IO command to the time the drive (plus
 //! its attachment) takes to complete it, given the stream history. It is a
 //! pure, engine-independent function so that the calibration against the
 //! paper's Table II can be unit-tested directly; the DES wrapper in

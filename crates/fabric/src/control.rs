@@ -165,11 +165,6 @@ impl ControlPlane {
         }
     }
 
-    /// Which microcontroller is currently commanded.
-    pub fn active_index(&self) -> usize {
-        self.active
-    }
-
     /// Marks a microcontroller's controlling host dead or alive.
     pub fn set_host_alive(&mut self, mc_index: usize, alive: bool) {
         self.mc[mc_index].set_reachable(alive);

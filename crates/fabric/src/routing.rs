@@ -128,11 +128,6 @@ impl FabricState {
         self.failed.remove(&c);
     }
 
-    /// Whether a component is marked failed.
-    pub fn is_failed(&self, c: Component) -> bool {
-        self.failed.contains(&c)
-    }
-
     /// Sets one switch's position.
     ///
     /// # Panics

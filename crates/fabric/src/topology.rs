@@ -323,11 +323,6 @@ impl Topology {
         }
     }
 
-    /// A default switch configuration (everything at position A).
-    pub fn default_config(&self) -> SwitchConfig {
-        self.switches.keys().map(|s| (*s, SwitchPos::A)).collect()
-    }
-
     // ---- Builders --------------------------------------------------------
 
     /// Figure 2 (left): two full hub trees, one per host; each disk hangs

@@ -122,13 +122,13 @@ struct Routing {
     /// `deliver_at − send_time − base_latency` — the margin by which the
     /// message clears the conservative lookahead bound.
     traffic: Option<Arc<TrafficMatrix>>,
-    /// Optional per-world-pair lookahead matrix shared with the shard
-    /// coordinator. When present, every cross-world send is checked
-    /// against it: the pair must be reachable (hard assert — an
-    /// unreachable pair means the matrix mis-modeled the topology and
-    /// the conservative bounds are unsound) and the delivery latency
-    /// must clear the pair's minimum (debug assert).
-    lookahead: Option<Arc<LookaheadMatrix>>,
+    /// Per-world-pair lookahead matrix shared with the shard
+    /// coordinator. Every cross-world send is checked against it: the
+    /// pair must be reachable (hard assert — an unreachable pair means
+    /// the matrix mis-modeled the topology and the conservative bounds
+    /// are unsound) and the delivery latency must clear the pair's
+    /// minimum (debug assert).
+    lookahead: Arc<LookaheadMatrix>,
 }
 
 struct Inner {
@@ -286,20 +286,19 @@ impl Network {
                 let mut i = self.inner.borrow_mut();
                 let base_latency = i.config.base_latency;
                 let r = i.routing.as_mut().expect("routing enabled");
-                if let Some(m) = &r.lookahead {
-                    assert!(
-                        m.reachable(r.world, dst_world),
-                        "cross-world send {} -> {} but the lookahead matrix says the pair \
-                         cannot talk (conservative bounds would be unsound)",
-                        r.world,
-                        dst_world
-                    );
-                    debug_assert!(
-                        at.duration_since(sim.now()).as_nanos()
-                            >= u128::from(m.get_ns(r.world, dst_world)),
-                        "cross-world delivery latency undercuts the lookahead matrix"
-                    );
-                }
+                let m = &r.lookahead;
+                assert!(
+                    m.reachable(r.world, dst_world),
+                    "cross-world send {} -> {} but the lookahead matrix says the pair \
+                     cannot talk (conservative bounds would be unsound)",
+                    r.world,
+                    dst_world
+                );
+                debug_assert!(
+                    at.duration_since(sim.now()).as_nanos()
+                        >= u128::from(m.get_ns(r.world, dst_world)),
+                    "cross-world delivery latency undercuts the lookahead matrix"
+                );
                 if let Some(m) = &r.traffic {
                     let slack = at
                         .duration_since(sim.now())
@@ -356,24 +355,14 @@ impl Network {
     /// sends. The `sent` counter stays source-side; `delivered`/`dropped`
     /// are accounted by the destination world, so summing the per-world
     /// gauges reproduces the single-world totals.
-    pub fn enable_shard_routing(&self, world: usize, placement: Arc<FastMap<Addr, usize>>) {
-        self.inner.borrow_mut().routing = Some(Routing {
-            world,
-            placement,
-            outbox: Vec::new(),
-            seq: 0,
-            traffic: None,
-            lookahead: None,
-        });
-    }
-
-    /// Like [`Self::enable_shard_routing`], but also pins the per-pair
-    /// [`LookaheadMatrix`] the shard coordinator schedules with. Every
-    /// cross-world send is then validated against the matrix: sends
-    /// between pairs the matrix declares unreachable panic (the adaptive
-    /// scheduler's safety proof would be void), and in debug builds the
-    /// computed delivery latency is checked against the pair's minimum.
-    pub fn enable_shard_routing_with_lookahead(
+    ///
+    /// `lookahead` is the per-pair [`LookaheadMatrix`] the shard
+    /// coordinator schedules with. Every cross-world send is validated
+    /// against it: sends between pairs the matrix declares unreachable
+    /// panic (the adaptive scheduler's safety proof would be void), and
+    /// in debug builds the computed delivery latency is checked against
+    /// the pair's minimum.
+    pub fn enable_shard_routing(
         &self,
         world: usize,
         placement: Arc<FastMap<Addr, usize>>,
@@ -385,7 +374,7 @@ impl Network {
             outbox: Vec::new(),
             seq: 0,
             traffic: None,
-            lookahead: Some(lookahead),
+            lookahead,
         });
     }
 
@@ -405,17 +394,6 @@ impl Network {
             .as_mut()
             .expect("set_traffic_matrix: enable_shard_routing first");
         r.traffic = Some(matrix);
-    }
-
-    /// Drains the buffered cross-world sends, in send order. Returns an
-    /// empty vector when shard routing is not enabled.
-    pub fn drain_outbox(&self) -> Vec<Routed<Envelope>> {
-        self.inner
-            .borrow_mut()
-            .routing
-            .as_mut()
-            .map(|r| std::mem::take(&mut r.outbox))
-            .unwrap_or_default()
     }
 
     /// Appends the buffered cross-world sends to `out` in send order,
@@ -454,11 +432,6 @@ impl Network {
             n.up = true;
         }
         sim.trace(TraceLevel::Info, "net", format!("{addr} is up"));
-    }
-
-    /// Whether a node is currently up.
-    pub fn is_up(&self, addr: &Addr) -> bool {
-        self.inner.borrow().nodes.get(addr).is_some_and(|n| n.up)
     }
 
     /// Blocks the directed link `from -> to` (one direction of a partition).
@@ -713,14 +686,15 @@ mod tests {
         };
         let sim0 = Sim::new(1);
         let net0 = Network::new(cfg.clone());
-        net0.enable_shard_routing(0, placement.clone());
+        let matrix = Arc::new(LookaheadMatrix::uniform(2, cfg.base_latency));
+        net0.enable_shard_routing(0, placement.clone(), matrix.clone());
         let a = Addr::new("a");
         let b = Addr::new("b");
         net0.register(&a);
 
         let sim1 = Sim::new(2);
         let net1 = Network::new(cfg);
-        net1.enable_shard_routing(1, placement);
+        net1.enable_shard_routing(1, placement, matrix);
         net1.register(&b);
         let got = Rc::new(Cell::new(false));
         let g = got.clone();
@@ -732,7 +706,8 @@ mod tests {
         net0.send(&sim0, &a, &b, 1000, Arc::new(7u32));
         sim0.run();
         assert!(!got.get(), "cross-world send must not deliver locally");
-        let outbox = net0.drain_outbox();
+        let mut outbox = Vec::new();
+        net0.drain_outbox_into(&mut outbox);
         assert_eq!(outbox.len(), 1);
         let r = &outbox[0];
         assert_eq!((r.src_world, r.dst_world, r.seq), (0, 1, 0));
@@ -740,11 +715,7 @@ mod tests {
         assert_eq!(r.deliver_at, SimTime::from_nanos(800 + 100_000));
         assert_eq!(net0.stats().0, 1, "sent counted at source");
 
-        let (r,) = match outbox.into_iter().next() {
-            Some(r) => (r,),
-            None => unreachable!(),
-        };
-        net1.deliver_remote(&sim1, r);
+        net1.deliver_remote(&sim1, outbox.pop().expect("one routed send"));
         sim1.run();
         assert!(got.get());
         let (_, delivered, dropped) = net1.stats();
@@ -753,7 +724,8 @@ mod tests {
             (1, 0),
             "delivery counted at destination"
         );
-        assert!(net0.drain_outbox().is_empty(), "outbox drained");
+        net0.drain_outbox_into(&mut outbox);
+        assert!(outbox.is_empty(), "outbox drained");
     }
 
     #[test]
@@ -763,11 +735,13 @@ mod tests {
         placement.insert(Addr::new("b"), 1usize);
         let placement = Arc::new(placement);
         let sim = Sim::new(3);
-        let net = Network::new(NetConfig {
+        let cfg = NetConfig {
             jitter: Duration::ZERO,
             ..NetConfig::default()
-        });
-        net.enable_shard_routing(0, placement);
+        };
+        let net = Network::new(cfg.clone());
+        let lookahead = Arc::new(LookaheadMatrix::uniform(2, cfg.base_latency));
+        net.enable_shard_routing(0, placement, lookahead);
         let a = Addr::new("a");
         let b = Addr::new("b");
         net.register(&a);
@@ -799,7 +773,7 @@ mod tests {
         } else {
             LookaheadMatrix::disconnected(2)
         };
-        net.enable_shard_routing_with_lookahead(0, Arc::new(placement), Arc::new(matrix));
+        net.enable_shard_routing(0, Arc::new(placement), Arc::new(matrix));
         let a = Addr::new("a");
         let b = Addr::new("b");
         net.register(&a);
@@ -834,13 +808,16 @@ mod tests {
         let mut placement = FastMap::default();
         placement.insert(a.clone(), 0usize);
         placement.insert(b.clone(), 0usize);
-        net.enable_shard_routing(0, Arc::new(placement));
+        let lookahead = Arc::new(LookaheadMatrix::disconnected(1));
+        net.enable_shard_routing(0, Arc::new(placement), lookahead);
         let got = Rc::new(Cell::new(false));
         let g = got.clone();
         net.bind(&b, move |_, _| g.set(true));
         net.send(&sim, &a, &b, 10, Arc::new(()));
         sim.run();
         assert!(got.get());
-        assert!(net.drain_outbox().is_empty());
+        let mut outbox = Vec::new();
+        net.drain_outbox_into(&mut outbox);
+        assert!(outbox.is_empty());
     }
 }

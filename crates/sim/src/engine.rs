@@ -26,7 +26,6 @@ use std::time::Duration;
 
 use crate::intern::MetricKey;
 use crate::obs::MetricsRegistry;
-use crate::prof::{Phase, ProfTrack, Profiler};
 use crate::reqtrace::{ReqStamp, RequestTracer};
 use crate::rng::SimRng;
 use crate::span::{SpanId, SpanTracer};
@@ -160,10 +159,6 @@ struct Inner {
     queue_depth_max: usize,
     /// Cached `sim/*` gauge keys, interned on first publish.
     sim_gauge_keys: Option<[MetricKey; 3]>,
-    /// Wall-clock profiler attachment for the classic (unsharded) path:
-    /// times each `run_until` window as one `Execute` slice so the
-    /// classic engine is comparable with the sharded phase breakdown.
-    wallprof: Option<WallProfAttach>,
     /// Request-lifecycle tracer shared by every world of a run (inert by
     /// default).
     reqtracer: RequestTracer,
@@ -177,13 +172,6 @@ struct Inner {
     /// queue (network handler maps, rpc handler maps, remount callbacks)
     /// register a breaker here at construction time.
     teardown_hooks: Vec<Box<dyn FnOnce()>>,
-}
-
-/// See [`Sim::set_wallclock_prof`].
-struct WallProfAttach {
-    prof: Profiler,
-    track: ProfTrack,
-    world: usize,
 }
 
 impl Inner {
@@ -259,7 +247,6 @@ impl Sim {
                 processed: 0,
                 queue_depth_max: 0,
                 sim_gauge_keys: None,
-                wallprof: None,
                 reqtracer: RequestTracer::off(),
                 current_stamp: None,
                 teardown_hooks: Vec::new(),
@@ -410,24 +397,6 @@ impl Sim {
         while self.step() {}
     }
 
-    /// Attaches a wall-clock [`Profiler`] to this engine: every
-    /// subsequent [`Sim::run_until`] window is timed as one `Execute`
-    /// phase for `world`, with an events-per-window sample and a slice on
-    /// a `classic-engine` Perfetto track. This is the classic-path
-    /// equivalent of the shard coordinator's phase timers, so the two
-    /// engines are directly comparable in `repro profile`.
-    ///
-    /// The profiler observes only the monotonic clock and the processed
-    /// counter — simulation state, RNG draws and telemetry are untouched.
-    pub fn set_wallclock_prof(&self, prof: Profiler, world: usize) {
-        let attach = prof.is_on().then(|| WallProfAttach {
-            track: prof.register_track("classic-engine"),
-            prof,
-            world,
-        });
-        self.inner.borrow_mut().wallprof = attach;
-    }
-
     /// Installs the request-lifecycle tracer for this world. Every world
     /// of a sharded run shares clones of one tracer; the default is the
     /// inert [`RequestTracer::off`].
@@ -458,17 +427,9 @@ impl Sim {
 
     /// Runs all events scheduled at or before `deadline`, then advances the
     /// clock to `deadline` even if the queue still holds later events.
-    /// Returns the number of events executed by this call (the shard
-    /// coordinator feeds it to the per-round profiler probes).
+    /// Returns the number of events executed by this call.
     pub fn run_until(&self, deadline: SimTime) -> u64 {
         let before = self.inner.borrow().processed;
-        let profiled = {
-            let inner = self.inner.borrow();
-            inner
-                .wallprof
-                .as_ref()
-                .and_then(|a| a.prof.tick().map(|t| (t, inner.processed, inner.now)))
-        };
         loop {
             let next_at = self.inner.borrow_mut().drain_cancelled_head();
             match next_at {
@@ -480,18 +441,6 @@ impl Sim {
         }
         let mut inner = self.inner.borrow_mut();
         inner.now = inner.now.max(deadline);
-        if let Some((t, ev0, now0)) = profiled {
-            let processed = inner.processed;
-            let now = inner.now;
-            if let Some(a) = &inner.wallprof {
-                let ns = a.prof.lap(Some(t));
-                a.prof.phase(a.world, Phase::Execute, ns);
-                a.prof.epoch_events(a.world, processed - ev0);
-                a.track
-                    .slice(Phase::Execute, a.world, a.prof.offset_ns(t), ns);
-                a.prof.epoch(now.duration_since(now0), false);
-            }
-        }
         inner.processed - before
     }
 

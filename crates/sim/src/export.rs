@@ -646,7 +646,6 @@ mod tests {
         assert_eq!(begins.len(), 1, "open span exported as B event");
     }
 
-    #[cfg(feature = "wallprof")]
     #[test]
     fn wallclock_trace_adds_second_process_with_thread_tracks() {
         use crate::prof::{Phase, Profiler};
@@ -693,7 +692,6 @@ mod tests {
             .any(|e| e.get("name").and_then(Json::as_str) == Some("op")));
     }
 
-    #[cfg(feature = "wallprof")]
     #[test]
     fn prometheus_prof_uses_distinct_prefix_and_well_formed_lines() {
         use crate::prof::{Phase, Profiler, TrafficMatrix};
@@ -732,7 +730,6 @@ mod tests {
         }
     }
 
-    #[cfg(feature = "reqtrace")]
     #[test]
     fn request_trace_adds_exemplar_tracks() {
         use crate::reqtrace::{ReqKind, RequestTracer, Stage};

@@ -23,7 +23,7 @@
 //!   every world's next work lies at or beyond the window target. Only
 //!   worlds with runnable work are dispatched in a round — idle workers
 //!   stay parked;
-//! * a spin-then-park [`Gate`] rendezvous with zero-allocation message
+//! * a spin-then-park gate rendezvous with zero-allocation message
 //!   exchange: bounds and next-event times travel through atomics,
 //!   batches through reusable per-world buffer slots that circulate by
 //!   `mem::swap`, so the steady state allocates nothing per round.
@@ -50,7 +50,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use crate::engine::Sim;
 use crate::prof::{Phase, ProfTrack, Profiler};
@@ -357,6 +357,110 @@ struct Worker {
     handle: Option<JoinHandle<()>>,
 }
 
+/// The worlds one engine thread executes — the coordinator's local worlds
+/// or one worker's — together with that thread's profiler track.
+///
+/// Every round of every world goes through [`Host::step`], so the round
+/// body (inject, execute, drain, republish) and its phase accounting
+/// exist once for both kinds of thread.
+struct Host<M> {
+    worlds: Vec<(usize, Box<dyn ShardWorld<Msg = M>>)>,
+    /// Per-world busy time (merge + execute + outbox drain) this round.
+    busy: Vec<u64>,
+    prof: Profiler,
+    track: ProfTrack,
+}
+
+impl<M: Send + 'static> Host<M> {
+    fn new(
+        worlds: Vec<(usize, Box<dyn ShardWorld<Msg = M>>)>,
+        prof: Profiler,
+        label: &str,
+    ) -> Self {
+        Host {
+            busy: vec![0; worlds.len()],
+            track: prof.register_track(label),
+            worlds,
+            prof,
+        }
+    }
+
+    /// Appends hosted world `i`'s buffered cross-world sends to `out` and
+    /// returns its earliest pending event (ns, `NEVER` when idle).
+    fn publish(&mut self, i: usize, out: &mut Vec<Routed<M>>) -> u64 {
+        let w = &mut self.worlds[i].1;
+        w.drain_outbox_into(out);
+        ns_opt(w.sim().next_event_at())
+    }
+
+    /// Runs hosted world `i` for one sync round: injects `inbox` in the
+    /// canonical order (draining it, capacity kept), runs the world to
+    /// `bound_ns`, and publishes its sends into `out`. Returns the world's
+    /// next event (ns). Merge, execute and outbox-drain time are charged
+    /// to the world and kept as its busy time for [`Host::tile`].
+    fn step(
+        &mut self,
+        i: usize,
+        inbox: &mut Vec<Routed<M>>,
+        bound_ns: u64,
+        out: &mut Vec<Routed<M>>,
+    ) -> u64 {
+        let id = self.worlds[i].0;
+        let prof = &self.prof;
+        let mut busy = 0;
+        if !inbox.is_empty() {
+            let t = prof.tick();
+            canonical_sort(inbox);
+            self.worlds[i].1.deliver(inbox);
+            debug_assert!(inbox.is_empty(), "deliver must drain the batch");
+            let ns = prof.lap(t);
+            prof.phase(id, Phase::Merge, ns);
+            busy += ns;
+        }
+        let sim = self.worlds[i].1.sim();
+        busy += prof.execute(&self.track, id, sim, || {
+            sim.run_until(SimTime::from_nanos(bound_ns));
+        });
+        let t = prof.tick();
+        let next = self.publish(i, out);
+        let ns = self.prof.lap(t);
+        self.prof.phase(id, Phase::OutboxDrain, ns);
+        self.busy[i] = busy + ns;
+        next
+    }
+
+    /// Charges `ns` of a thread-level interval (planning, collection) to
+    /// every hosted world's `phase`.
+    fn charge_all(&self, phase: Phase, ns: u64) {
+        for (id, _) in &self.worlds {
+            self.prof.phase(*id, phase, ns);
+        }
+    }
+
+    /// Ends a wait on a gate begun at `t`: records a barrier-wait slice
+    /// on this thread's track and returns the wait in nanoseconds.
+    fn waited(&self, t: Option<Instant>) -> u64 {
+        let ns = self.prof.lap(t);
+        if let Some(t) = t {
+            self.track
+                .slice(Phase::BarrierWait, usize::MAX, self.prof.offset_ns(t), ns);
+        }
+        ns
+    }
+
+    /// Tiles a finished round: each hosted world charges `wait_ns` of
+    /// thread-level waiting plus its siblings' busy time as barrier wait,
+    /// so per-world phase sums approximate the thread's wall time.
+    fn tile(&mut self, wait_ns: u64) {
+        let total: u64 = self.busy.iter().sum();
+        for ((id, _), busy) in self.worlds.iter().zip(&self.busy) {
+            self.prof
+                .phase(*id, Phase::BarrierWait, wait_ns + (total - busy));
+        }
+        self.busy.fill(0);
+    }
+}
+
 /// Drives a fixed set of worlds — some on the calling thread, some on
 /// worker threads — through adaptive conservative epochs.
 ///
@@ -365,7 +469,8 @@ struct Worker {
 /// world) and interact with them between [`ShardCoordinator::run_until`]
 /// calls.
 pub struct ShardCoordinator<M: Send + 'static> {
-    local: Vec<(usize, Box<dyn ShardWorld<Msg = M>>)>,
+    /// The calling thread's worlds and its `coordinator` profiler track.
+    local: Host<M>,
     workers: Vec<Worker>,
     shared: Arc<Shared<M>>,
     /// `in_edges[dst] = (src, lookahead_ns)` for every finite matrix
@@ -398,61 +503,20 @@ pub struct ShardCoordinator<M: Send + 'static> {
     epochs: u64,
     sync_rounds: u64,
     cross_messages: u64,
-    /// Wall-clock profiler (inert unless built via [`Self::new_profiled`]
-    /// with an active handle). Probes cost one `Option` branch when off.
-    prof: Profiler,
-    /// The coordinator thread's Perfetto track.
-    track: ProfTrack,
-    /// Reusable per-round busy-time scratch for the local worlds.
-    local_busy: Vec<u64>,
 }
 
 impl<M: Send + 'static> ShardCoordinator<M> {
-    /// Builds a coordinator with a uniform lookahead matrix — every pair
-    /// of worlds reachable at `lookahead`, the behaviour of the original
-    /// lockstep engine (but with adaptive epoch scheduling).
+    /// Builds a coordinator over the worlds `local` (hosted on the
+    /// calling thread) and `remote` (one inner vector per worker thread,
+    /// each world built on its thread), synchronized by the per-pair
+    /// lookahead `matrix`.
     ///
     /// World ids must be unique and dense in `0..world_count` where
     /// `world_count` is the total number of worlds across all shards.
     ///
-    /// # Panics
-    ///
-    /// Panics if `lookahead` is zero (there would be no safe epoch
-    /// length) or if world ids are duplicated or out of range.
-    pub fn new(
-        lookahead: Duration,
-        local: Vec<(usize, Box<dyn ShardWorld<Msg = M>>)>,
-        remote: Vec<Vec<(usize, WorldBuilder<M>)>>,
-    ) -> Self {
-        Self::new_profiled(lookahead, local, remote, Profiler::off())
-    }
-
-    /// Like [`Self::new`], but with a wall-clock [`Profiler`] attached.
-    ///
-    /// # Panics
-    ///
-    /// Same conditions as [`Self::new`].
-    pub fn new_profiled(
-        lookahead: Duration,
-        local: Vec<(usize, Box<dyn ShardWorld<Msg = M>>)>,
-        remote: Vec<Vec<(usize, WorldBuilder<M>)>>,
-        prof: Profiler,
-    ) -> Self {
-        assert!(
-            lookahead > Duration::ZERO,
-            "shard coordinator needs a positive lookahead"
-        );
-        let world_count = local.len() + remote.iter().map(Vec::len).sum::<usize>();
-        let matrix = Arc::new(LookaheadMatrix::uniform(world_count, lookahead));
-        Self::with_matrix(matrix, local, remote, prof)
-    }
-
-    /// Builds a coordinator with an explicit per-pair [`LookaheadMatrix`]
-    /// and a wall-clock [`Profiler`].
-    ///
-    /// An active profiler times every engine phase (execute, outbox
-    /// drain, barrier wait, merge, idle-jump) per world, records window
-    /// and sync-round statistics, and gives each engine thread a Perfetto
+    /// An active `prof` times every engine phase (execute, outbox drain,
+    /// barrier wait, merge, idle-jump) per world, records window and
+    /// sync-round statistics, and gives each engine thread a Perfetto
     /// track. Pass [`Profiler::off`] for zero overhead; profiling never
     /// touches simulation state, so results are bit-identical either way.
     ///
@@ -460,8 +524,8 @@ impl<M: Send + 'static> ShardCoordinator<M> {
     ///
     /// Panics if the matrix does not cover exactly the coordinator's
     /// worlds or if world ids are duplicated or out of range.
-    pub fn with_matrix(
-        matrix: Arc<LookaheadMatrix>,
+    pub fn new(
+        matrix: &LookaheadMatrix,
         local: Vec<(usize, Box<dyn ShardWorld<Msg = M>>)>,
         remote: Vec<Vec<(usize, WorldBuilder<M>)>>,
         prof: Profiler,
@@ -503,12 +567,11 @@ impl<M: Send + 'static> ShardCoordinator<M> {
             });
             let (reply_tx, reply_rx) = mpsc::channel::<Reply>();
             let name = format!("sim-shard-{}", widx + 1);
-            let label = name.clone();
             let worker_shared = shared.clone();
             let worker_gates = gates.clone();
             let worker_prof = prof.clone();
             let handle = std::thread::Builder::new()
-                .name(name)
+                .name(name.clone())
                 .spawn(move || {
                     worker_main(
                         worlds,
@@ -516,7 +579,7 @@ impl<M: Send + 'static> ShardCoordinator<M> {
                         worker_gates,
                         reply_tx,
                         worker_prof,
-                        label,
+                        &name,
                     )
                 })
                 .expect("spawn shard worker");
@@ -542,11 +605,9 @@ impl<M: Send + 'static> ShardCoordinator<M> {
             .min_finite()
             .map_or(NEVER, |d| (d.as_nanos() as u64).saturating_mul(256));
 
-        let track = prof.register_track("coordinator");
-        let local_busy = vec![0u64; local.len()];
         let worker_count = workers.len();
         let mut this = ShardCoordinator {
-            local,
+            local: Host::new(local, prof, "coordinator"),
             workers,
             shared,
             in_edges,
@@ -565,9 +626,6 @@ impl<M: Send + 'static> ShardCoordinator<M> {
             epochs: 0,
             sync_rounds: 0,
             cross_messages: 0,
-            prof,
-            track,
-            local_busy,
         };
         // Collect construction-time sends and initial schedules so the
         // first window computation sees them. Workers publish through the
@@ -586,12 +644,7 @@ impl<M: Send + 'static> ShardCoordinator<M> {
                 this.gather.append(&mut slot);
             }
         }
-        for li in 0..this.local.len() {
-            let id = this.local[li].0;
-            this.local[li].1.drain_outbox_into(&mut this.gather);
-            this.next_events[id] = ns_opt(this.local[li].1.sim().next_event_at());
-        }
-        this.route();
+        this.publish_local();
         this
     }
 
@@ -618,12 +671,15 @@ impl<M: Send + 'static> ShardCoordinator<M> {
         self.cross_messages
     }
 
-    /// Access to a local (calling-thread) world by id, if hosted here.
-    pub fn local_world(&self, id: usize) -> Option<&dyn ShardWorld<Msg = M>> {
-        self.local
-            .iter()
-            .find(|(wid, _)| *wid == id)
-            .map(|(_, w)| w.as_ref())
+    /// Publishes every local world's buffered sends and next event — the
+    /// driver may have interacted with them (e.g. issued client calls)
+    /// since the last window — and routes the sends.
+    fn publish_local(&mut self) {
+        for li in 0..self.local.worlds.len() {
+            let id = self.local.worlds[li].0;
+            self.next_events[id] = self.local.publish(li, &mut self.gather);
+        }
+        self.route();
     }
 
     /// Routes freshly gathered messages into the per-destination pending
@@ -646,15 +702,7 @@ impl<M: Send + 'static> ShardCoordinator<M> {
 
     /// Runs every world to `deadline` through adaptive epoch windows.
     pub fn run_until(&mut self, deadline: SimTime) {
-        // The driver may have interacted with local worlds (e.g. issued
-        // client calls) since the last window; pick up those sends and
-        // schedules before planning.
-        for li in 0..self.local.len() {
-            let id = self.local[li].0;
-            self.local[li].1.drain_outbox_into(&mut self.gather);
-            self.next_events[id] = ns_opt(self.local[li].1.sim().next_event_at());
-        }
-        self.route();
+        self.publish_local();
 
         let deadline_ns = deadline.as_nanos();
         while self.now < deadline {
@@ -685,9 +733,9 @@ impl<M: Send + 'static> ShardCoordinator<M> {
             for c in &mut self.clocks {
                 *c = (*c).max(target);
             }
-            self.prof
-                .epoch(Duration::from_nanos(target - floor), idle_jump);
-            self.prof.add_sync_rounds(rounds);
+            let prof = &self.local.prof;
+            prof.epoch(Duration::from_nanos(target - floor), idle_jump);
+            prof.add_sync_rounds(rounds);
             self.sync_rounds += rounds;
             self.epochs += 1;
             self.now = SimTime::from_nanos(target);
@@ -697,8 +745,8 @@ impl<M: Send + 'static> ShardCoordinator<M> {
         // driver observes `sim().now() == deadline` between calls. No
         // events execute here (the window loop cleared everything at or
         // before the deadline).
-        for li in 0..self.local.len() {
-            let _ = self.local[li].1.sim().run_until(deadline);
+        for (_, w) in &self.local.worlds {
+            w.sim().run_until(deadline);
         }
     }
 
@@ -708,7 +756,7 @@ impl<M: Send + 'static> ShardCoordinator<M> {
         let mut rounds = 0u64;
         loop {
             // --- plan: LBTS fixpoint + per-world bounds + active set ---
-            let tp = self.prof.tick();
+            let tp = self.local.prof.tick();
             for i in 0..self.world_count {
                 self.est[i] = self.next_events[i].min(self.pending_min[i]);
             }
@@ -747,19 +795,17 @@ impl<M: Send + 'static> ShardCoordinator<M> {
                 self.active[j] = a;
                 any_active |= a;
             }
-            let plan_ns = self.prof.lap(tp);
+            let plan_ns = self.local.prof.lap(tp);
             if !any_active {
                 if plan_ns > 0 {
-                    for (id, _) in &self.local {
-                        self.prof.phase(*id, Phase::IdleJump, plan_ns);
-                    }
+                    self.local.charge_all(Phase::IdleJump, plan_ns);
                 }
                 return rounds;
             }
             rounds += 1;
 
             // --- dispatch: publish bounds, hand over batches, open go ---
-            let td = self.prof.tick();
+            let td = self.local.prof.tick();
             for j in 0..self.world_count {
                 let b = if self.active[j] {
                     self.round_bounds[j]
@@ -786,56 +832,24 @@ impl<M: Send + 'static> ShardCoordinator<M> {
                 }
                 w.gates.go.open();
             }
-            let dispatch_ns = self.prof.lap(td);
+            let dispatch_ns = self.local.prof.lap(td);
 
             // --- run the active local worlds while workers execute ---
-            for li in 0..self.local.len() {
-                self.local_busy[li] = 0;
-                let id = self.local[li].0;
+            for li in 0..self.local.worlds.len() {
+                let id = self.local.worlds[li].0;
                 if !self.active[id] {
                     continue;
                 }
-                let bound_ns = self.round_bounds[id];
-                if !self.pending[id].is_empty() {
-                    let mut batch = std::mem::take(&mut self.pending[id]);
-                    self.pending_min[id] = NEVER;
-                    let t = self.prof.tick();
-                    canonical_sort(&mut batch);
-                    self.local[li].1.deliver(&mut batch);
-                    debug_assert!(batch.is_empty(), "deliver must drain the batch");
-                    if t.is_some() {
-                        let ns = self.prof.lap(t);
-                        self.prof.phase(id, Phase::Merge, ns);
-                        self.local_busy[li] += ns;
-                    }
-                    self.pending[id] = batch;
-                }
-                let t = self.prof.tick();
-                let events = self.local[li]
-                    .1
-                    .sim()
-                    .run_until(SimTime::from_nanos(bound_ns));
-                if let Some(t0) = t {
-                    let ns = self.prof.lap(t);
-                    self.prof.phase(id, Phase::Execute, ns);
-                    self.prof.epoch_events(id, events);
-                    self.track
-                        .slice(Phase::Execute, id, self.prof.offset_ns(t0), ns);
-                    self.local_busy[li] += ns;
-                }
-                let t = self.prof.tick();
-                self.local[li].1.drain_outbox_into(&mut self.gather);
-                if t.is_some() {
-                    let ns = self.prof.lap(t);
-                    self.prof.phase(id, Phase::OutboxDrain, ns);
-                    self.local_busy[li] += ns;
-                }
-                self.next_events[id] = ns_opt(self.local[li].1.sim().next_event_at());
-                self.clocks[id] = bound_ns;
+                self.pending_min[id] = NEVER;
+                let bound = self.round_bounds[id];
+                self.next_events[id] =
+                    self.local
+                        .step(li, &mut self.pending[id], bound, &mut self.gather);
+                self.clocks[id] = bound;
             }
 
             // --- wait for the dispatched workers ---
-            let tw = self.prof.tick();
+            let tw = self.local.prof.tick();
             for wi in 0..self.workers.len() {
                 if !self.dispatched[wi] {
                     continue;
@@ -843,18 +857,10 @@ impl<M: Send + 'static> ShardCoordinator<M> {
                 let w = &mut self.workers[wi];
                 w.done_seen = w.gates.done.wait(w.done_seen);
             }
-            let wait_ns = self.prof.lap(tw);
-            if let Some(w0) = tw {
-                self.track.slice(
-                    Phase::BarrierWait,
-                    usize::MAX,
-                    self.prof.offset_ns(w0),
-                    wait_ns,
-                );
-            }
+            let wait_ns = self.local.waited(tw);
 
             // --- collect the workers' results ---
-            let tc = self.prof.tick();
+            let tc = self.local.prof.tick();
             for (wi, w) in self.workers.iter().enumerate() {
                 if !self.dispatched[wi] {
                     continue;
@@ -870,26 +876,15 @@ impl<M: Send + 'static> ShardCoordinator<M> {
                 }
             }
             self.route();
-            let collect_ns = self.prof.lap(tc);
+            let collect_ns = self.local.prof.lap(tc);
 
             // Tile the coordinator's round into every local world's slab:
             // thread-level intervals (planning, dispatch, worker waits,
             // collection) apply to each hosted world, and time spent
-            // running a sibling world counts as that world waiting. This
-            // makes each world's phase sum approximate the round's wall
-            // time.
-            if self.prof.is_on() {
-                let total_busy: u64 = self.local_busy.iter().sum();
-                for (li, (id, _)) in self.local.iter().enumerate() {
-                    self.prof.phase(*id, Phase::IdleJump, plan_ns);
-                    self.prof.phase(*id, Phase::Merge, collect_ns);
-                    self.prof.phase(
-                        *id,
-                        Phase::BarrierWait,
-                        dispatch_ns + wait_ns + (total_busy - self.local_busy[li]),
-                    );
-                }
-            }
+            // running a sibling world counts as that world waiting.
+            self.local.charge_all(Phase::IdleJump, plan_ns);
+            self.local.charge_all(Phase::Merge, collect_ns);
+            self.local.tile(dispatch_ns + wait_ns);
         }
     }
 
@@ -916,7 +911,7 @@ impl<M: Send + 'static> ShardCoordinator<M> {
                 h.join().expect("shard worker panicked");
             }
         }
-        for (id, w) in self.local.drain(..) {
+        for (id, w) in self.local.worlds.drain(..) {
             out.push((id, w.finalize()));
         }
         out.sort_by_key(|(id, _)| *id);
@@ -946,106 +941,58 @@ impl<M: Send + 'static> Drop for ShardCoordinator<M> {
 /// through the shared slots, then serves rounds each time its `go` gate
 /// opens until the stop flag is raised.
 ///
-/// With an active profiler the worker times each hosted world's merge,
-/// execute and outbox-drain scopes, attributes gate waits (plus time
-/// spent running sibling worlds) as barrier waits, and records execute /
-/// wait slices on its own Perfetto track.
+/// The coordinator touches a hosted world's inbox and outbox slots only
+/// while this worker is parked on `go`, so holding them across a round
+/// never contends.
 fn worker_main<M: Send + 'static>(
     worlds: Vec<(usize, WorldBuilder<M>)>,
     shared: Arc<Shared<M>>,
     gates: Arc<WorkerGates>,
     reply: Sender<Reply>,
     prof: Profiler,
-    label: String,
+    label: &str,
 ) {
-    let mut built: Vec<(usize, Box<dyn ShardWorld<Msg = M>>)> =
-        worlds.into_iter().map(|(id, b)| (id, b())).collect();
+    let built = worlds.into_iter().map(|(id, b)| (id, b())).collect();
+    let mut host = Host::new(built, prof, label);
 
     // Publish construction-time sends and initial schedules; the Ready
     // reply is the happens-before edge the coordinator reads them behind.
-    let mut outbuf: Vec<Routed<M>> = Vec::new();
-    for (id, w) in &mut built {
-        w.drain_outbox_into(&mut outbuf);
-        if !outbuf.is_empty() {
-            let mut slot = shared.outboxes[*id].lock().unwrap();
-            slot.append(&mut outbuf);
-        }
-        shared.next_events[*id].store(ns_opt(w.sim().next_event_at()), Ordering::Relaxed);
+    for i in 0..host.worlds.len() {
+        let id = host.worlds[i].0;
+        let next = host.publish(i, &mut shared.outboxes[id].lock().unwrap());
+        shared.next_events[id].store(next, Ordering::Relaxed);
     }
     if reply.send(Reply::Ready).is_err() {
         return;
     }
 
-    let track = prof.register_track(label);
-    let mut inbuf: Vec<Routed<M>> = Vec::new();
-    let mut busy = vec![0u64; built.len()];
     let mut go_seen = 0u64;
     loop {
-        let t0 = prof.tick();
+        let t = host.prof.tick();
         go_seen = gates.go.wait(go_seen);
-        let wait_ns = prof.lap(t0);
-        if let Some(w0) = t0 {
-            track.slice(Phase::BarrierWait, usize::MAX, prof.offset_ns(w0), wait_ns);
-        }
+        let wait_ns = host.waited(t);
         if shared.stop.load(Ordering::SeqCst) {
-            let list = built.drain(..).map(|(id, w)| (id, w.finalize())).collect();
+            let list = host
+                .worlds
+                .drain(..)
+                .map(|(id, w)| (id, w.finalize()))
+                .collect();
             let _ = reply.send(Reply::Finalized(list));
             return;
         }
 
-        busy.iter_mut().for_each(|b| *b = 0);
-        for (i, (id, w)) in built.iter_mut().enumerate() {
-            let bound_ns = shared.bounds[*id].load(Ordering::Relaxed);
+        for i in 0..host.worlds.len() {
+            let id = host.worlds[i].0;
+            let bound_ns = shared.bounds[id].load(Ordering::Relaxed);
             if bound_ns == NEVER {
                 continue;
             }
-            {
-                let mut slot = shared.inboxes[*id].lock().unwrap();
-                std::mem::swap(&mut *slot, &mut inbuf);
-            }
-            if !inbuf.is_empty() {
-                let t = prof.tick();
-                canonical_sort(&mut inbuf);
-                w.deliver(&mut inbuf);
-                debug_assert!(inbuf.is_empty(), "deliver must drain the batch");
-                if t.is_some() {
-                    let ns = prof.lap(t);
-                    prof.phase(*id, Phase::Merge, ns);
-                    busy[i] += ns;
-                }
-            }
-            let t = prof.tick();
-            let events = w.sim().run_until(SimTime::from_nanos(bound_ns));
-            if let Some(s0) = t {
-                let ns = prof.lap(t);
-                prof.phase(*id, Phase::Execute, ns);
-                prof.epoch_events(*id, events);
-                track.slice(Phase::Execute, *id, prof.offset_ns(s0), ns);
-                busy[i] += ns;
-            }
-            let t = prof.tick();
-            w.drain_outbox_into(&mut outbuf);
-            if !outbuf.is_empty() {
-                let mut slot = shared.outboxes[*id].lock().unwrap();
-                debug_assert!(slot.is_empty(), "outbox slot not drained last round");
-                std::mem::swap(&mut *slot, &mut outbuf);
-            }
-            if t.is_some() {
-                let ns = prof.lap(t);
-                prof.phase(*id, Phase::OutboxDrain, ns);
-                busy[i] += ns;
-            }
-            shared.next_events[*id].store(ns_opt(w.sim().next_event_at()), Ordering::Relaxed);
+            let mut inbox = shared.inboxes[id].lock().unwrap();
+            let mut outbox = shared.outboxes[id].lock().unwrap();
+            let next = host.step(i, &mut inbox, bound_ns, &mut outbox);
+            shared.next_events[id].store(next, Ordering::Relaxed);
         }
-        if prof.is_on() {
-            // Tile the round: each hosted world charges the gate wait
-            // plus its siblings' busy time as barrier wait, so per-world
-            // phase sums approximate this thread's wall time.
-            let total_busy: u64 = busy.iter().sum();
-            for (i, (id, _)) in built.iter().enumerate() {
-                prof.phase(*id, Phase::BarrierWait, wait_ns + (total_busy - busy[i]));
-            }
-        }
+        host.tile(wait_ns);
         gates.done.open();
     }
 }
@@ -1175,7 +1122,8 @@ mod tests {
         const WORLDS: usize = 4;
         const TICKS: u32 = 25;
         let (local, remote) = ring_shards(shards, WORLDS, TICKS);
-        let mut coord = ShardCoordinator::new(LOOKAHEAD, local, remote);
+        let matrix = LookaheadMatrix::uniform(WORLDS, LOOKAHEAD);
+        let mut coord = ShardCoordinator::new(&matrix, local, remote, Profiler::off());
         coord.run_until(SimTime::from_millis(10));
         assert!(coord.epochs() > 0);
         assert!(coord.sync_rounds() >= coord.epochs() - 1);
@@ -1209,8 +1157,7 @@ mod tests {
             for id in 0..WORLDS {
                 m.set(id, (id + 1) % WORLDS, LOOKAHEAD);
             }
-            let mut coord =
-                ShardCoordinator::with_matrix(Arc::new(m), local, remote, Profiler::off());
+            let mut coord = ShardCoordinator::new(&m, local, remote, Profiler::off());
             coord.run_until(SimTime::from_millis(10));
             coord
                 .finalize()
@@ -1284,7 +1231,9 @@ mod tests {
     fn merged_clock_jumps_idle_gaps() {
         // Two worlds, one event each, far apart: the run must not need
         // deadline/lookahead epochs.
-        let mut coord = ShardCoordinator::new(LOOKAHEAD, sparse_locals(), Vec::new());
+        let matrix = LookaheadMatrix::uniform(2, LOOKAHEAD);
+        let mut coord =
+            ShardCoordinator::new(&matrix, sparse_locals(), Vec::new(), Profiler::off());
         coord.run_until(SimTime::from_secs(60));
         // One window per event neighbourhood plus the final jump — far
         // fewer than the 600k a fixed 100 us cadence would need.
@@ -1297,9 +1246,8 @@ mod tests {
         // With no reachable pairs there is no conservative constraint at
         // all: the whole run is a single window and each world runs
         // straight to the deadline.
-        let m = Arc::new(LookaheadMatrix::disconnected(2));
-        let mut coord =
-            ShardCoordinator::with_matrix(m, sparse_locals(), Vec::new(), Profiler::off());
+        let m = LookaheadMatrix::disconnected(2);
+        let mut coord = ShardCoordinator::new(&m, sparse_locals(), Vec::new(), Profiler::off());
         coord.run_until(SimTime::from_secs(60));
         assert_eq!(coord.epochs(), 1, "sync_rounds = {}", coord.sync_rounds());
         assert_eq!(coord.now(), SimTime::from_secs(60));

@@ -1,7 +1,7 @@
 //! Ring-buffered time series and the registry [`Scraper`].
 //!
-//! PR 1's [`MetricsRegistry`](crate::MetricsRegistry) is point-in-time: it
-//! answers "how many seeks so far", never "how did seek latency evolve".
+//! The [`MetricsRegistry`] is point-in-time: it answers "how many seeks
+//! so far", never "how did seek latency evolve".
 //! This module adds the time dimension. A [`Scraper`] runs as a recurring
 //! simulated-time event, sampling every registry series into a
 //! [`TimeSeries`] ring buffer keyed by `(component, series)`:

@@ -9,7 +9,7 @@ use ustore_bench::degraded::run_degraded_traced;
 use ustore_bench::fuzz::{run_fuzz, FuzzOptions};
 use ustore_bench::podscale::{fnv1a, run_podscale, PodConfig, PodscaleRun, RunOpts};
 use ustore_sim::faultgen::{Bathtub, FaultModelConfig, FaultSchedule, FleetShape, Weibull};
-use ustore_sim::{canonical_merge, Profiler, RequestTracer, Routed, SimRng, SimTime};
+use ustore_sim::{canonical_merge, Routed, SimRng, SimTime};
 
 #[test]
 fn degraded_telemetry_is_bit_for_bit_deterministic() {
@@ -61,6 +61,12 @@ const GOLDEN_TINY_CLASSIC: (u64, u64) = (0xaa6f_9122_d3f9_7a14, 21_669);
 const GOLDEN_TINY_SHARDED: (u64, u64) = (0x0b37_b5d5_1ce4_5bcb, 22_160);
 const GOLDEN_TINY_PARTITIONED_LEASED: (u64, u64) = (0xe5ee_8613_c9dc_3dc9, 60_646);
 
+/// Pinned sharded-engine counters `(epochs, sync_rounds, cross_messages)`
+/// of the same two sharded runs: the scheduler's decisions, which must
+/// not drift when the engine loop is restructured (any shard count).
+const GOLDEN_TINY_SHARDED_ENGINE: (u64, u64, u64) = (1_336, 6_686, 5_066);
+const GOLDEN_TINY_PARTITIONED_LEASED_ENGINE: (u64, u64, u64) = (1_611, 21_860, 6_206);
+
 fn assert_golden(run: &PodscaleRun, golden: (u64, u64), name: &str) {
     assert_eq!(
         (run.digest, run.events),
@@ -68,6 +74,17 @@ fn assert_golden(run: &PodscaleRun, golden: (u64, u64), name: &str) {
         "{name}: digest {:#018x} / {} events drifted from the pinned golden",
         run.digest,
         run.events
+    );
+}
+
+fn assert_engine_golden(run: &PodscaleRun, golden: (u64, u64, u64), name: &str) {
+    let s = run.sharding.as_ref().expect("shard stats");
+    assert_eq!(
+        (s.epochs, s.sync_rounds, s.cross_messages),
+        golden,
+        "{name} at --shards {}: (epochs, sync_rounds, cross_messages) drifted \
+         from the pinned golden",
+        s.shards
     );
 }
 
@@ -123,6 +140,9 @@ fn podscale_sharded_digest_is_identical_for_shards_1_2_4() {
     assert!(base.writes_ok > 0 && base.reads_ok > 0, "workload served");
     assert_eq!(base.io_errors, 0, "healthy pod serves all IO");
     assert_golden(base, GOLDEN_TINY_SHARDED, "sharded tiny pod");
+    for (_, run) in &runs {
+        assert_engine_golden(run, GOLDEN_TINY_SHARDED_ENGINE, "sharded tiny pod");
+    }
     for (s, run) in &runs[1..] {
         assert_eq!(
             run.digest, base.digest,
@@ -178,6 +198,13 @@ fn partitioned_leased_sharded_digest_is_identical_for_shards_1_2_4() {
         GOLDEN_TINY_PARTITIONED_LEASED,
         "partitioned leased tiny pod",
     );
+    for (_, run) in &runs {
+        assert_engine_golden(
+            run,
+            GOLDEN_TINY_PARTITIONED_LEASED_ENGINE,
+            "partitioned leased tiny pod",
+        );
+    }
     for (s, run) in &runs[1..] {
         assert_eq!(
             run.digest, base.digest,
@@ -359,7 +386,7 @@ fn lookahead_matrix_never_undercuts_observed_path_latency() {
     for src in 0..WORLDS {
         let sim = Sim::new(0xC0FF_EE00 + src as u64);
         let net = Network::new(cfg.clone());
-        net.enable_shard_routing_with_lookahead(src, placement.clone(), matrix.clone());
+        net.enable_shard_routing(src, placement.clone(), matrix.clone());
         net.register(&addrs[src]);
         // Advance virtual time so latencies are measured off a nonzero now.
         sim.schedule_in(Duration::from_millis(rand(50)), |_| {});
@@ -404,11 +431,6 @@ fn lookahead_matrix_never_undercuts_observed_path_latency() {
 /// bit-identical to the unprofiled run.
 #[test]
 fn profiling_leaves_sharded_digests_bit_identical() {
-    if !Profiler::compiled_in() {
-        // Built with --no-default-features: the profiler is compiled out
-        // and the comparison would be vacuous.
-        return;
-    }
     let cfg = PodConfig::tiny();
     for shards in [1usize, 2, 4] {
         let plain = run_podscale(7, &cfg, &RunOpts::sharded(shards));
@@ -439,11 +461,6 @@ fn profiling_leaves_sharded_digests_bit_identical() {
 /// engine's too.
 #[test]
 fn tracing_leaves_sharded_digests_bit_identical() {
-    if !RequestTracer::compiled_in() {
-        // Built with --no-default-features: the tracer is compiled out
-        // and the comparison would be vacuous.
-        return;
-    }
     let cfg = PodConfig::tiny();
     for shards in [1usize, 2, 4] {
         let plain = run_podscale(7, &cfg, &RunOpts::sharded(shards));
@@ -473,9 +490,6 @@ fn tracing_leaves_sharded_digests_bit_identical() {
 /// instrumented) and double counting (a phase attributed twice).
 #[test]
 fn profiled_phase_sums_approximate_measured_wall_time() {
-    if !Profiler::compiled_in() {
-        return;
-    }
     let run = run_podscale(7, &PodConfig::tiny(), &profiled(Some(2)));
     let prof = run.prof.expect("profiled run has a snapshot");
     let wall_ns = run.run_wall_seconds * 1e9;
@@ -489,6 +503,27 @@ fn profiled_phase_sums_approximate_measured_wall_time() {
             ratio * 100.0,
             w.total_ns(),
             wall_ns
+        );
+    }
+}
+
+/// The profiler's event accounting must cover the whole run: every event
+/// either engine executes happens inside a profiled execute window, so
+/// the per-world event counts sum to the run's event count — on the
+/// classic engine (its settle window included) and on every world of the
+/// sharded engine, whichever thread hosts it.
+#[test]
+fn profiled_event_counts_cover_every_executed_event() {
+    let cfg = PodConfig::tiny();
+    for shards in [None, Some(1), Some(2), Some(4)] {
+        let run = run_podscale(7, &cfg, &profiled(shards));
+        let prof = run.prof.expect("profiled run has a snapshot");
+        let per_world: Vec<u64> = prof.worlds.iter().map(|w| w.events).collect();
+        assert_eq!(
+            per_world.iter().sum::<u64>(),
+            run.events,
+            "shards {shards:?}: profiled per-world events {per_world:?} do not \
+             add up to the run's events"
         );
     }
 }
