@@ -167,9 +167,13 @@ impl Endpoint {
         self.inner.borrow_mut().paused = true;
     }
 
-    /// Restarts a paused EndPoint.
+    /// Restarts a paused EndPoint. Detach notices were dropped while
+    /// paused, so first withdraw the targets of every disk that is no
+    /// longer attached to this host.
     pub fn resume(&self, sim: &Sim) {
         self.inner.borrow_mut().paused = false;
+        let host = self.host();
+        self.withdraw(|d| self.runtime.attached_host(d) != Some(host));
         self.arm_heartbeat(sim);
         self.arm_idle_checker(sim);
     }
@@ -336,24 +340,27 @@ impl Endpoint {
                     self.schedule_export(sim, n);
                 }
             }
-            UsbEvent::Detached(dev) if dev.0 < 100_000 => {
-                let d = DiskId(dev.0);
-                let names: Vec<SpaceName> = self
-                    .inner
-                    .borrow()
-                    .exposures
-                    .keys()
-                    .filter(|n| n.disk == d)
-                    .copied()
-                    .collect();
-                for n in names {
-                    self.iscsi.unexpose(&n.target_name());
-                    if let Some(x) = self.inner.borrow_mut().exposures.get_mut(&n) {
-                        x.exported = false;
-                    }
-                }
-            }
+            UsbEvent::Detached(dev) if dev.0 < 100_000 => self.withdraw(|d| d == DiskId(dev.0)),
             _ => {}
+        }
+    }
+
+    /// Stops exporting every space whose disk is `gone`, keeping the
+    /// exposure records so the disk's return re-exports them.
+    fn withdraw(&self, gone: impl Fn(DiskId) -> bool) {
+        let names: Vec<SpaceName> = self
+            .inner
+            .borrow()
+            .exposures
+            .keys()
+            .filter(|n| gone(n.disk))
+            .copied()
+            .collect();
+        for n in names {
+            self.iscsi.unexpose(&n.target_name());
+            if let Some(x) = self.inner.borrow_mut().exposures.get_mut(&n) {
+                x.exported = false;
+            }
         }
     }
 

@@ -25,7 +25,7 @@ use ustore_consensus::{
 };
 use ustore_fabric::{DiskId, HostId};
 use ustore_net::{Addr, Network, RpcNode};
-use ustore_sim::{CounterHandle, FastMap, FastSet, Sim, SimTime, TraceLevel};
+use ustore_sim::{CounterHandle, FastMap, FastSet, Sim, SimTime, SpanId, TraceLevel};
 
 use crate::alloc::{Allocator, Extent};
 use crate::ids::{SpaceName, UnitId};
@@ -113,6 +113,15 @@ struct M {
     /// When this process became active (baseline for detecting hosts that
     /// died before ever heartbeating to this master).
     activated_at: Option<SimTime>,
+}
+
+/// The step at which a [`Master::reroute`] stopped.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum RerouteStep {
+    /// No Controller answered the plan, or Algorithm 1 found no path.
+    Plan,
+    /// The Controller did not complete the reconfiguration.
+    Execute,
 }
 
 /// One Master process (active or standby).
@@ -806,27 +815,15 @@ impl Master {
             sim.count(&self.rpc.addr().to_string(), "master.failovers", 1);
             // Join the failover span opened at failure injection, or root a
             // fresh one (failures can arise without the harness's help).
-            let victim = format!("{unit}/{host}");
-            let root = sim
-                .with_spans(|t| t.find_open_by("failover", "victim", &victim))
-                .unwrap_or_else(|| {
-                    let id = sim.span_start("master", "failover");
-                    sim.span_attr(id, "victim", victim.clone());
-                    id
-                });
+            let root = failover_root(sim, unit, host).unwrap_or_else(|| {
+                let id = sim.span_start("master", "failover");
+                sim.span_attr(id, "victim", format!("{unit}/{host}"));
+                id
+            });
             // Detection ends the moment the host is declared dead.
-            match sim.with_spans(|t| {
-                t.children(root)
-                    .filter(|s| &*s.name == "failover.detection" && s.is_open())
-                    .map(|s| s.id)
-                    .next()
-            }) {
-                Some(det) => sim.span_end(det),
-                None => {
-                    let det = sim.span_child(root, "master", "failover.detection");
-                    sim.span_end(det);
-                }
-            }
+            let det = open_child(sim, root, "failover.detection")
+                .unwrap_or_else(|| sim.span_child(root, "master", "failover.detection"));
+            sim.span_end(det);
             sim.span_child(root, "master", "failover.reconfiguration");
             self.failover(sim, unit, host);
         }
@@ -896,7 +893,7 @@ impl Master {
                 "master",
                 format!("{unit} {d} vanished from all USB trees; rerouting"),
             );
-            self.reroute_disk(sim, unit, d, targets, controllers, false, |_, _| {});
+            self.reroute(sim, unit, vec![d], targets, controllers, false, |_, _| {});
         }
     }
 
@@ -952,87 +949,98 @@ impl Master {
         };
         // A still-attached disk moves with its hub cohort: relocating it
         // turns switches its healthy hub-mates share.
-        self.reroute_disk(sim, unit, d, targets, controllers, true, done);
+        let done = move |sim: &Sim, r: Result<(), RerouteStep>| done(sim, r.is_ok());
+        self.reroute(sim, unit, vec![d], targets, controllers, true, done);
     }
 
-    /// The shared plan→execute reroute machinery behind
-    /// [`sweep_missing_disks`](Self::sweep_missing_disks) and
-    /// [`recover_disk`](Self::recover_disk).
+    /// The one plan→execute→commit disk move behind host
+    /// [`failover`](Self::failover), the missing-disk
+    /// [sweep](Self::sweep_missing_disks) and [`recover_disk`](Self::recover_disk):
+    /// Algorithm 1 plans paths for `disks` onto `targets`, the Controller
+    /// executes them, and SysStat commits the new mapping. `done` learns
+    /// which step failed, if any.
     #[allow(clippy::too_many_arguments)]
-    fn reroute_disk(
+    fn reroute(
         &self,
         sim: &Sim,
         unit: UnitId,
-        d: DiskId,
+        disks: Vec<DiskId>,
         targets: Vec<HostId>,
         controllers: Vec<Addr>,
         pull_cohort: bool,
-        done: impl FnOnce(&Sim, bool) + 'static,
+        done: impl FnOnce(&Sim, Result<(), RerouteStep>) + 'static,
     ) {
         let this = self.clone();
         let rpc_timeout = self.inner.borrow().config.rpc_timeout;
         let exec_timeout = self.inner.borrow().config.execute_timeout;
+        let what = disks
+            .iter()
+            .map(ToString::to_string)
+            .collect::<Vec<_>>()
+            .join(",");
         self.controller_call::<PlanResp>(
             sim,
             controllers.clone(),
             "ctl.plan",
             Arc::new(PlanReq {
-                disks: vec![d],
+                disks,
                 targets,
                 pull_cohort,
             }),
             rpc_timeout,
             move |sim, plan| {
-                let Some((responsive, plan)) = plan else {
-                    done(sim, false);
-                    return;
-                };
-                match plan {
-                    Err(why) => {
+                let (order, pairs) = match plan {
+                    Some((responsive, Ok(pairs))) => {
+                        // Prefer the controller that just answered; keep
+                        // the rest as fallbacks.
+                        let mut order = vec![responsive.clone()];
+                        order.extend(controllers.into_iter().filter(|a| *a != responsive));
+                        (order, pairs)
+                    }
+                    Some((_, Err(why))) => {
                         // No alternative path: the paper "reports the
                         // failure to system administrator for future
                         // replacement or repair".
                         sim.trace(
                             TraceLevel::Error,
                             "master",
-                            format!("{unit} {d} unrecoverable ({why}); needs repair"),
+                            format!("{unit} {what} unrecoverable ({why}); needs repair"),
                         );
-                        done(sim, false);
+                        done(sim, Err(RerouteStep::Plan));
+                        return;
                     }
-                    Ok(pairs) => {
-                        let mut order = vec![responsive.clone()];
-                        order.extend(controllers.into_iter().filter(|a| *a != responsive));
-                        let this2 = this.clone();
-                        let pairs2 = pairs.clone();
-                        this.controller_call::<ExecuteResp>(
-                            sim,
-                            order,
-                            "ctl.execute",
-                            Arc::new(ExecuteReq { pairs }),
-                            exec_timeout,
-                            move |sim, r| {
-                                let ok = matches!(r, Some((_, Ok(()))));
-                                if ok {
-                                    let mut m = this2.inner.borrow_mut();
-                                    for (d, h) in &pairs2 {
-                                        m.disk_host.insert((unit, *d), *h);
-                                    }
-                                    m.exposures_pushed
-                                        .retain(|(n, _)| !pairs2.iter().any(|(d, _)| *d == n.disk));
+                    None => {
+                        done(sim, Err(RerouteStep::Plan));
+                        return;
+                    }
+                };
+                let this2 = this.clone();
+                let pairs2 = pairs.clone();
+                this.controller_call::<ExecuteResp>(
+                    sim,
+                    order,
+                    "ctl.execute",
+                    Arc::new(ExecuteReq { pairs }),
+                    exec_timeout,
+                    move |sim, r| {
+                        let (outcome, r) = match r {
+                            Some((_, Ok(()))) => {
+                                let mut m = this2.inner.borrow_mut();
+                                for (d, h) in &pairs2 {
+                                    m.disk_host.insert((unit, *d), *h);
                                 }
-                                sim.trace(
-                                    TraceLevel::Info,
-                                    "master",
-                                    format!(
-                                        "reroute of {unit} {d} {}",
-                                        if ok { "complete" } else { "failed" }
-                                    ),
-                                );
-                                done(sim, ok);
-                            },
-                        );
-                    }
-                }
+                                // Force re-pushing exposures to the new hosts.
+                                m.exposures_pushed
+                                    .retain(|(n, _)| !pairs2.iter().any(|(d, _)| *d == n.disk));
+                                ("complete", Ok(()))
+                            }
+                            _ => ("failed", Err(RerouteStep::Execute)),
+                        };
+                        let msg = format!("reroute of {unit} {what} {outcome}");
+                        sim.trace(TraceLevel::Info, "master", msg);
+                        done(sim, r);
+                    },
+                );
             },
         );
     }
@@ -1048,10 +1056,7 @@ impl Master {
                 .disks
                 .iter()
                 .map(|(d, _)| *d)
-                .filter(|d| match m.disk_host.get(&(unit, *d)) {
-                    Some(h) => *h == dead,
-                    None => true,
-                })
+                .filter(|d| m.disk_host.get(&(unit, *d)).is_none_or(|h| *h == dead))
                 .collect();
             let targets: Vec<HostId> = conf
                 .hosts
@@ -1069,94 +1074,39 @@ impl Master {
             return;
         }
         let this = self.clone();
-        self.controller_call::<PlanResp>(
-            sim,
-            controllers.clone(),
-            "ctl.plan",
-            Arc::new(PlanReq {
-                disks,
-                targets,
-                pull_cohort: false,
-            }),
-            self.inner.borrow().config.rpc_timeout,
-            move |sim, plan| {
-                let Some((responsive, Ok(pairs))) = plan else {
+        let done = move |sim: &Sim, r: Result<(), RerouteStep>| {
+            this.inner
+                .borrow_mut()
+                .failover_in_progress
+                .remove(&(unit, dead));
+            let (counter, outcome) = match r {
+                Ok(()) => {
+                    // Reconfiguration done; the remount phase runs until
+                    // clients read again (the harness or the experiment
+                    // closes it).
+                    if let Some(root) = failover_root(sim, unit, dead) {
+                        if let Some(rec) = open_child(sim, root, "failover.reconfiguration") {
+                            sim.span_end(rec);
+                        }
+                        sim.span_child(root, "master", "failover.remount");
+                    }
+                    ("master.failovers_completed", "complete")
+                }
+                Err(RerouteStep::Plan) => {
                     sim.trace(TraceLevel::Error, "master", "failover planning failed");
-                    this.inner
-                        .borrow_mut()
-                        .failover_in_progress
-                        .remove(&(unit, dead));
-                    close_failover_spans(sim, unit, dead, Some("planning_failed"));
+                    close_failover_spans(sim, unit, dead, "planning_failed");
                     return;
-                };
-                // Prefer the controller that just answered; keep the rest
-                // as fallbacks.
-                let mut order = vec![responsive.clone()];
-                order.extend(controllers.into_iter().filter(|a| *a != responsive));
-                let this2 = this.clone();
-                let pairs2 = pairs.clone();
-                let exec_timeout = this.inner.borrow().config.execute_timeout;
-                this.controller_call::<ExecuteResp>(
-                    sim,
-                    order,
-                    "ctl.execute",
-                    Arc::new(ExecuteReq { pairs }),
-                    exec_timeout,
-                    move |sim, r| {
-                        let ok = matches!(r, Some((_, Ok(()))));
-                        {
-                            let mut m = this2.inner.borrow_mut();
-                            m.failover_in_progress.remove(&(unit, dead));
-                            if ok {
-                                for (d, h) in &pairs2 {
-                                    m.disk_host.insert((unit, *d), *h);
-                                }
-                                // Force re-pushing exposures to new hosts.
-                                m.exposures_pushed
-                                    .retain(|(n, _)| !pairs2.iter().any(|(d, _)| *d == n.disk));
-                            }
-                        }
-                        if ok {
-                            // Reconfiguration done; the remount phase runs
-                            // until clients read again (the harness or the
-                            // experiment closes it).
-                            let victim = format!("{unit}/{dead}");
-                            if let Some(root) =
-                                sim.with_spans(|t| t.find_open_by("failover", "victim", &victim))
-                            {
-                                if let Some(rec) = sim.with_spans(|t| {
-                                    t.children(root)
-                                        .filter(|s| {
-                                            &*s.name == "failover.reconfiguration" && s.is_open()
-                                        })
-                                        .map(|s| s.id)
-                                        .next()
-                                }) {
-                                    sim.span_end(rec);
-                                }
-                                sim.span_child(root, "master", "failover.remount");
-                            }
-                            sim.count(
-                                &this2.rpc.addr().to_string(),
-                                "master.failovers_completed",
-                                1,
-                            );
-                        } else {
-                            close_failover_spans(sim, unit, dead, Some("execute_failed"));
-                            sim.count(&this2.rpc.addr().to_string(), "master.failovers_failed", 1);
-                        }
-                        sim.trace(
-                            TraceLevel::Info,
-                            "master",
-                            format!(
-                                "failover of {unit} {dead} {}",
-                                if ok { "complete" } else { "FAILED" }
-                            ),
-                        );
-                    },
-                );
-            },
-        );
+                }
+                Err(RerouteStep::Execute) => {
+                    close_failover_spans(sim, unit, dead, "execute_failed");
+                    ("master.failovers_failed", "FAILED")
+                }
+            };
+            sim.count(&this.rpc.addr().to_string(), counter, 1);
+            let msg = format!("failover of {unit} {dead} {outcome}");
+            sim.trace(TraceLevel::Info, "master", msg);
+        };
+        self.reroute(sim, unit, disks, targets, controllers, false, done);
     }
 
     /// Calls the unit's primary Controller, falling back to the backup on
@@ -1202,15 +1152,28 @@ impl Master {
     }
 }
 
+/// The open `failover` span tree of `unit`/`dead`, if any.
+fn failover_root(sim: &Sim, unit: UnitId, dead: HostId) -> Option<SpanId> {
+    sim.with_spans(|t| t.find_open_by("failover", "victim", &format!("{unit}/{dead}")))
+}
+
+/// The open child of `root` named `name`, if any.
+fn open_child(sim: &Sim, root: SpanId, name: &str) -> Option<SpanId> {
+    sim.with_spans(|t| {
+        t.children(root)
+            .find(|s| &*s.name == name && s.is_open())
+            .map(|s| s.id)
+    })
+}
+
 /// Closes the failover span tree for `unit`/`dead` after an unsuccessful
 /// outcome: any open phase child is ended, the root gets an `error`
 /// attribute and is ended too.
-fn close_failover_spans(sim: &Sim, unit: UnitId, dead: HostId, error: Option<&str>) {
-    let victim = format!("{unit}/{dead}");
-    let Some(root) = sim.with_spans(|t| t.find_open_by("failover", "victim", &victim)) else {
+fn close_failover_spans(sim: &Sim, unit: UnitId, dead: HostId, error: &str) {
+    let Some(root) = failover_root(sim, unit, dead) else {
         return;
     };
-    let open_children: Vec<ustore_sim::SpanId> = sim.with_spans(|t| {
+    let open_children: Vec<SpanId> = sim.with_spans(|t| {
         t.children(root)
             .filter(|s| s.is_open())
             .map(|s| s.id)
@@ -1219,9 +1182,7 @@ fn close_failover_spans(sim: &Sim, unit: UnitId, dead: HostId, error: Option<&st
     for c in open_children {
         sim.span_end(c);
     }
-    if let Some(e) = error {
-        sim.span_attr(root, "error", e);
-    }
+    sim.span_attr(root, "error", error);
     sim.span_end(root);
 }
 

@@ -8,6 +8,10 @@
 //! through the microcontroller, let the moved devices re-enumerate on
 //! their new host, verify within a deadline, and roll back on failure.
 //!
+//! Every change to switch positions, relays or component failures ends in
+//! one reconcile step, after which each host's USB tree holds exactly the
+//! hubs and disks the fabric routes to it.
+//!
 //! It also serves fabric-attached IO: a disk command's completion is the
 //! later of the drive's own service time and its share of the USB tree
 //! (they overlap, so an uncontended bus adds nothing — Table II).
@@ -198,7 +202,7 @@ impl FabricRuntime {
                 glitched: std::collections::BTreeSet::new(),
             })),
         };
-        rt.mount_all(sim);
+        rt.reconcile(sim);
         // Hot-plug listeners capture their subscribers (an EndPoint on
         // each host holds this runtime back) — a cycle the event-queue
         // teardown cannot reach. Register a weak breaker so one
@@ -222,68 +226,86 @@ impl FabricRuntime {
         FabricRuntime::new(sim, t, cfg, RuntimeConfig::default())
     }
 
-    fn mount_all(&self, sim: &Sim) {
-        let plan = {
-            let rt = self.inner.borrow();
-            self.attach_plan(&rt)
-        };
-        for (host, desc) in plan {
-            let h = self.inner.borrow().hosts[&host].clone();
-            h.attach(sim, desc);
-        }
+    /// The devices the fabric routes to each host, as `(host, desc)`
+    /// attach commands ordered parents first: every powered hub and disk
+    /// whose path leads to a live host, unless its parent hub is not
+    /// routed to that same host.
+    fn routed(rt: &RT) -> Vec<(HostId, DeviceDesc)> {
+        let topo = rt.state.topology();
+        let hubs = topo
+            .hubs()
+            .filter(|h| rt.relays.hub_on(*h))
+            .filter_map(|h| {
+                let host = rt.state.hub_host(h)?;
+                Some((host, hub_dev(h), DeviceKind::Hub, topo.hub_upstream(h)?))
+            });
+        let disks = topo
+            .disks()
+            .filter(|d| rt.relays.disk_on(*d))
+            .filter_map(|d| {
+                let host = rt.state.attached_host(d)?;
+                Some((
+                    host,
+                    disk_dev(d),
+                    DeviceKind::Storage,
+                    topo.disk_upstream(d)?,
+                ))
+            });
+        let mut rows: Vec<(usize, HostId, DeviceDesc)> = hubs
+            .chain(disks)
+            .map(|(host, id, kind, up)| {
+                let parent = match rt.state.usb_parent(up) {
+                    Some(UpRef::Hub(p)) => Some(hub_dev(p)),
+                    _ => None,
+                };
+                (rt.state.depth_of(up), host, DeviceDesc { id, kind, parent })
+            })
+            .collect();
+        rows.sort_by_key(|(depth, host, desc)| (*depth, host.0, desc.id));
+        let mut placed: BTreeMap<DeviceId, HostId> = BTreeMap::new();
+        rows.into_iter()
+            .filter_map(|(_, host, desc)| {
+                let under_parent = desc.parent.is_none_or(|p| placed.get(&p) == Some(&host));
+                under_parent.then(|| {
+                    placed.insert(desc.id, host);
+                    (host, desc)
+                })
+            })
+            .collect()
     }
 
-    /// Computes `(host, DeviceDesc)` attach commands for all currently
-    /// visible hubs/disks, parents before children.
-    fn attach_plan(&self, rt: &RT) -> Vec<(HostId, DeviceDesc)> {
-        let mut rows: Vec<(usize, HostId, DeviceDesc)> = Vec::new();
-        let topo = rt.state.topology().clone();
-        for hub in topo.hubs() {
-            if !rt.relays.hub_on(hub) {
-                continue;
-            }
-            if let Some(host) = rt.state.hub_host(hub) {
-                let up = topo.hub_upstream(hub).expect("hub exists");
-                let parent = match rt.state.usb_parent(up) {
-                    Some(UpRef::Hub(p)) => Some(hub_dev(p)),
-                    _ => None,
-                };
-                let depth = rt.state.depth_of(up);
-                rows.push((
-                    depth,
-                    host,
-                    DeviceDesc {
-                        id: hub_dev(hub),
-                        kind: DeviceKind::Hub,
-                        parent,
-                    },
-                ));
+    /// Brings every host's USB tree in line with the fabric; the only
+    /// place devices attach or detach. Stale devices detach first (hubs,
+    /// then disks, in id order; a device an earlier subtree detach already
+    /// removed is a no-op), then missing ones attach parents first. A
+    /// device recorded as failed counts as present, so nothing retries,
+    /// and a glitched disk that would have to re-enumerate stays dark
+    /// until [`power_cycle_disk`](Self::power_cycle_disk).
+    fn reconcile(&self, sim: &Sim) {
+        let (plan, hosts, glitched) = {
+            let rt = self.inner.borrow();
+            (Self::routed(&rt), rt.hosts.clone(), rt.glitched.clone())
+        };
+        let want: BTreeMap<DeviceId, (HostId, Option<DeviceId>)> =
+            plan.iter().map(|(h, d)| (d.id, (*h, d.parent))).collect();
+        let mut stale: Vec<(bool, DeviceId, HostId)> = Vec::new();
+        for (h, usb) in &hosts {
+            for n in usb.snapshot() {
+                if want.get(&n.id) != Some(&(*h, n.parent)) {
+                    stale.push((n.kind == DeviceKind::Storage, n.id, *h));
+                }
             }
         }
-        for d in topo.disks() {
-            if !rt.relays.disk_on(d) || rt.glitched.contains(&d) {
-                continue;
-            }
-            if let Some(host) = rt.state.attached_host(d) {
-                let up = topo.disk_upstream(d).expect("disk exists");
-                let parent = match rt.state.usb_parent(up) {
-                    Some(UpRef::Hub(p)) => Some(hub_dev(p)),
-                    _ => None,
-                };
-                let depth = rt.state.depth_of(up);
-                rows.push((
-                    depth,
-                    host,
-                    DeviceDesc {
-                        id: disk_dev(d),
-                        kind: DeviceKind::Storage,
-                        parent,
-                    },
-                ));
+        stale.sort();
+        for (_, id, h) in stale {
+            hosts[&h].detach(sim, id);
+        }
+        for (h, desc) in plan {
+            let dark = desc.kind == DeviceKind::Storage && glitched.contains(&DiskId(desc.id.0));
+            if !dark && hosts[&h].device_state(desc.id).is_none() {
+                hosts[&h].attach(sim, desc);
             }
         }
-        rows.sort_by_key(|(depth, host, desc)| (*depth, host.0, desc.id));
-        rows.into_iter().map(|(_, h, d)| (h, d)).collect()
     }
 
     // ---- Accessors ---------------------------------------------------------
@@ -421,74 +443,21 @@ impl FabricRuntime {
             // Verify: all moved disks must re-enumerate before the deadline.
             let verify = sim.span_child(exec, "fabric", "fabric.verify");
             let deadline = sim.now() + this.inner.borrow().config.verify_timeout;
-            this.verify_loop(sim, moved_expect, turns, prev, deadline, (exec, verify), cb);
+            this.verify_loop(sim, moved_expect, prev, deadline, (exec, verify), cb);
         });
     }
 
-    /// Applies turned switches to the fabric state and performs the USB
-    /// detach/attach of every moved subtree.
+    /// Applies turned switches to the fabric state; the moved subtrees
+    /// re-enumerate on their new hosts.
     fn apply_physical(&self, sim: &Sim, turns: &[(SwitchId, SwitchPos)]) {
-        // Visibility before.
-        let (before_hubs, before_disks) = self.visibility();
         self.inner.borrow_mut().state.apply_turns(turns);
-        let (after_hubs, after_disks) = self.visibility();
-        // Detach moved/vanished devices from their old hosts.
-        for (hub, old_host) in &before_hubs {
-            if after_hubs.get(hub) != Some(old_host) {
-                let h = self.inner.borrow().hosts[old_host].clone();
-                h.detach(sim, hub_dev(*hub));
-            }
-        }
-        for (d, old_host) in &before_disks {
-            if after_disks.get(d) != Some(old_host) {
-                let h = self.inner.borrow().hosts[old_host].clone();
-                h.detach(sim, disk_dev(*d));
-            }
-        }
-        // Attach appeared devices on their new hosts, parents first.
-        let plan = {
-            let rt = self.inner.borrow();
-            self.attach_plan(&rt)
-        };
-        for (host, desc) in plan {
-            let moved = match desc.kind {
-                DeviceKind::Hub => {
-                    let hub = HubId(desc.id.0 - 100_000);
-                    before_hubs.get(&hub).copied() != after_hubs.get(&hub).copied()
-                }
-                DeviceKind::Storage => {
-                    let d = DiskId(desc.id.0);
-                    before_disks.get(&d).copied() != after_disks.get(&d).copied()
-                }
-            };
-            if moved {
-                let h = self.inner.borrow().hosts[&host].clone();
-                h.attach(sim, desc);
-            }
-        }
-    }
-
-    fn visibility(&self) -> (BTreeMap<HubId, HostId>, BTreeMap<DiskId, HostId>) {
-        let rt = self.inner.borrow();
-        let topo = rt.state.topology();
-        let hubs = topo
-            .hubs()
-            .filter(|h| rt.relays.hub_on(*h))
-            .filter_map(|h| rt.state.hub_host(h).map(|host| (h, host)))
-            .collect();
-        let disks = topo
-            .disks()
-            .filter(|d| rt.relays.disk_on(*d) && !rt.glitched.contains(d))
-            .filter_map(|d| rt.state.attached_host(d).map(|host| (d, host)))
-            .collect();
-        (hubs, disks)
+        self.reconcile(sim);
     }
 
     fn verify_loop(
         &self,
         sim: &Sim,
         moved: Vec<DiskId>,
-        turns: Vec<(SwitchId, SwitchPos)>,
         prev: Vec<(SwitchId, SwitchPos)>,
         deadline: SimTime,
         spans: (SpanId, SpanId),
@@ -535,7 +504,6 @@ impl FabricRuntime {
             sim.count("fabric", "fabric.rollbacks", 1);
             sim.count("fabric", "fabric.switch_flips", prev.len() as u64);
             self.apply_physical(sim, &prev);
-            let _ = turns;
             self.inner.borrow_mut().locked = false;
             sim.span_attr(verify, "outcome", "timeout");
             sim.span_attr(exec, "error", "verify_timeout");
@@ -547,7 +515,7 @@ impl FabricRuntime {
         let poll = self.inner.borrow().config.verify_poll;
         let this = self.clone();
         sim.schedule_in(poll, move |sim| {
-            this.verify_loop(sim, moved, turns, prev, deadline, spans, cb);
+            this.verify_loop(sim, moved, prev, deadline, spans, cb);
         });
     }
 
@@ -574,6 +542,7 @@ impl FabricRuntime {
             );
         }
         drop(rt);
+        self.reconcile(sim);
         sim.trace(TraceLevel::Warn, "fabric", format!("{h} marked failed"));
     }
 
@@ -583,23 +552,15 @@ impl FabricRuntime {
     /// rerouted by Algorithm 1; disks behind their own leaf hub cannot and
     /// await repair.
     pub fn hub_failed(&self, sim: &Sim, hub: HubId) {
-        let host = {
-            let mut rt = self.inner.borrow_mut();
-            let host = rt.state.hub_host(hub);
-            rt.state.fail(Component::Hub(hub));
-            host
-        };
-        if let Some(host) = host {
-            let h = self.inner.borrow().hosts[&host].clone();
-            h.detach(sim, hub_dev(hub));
-        }
+        self.inner.borrow_mut().state.fail(Component::Hub(hub));
+        self.reconcile(sim);
         sim.trace(TraceLevel::Warn, "fabric", format!("{hub} marked failed"));
     }
 
     /// Repairs a hub; anything now routed through it re-enumerates.
     pub fn hub_repaired(&self, sim: &Sim, hub: HubId) {
         self.inner.borrow_mut().state.repair(Component::Hub(hub));
-        self.mount_all(sim);
+        self.reconcile(sim);
         sim.trace(TraceLevel::Info, "fabric", format!("{hub} repaired"));
     }
 
@@ -615,7 +576,7 @@ impl FabricRuntime {
         }
         drop(rt);
         // Re-enumerate anything now visible on the repaired host.
-        self.mount_all(sim);
+        self.reconcile(sim);
     }
 
     /// Injects the paper's §V-B "wrinkle": the next time this disk is
@@ -642,64 +603,23 @@ impl FabricRuntime {
 
     /// Sets a disk's 12 V relay; powering off detaches it from USB.
     pub fn set_disk_power(&self, sim: &Sim, d: DiskId, on: bool) {
-        let (host, disk) = {
+        let disk = {
             let mut rt = self.inner.borrow_mut();
             rt.relays.set_disk(d, on);
-            (rt.state.attached_host(d), rt.disks[&d].clone())
+            rt.disks[&d].clone()
         };
         if on {
             disk.power_on(sim);
-            if let Some(host) = host {
-                let rt = self.inner.borrow();
-                let topo = rt.state.topology();
-                let up = topo.disk_upstream(d).expect("disk exists");
-                let parent = match rt.state.usb_parent(up) {
-                    Some(UpRef::Hub(p)) => Some(hub_dev(p)),
-                    _ => None,
-                };
-                let h = rt.hosts[&host].clone();
-                drop(rt);
-                h.attach(
-                    sim,
-                    DeviceDesc {
-                        id: disk_dev(d),
-                        kind: DeviceKind::Storage,
-                        parent,
-                    },
-                );
-            }
         } else {
             disk.power_off(sim);
-            if let Some(host) = host {
-                let h = self.inner.borrow().hosts[&host].clone();
-                h.detach(sim, disk_dev(d));
-            }
         }
+        self.reconcile(sim);
     }
 
     /// Sets a hub's relay; powering off detaches its whole subtree.
     pub fn set_hub_power(&self, sim: &Sim, hub: HubId, on: bool) {
-        let host = {
-            let mut rt = self.inner.borrow_mut();
-            rt.relays.set_hub(hub, on);
-            rt.state.hub_host(hub)
-        };
-        let Some(host) = host else { return };
-        let h = self.inner.borrow().hosts[&host].clone();
-        if on {
-            // Re-attach the hub and everything below it.
-            let plan = {
-                let rt = self.inner.borrow();
-                self.attach_plan(&rt)
-            };
-            for (ph, desc) in plan {
-                if h.device_state(desc.id).is_none() && ph == host {
-                    self.inner.borrow().hosts[&ph].clone().attach(sim, desc);
-                }
-            }
-        } else {
-            h.detach(sim, hub_dev(hub));
-        }
+        self.inner.borrow_mut().relays.set_hub(hub, on);
+        self.reconcile(sim);
     }
 
     /// Spins every disk's rail up with `stagger` between starts — the

@@ -6,6 +6,7 @@
 
 use ustore::TracePlan;
 use ustore_bench::degraded::run_degraded_traced;
+use ustore_bench::failover::run_failover_traced;
 use ustore_bench::fuzz::{run_fuzz, FuzzOptions};
 use ustore_bench::podscale::{fnv1a, run_podscale, PodConfig, PodscaleRun, RunOpts};
 use ustore_sim::faultgen::{Bathtub, FaultModelConfig, FaultSchedule, FleetShape, Weibull};
@@ -50,6 +51,42 @@ fn degraded_telemetry_varies_with_seed() {
         fnv1a(a.artifacts.timeseries_csv.as_bytes()),
         fnv1a(b.artifacts.timeseries_csv.as_bytes()),
         "different seeds produced identical CSV exports"
+    );
+}
+
+/// fnv1a of `run_degraded_traced(20150707)`'s Prometheus, Chrome-trace and
+/// CSV artifacts.
+const GOLDEN_DEGRADED_ARTIFACTS: [u64; 3] = [
+    0x336f_efa6_4d94_753a,
+    0xf2a4_ba71_b6d5_3ab5,
+    0xa422_fb65_8858_b42b,
+];
+
+/// `run_failover_traced(20150707, u32::MAX)`: fnv1a of its span tree and
+/// its detection, reconfiguration, restore and total durations in ns. Its
+/// metrics are deliberately not pinned (they count USB detaches).
+const GOLDEN_FAILOVER: (u64, [u128; 4]) = (
+    0xf0a5_1d13_0195_d329,
+    [1_000_000_000, 510_426_435, 4_101_962_048, 5_612_388_483],
+);
+
+#[test]
+fn degraded_artifacts_are_pinned() {
+    let a = run_degraded_traced(20150707).artifacts;
+    let got = [&a.prometheus, &a.chrome_trace, &a.timeseries_csv].map(|x| fnv1a(x.as_bytes()));
+    assert_eq!(got, GOLDEN_DEGRADED_ARTIFACTS, "degraded artifacts changed");
+}
+
+#[test]
+fn failover_spans_and_phases_are_pinned() {
+    let run = run_failover_traced(20150707, u32::MAX);
+    let spans = run.telemetry.get("spans").expect("span tree").to_string();
+    let t = &run.timing;
+    let phases = [t.detection, t.reconfiguration, t.restore, t.total].map(|d| d.as_nanos());
+    assert_eq!(
+        (fnv1a(spans.as_bytes()), phases),
+        GOLDEN_FAILOVER,
+        "failover span tree or phase timing changed"
     );
 }
 

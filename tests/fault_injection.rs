@@ -236,6 +236,83 @@ fn control_plane_survives_both_microcontroller_hosts_cycling() {
     let _ = HubId(0);
 }
 
+/// Reads back the 5-byte payload at offset 0; the flag turns true once
+/// the read succeeds.
+fn read_back(s: &UStoreSystem, m: &Mounted) -> Rc<Cell<bool>> {
+    let ok = Rc::new(Cell::new(false));
+    let o = ok.clone();
+    m.read(
+        &s.sim,
+        0,
+        5,
+        Box::new(move |_, r| {
+            assert_eq!(r.expect("read"), b"twice".to_vec());
+            o.set(true);
+        }),
+    );
+    ok
+}
+
+#[test]
+fn restored_host_does_not_strand_disks_on_a_second_failover() {
+    // The normal lifecycle of an operated unit: a host dies, its disks
+    // fail over, the host is repaired — and then the disks' new host
+    // dies too. The repaired host must have lost its USB tree with the
+    // failure, so it neither re-claims the moved disks in heartbeats nor
+    // keeps exporting their targets, and the second failover finds them.
+    let s = UStoreSystem::prototype(4242);
+    s.settle();
+    let client = s.client("app");
+    let info = allocate(&s, &client, "svc");
+    let mounted = mount(&s, &client, &info);
+    mounted.write(
+        &s.sim,
+        0,
+        b"twice".to_vec(),
+        Box::new(|_, r| r.expect("write")),
+    );
+    run_for(&s, 2);
+    let disk = info.name.disk;
+    let target = info.name.target_name();
+    let exports = |h: HostId| {
+        s.endpoints
+            .iter()
+            .find(|e| e.host() == h)
+            .expect("endpoint")
+            .exported_targets()
+    };
+
+    let first = s.runtime.attached_host(disk).expect("attached");
+    s.kill_host(first);
+    let recovered = read_back(&s, &mounted);
+    run_for(&s, 30);
+    assert!(recovered.get(), "first failover recovered");
+    let second = s.runtime.attached_host(disk).expect("moved");
+    assert_ne!(second, first);
+
+    let restored_at = s.sim.now();
+    s.restore_host(first);
+    run_for(&s, 10);
+    let duplicates = s.sim.with_trace(|t| {
+        t.events()
+            .iter()
+            .filter(|e| e.at >= restored_at && e.message.contains("already attached"))
+            .count()
+    });
+    assert_eq!(duplicates, 0, "restore re-attached devices it already held");
+    assert_eq!(s.runtime.attached_host(disk), Some(second));
+    assert!(!exports(first).contains(&target), "stale export withdrawn");
+    assert!(exports(second).contains(&target));
+
+    s.kill_host(second);
+    let recovered = read_back(&s, &mounted);
+    run_for(&s, 30);
+    assert!(
+        recovered.get(),
+        "second failover stranded the disk: no read within 30 s"
+    );
+}
+
 #[test]
 fn host_side_hub_failure_reroutes_disks_automatically() {
     // §IV-E: "If a device in the interconnect fabric fails, the Master

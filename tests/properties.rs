@@ -4,6 +4,9 @@
 //! - Any switch configuration partitions the fabric into non-overlapping
 //!   trees (the validity claim of §III-A).
 //! - Algorithm 1 never moves a disk that was not named in the command.
+//! - Every host's USB tree holds exactly the hubs and disks the fabric
+//!   routes to it, through reconfigurations, failures, repairs and relay
+//!   changes.
 //! - The allocator never hands out overlapping extents.
 //! - Paxos acceptors never decide two different values.
 //! - The znode store is a deterministic state machine.
@@ -14,11 +17,12 @@
 //! seed is in the panic message so the exact input can be replayed.
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::time::Duration;
 
 use ustore::{Allocator, UnitId};
 use ustore_consensus::{AcceptReply, Acceptor, Ballot, Command, PrepareReply, ZnodeStore};
-use ustore_fabric::{DiskId, FabricState, HostId, Topology};
-use ustore_sim::{export, Histogram, MetricsRegistry, SimRng};
+use ustore_fabric::{DiskId, FabricRuntime, FabricState, HostId, HubId, Topology, UpRef};
+use ustore_sim::{export, Histogram, MetricsRegistry, Sim, SimRng};
 
 const CASES: u64 = 64;
 
@@ -89,6 +93,116 @@ fn switches_to_turn_never_steals_unrelated_disks() {
                         "case {case}: unrelated disk moved"
                     );
                 }
+            }
+        }
+    }
+}
+
+/// The device ids a host's USB tree must hold: every powered hub and
+/// disk whose path leads to `h` and whose USB ancestors are all powered.
+/// Hubs enumerate as device `100_000 + hub`, disks under their own id (the
+/// convention the EndPoint's USB monitor relies on).
+fn routed_to(
+    rt: &FabricRuntime,
+    h: HostId,
+    hubs_off: &BTreeSet<HubId>,
+    disks_off: &BTreeSet<DiskId>,
+) -> BTreeSet<u32> {
+    rt.with_state(|st| {
+        let topo = st.topology();
+        let ancestors_powered = |mut up: UpRef| loop {
+            match st.usb_parent(up) {
+                Some(UpRef::Hub(p)) if hubs_off.contains(&p) => return false,
+                Some(UpRef::Hub(p)) => up = topo.hub_upstream(p).expect("hub exists"),
+                _ => return true,
+            }
+        };
+        let hubs = topo
+            .hubs()
+            .filter(|hub| !hubs_off.contains(hub) && st.hub_host(*hub) == Some(h))
+            .filter(|hub| ancestors_powered(topo.hub_upstream(*hub).expect("hub exists")))
+            .map(|hub| 100_000 + hub.0);
+        let disks = topo
+            .disks()
+            .filter(|d| !disks_off.contains(d) && st.attached_host(*d) == Some(h))
+            .filter(|d| ancestors_powered(topo.disk_upstream(*d).expect("disk exists")))
+            .map(|d| d.0);
+        hubs.chain(disks).collect()
+    })
+}
+
+/// Whatever sequence of reconfigurations, host and hub failures and
+/// repairs, and relay changes hits the prototype unit, once it settles
+/// each host's USB tree holds exactly the devices the fabric routes to it
+/// — in particular a dead host keeps nothing, and a repaired one gets
+/// back only what is routed to it.
+#[test]
+fn usb_trees_follow_the_fabric() {
+    for case in 0..16 {
+        let mut rng = SimRng::seed_from(0x05B74EE + case);
+        let sim = Sim::new(case);
+        let rt = FabricRuntime::prototype(&sim);
+        let hosts = rt.host_ids();
+        let disks = rt.disk_ids();
+        let hubs: Vec<HubId> = rt.with_state(|st| st.topology().hubs().collect());
+        let mut hubs_off = BTreeSet::new();
+        let mut disks_off = BTreeSet::new();
+        let mut log = Vec::new();
+        for _ in 0..12 {
+            let h = hosts[rng.usize_below(hosts.len())];
+            let hub = hubs[rng.usize_below(hubs.len())];
+            let d = disks[rng.usize_below(disks.len())];
+            match rng.usize_below(7) {
+                0 => {
+                    // Steer one whole leaf-hub group to one host.
+                    let group = d.0 / 4;
+                    let pairs = (group * 4..group * 4 + 4).map(|d| (DiskId(d), h)).collect();
+                    rt.execute(&sim, pairs, |_, _| {});
+                    log.push(format!("execute group{group} -> {h}"));
+                }
+                1 => {
+                    rt.host_failed(&sim, h);
+                    log.push(format!("fail {h}"));
+                }
+                2 => {
+                    rt.host_repaired(&sim, h);
+                    log.push(format!("repair {h}"));
+                }
+                3 => {
+                    rt.hub_failed(&sim, hub);
+                    log.push(format!("fail {hub}"));
+                }
+                4 => {
+                    rt.hub_repaired(&sim, hub);
+                    log.push(format!("repair {hub}"));
+                }
+                5 => {
+                    let on = !disks_off.remove(&d);
+                    if !on {
+                        disks_off.insert(d);
+                    }
+                    rt.set_disk_power(&sim, d, on);
+                    log.push(format!("power {d} {on}"));
+                }
+                _ => {
+                    let on = !hubs_off.remove(&hub);
+                    if !on {
+                        hubs_off.insert(hub);
+                    }
+                    rt.set_hub_power(&sim, hub, on);
+                    log.push(format!("power {hub} {on}"));
+                }
+            }
+            // Long enough for enumeration, verification and a rollback.
+            sim.run_until(sim.now() + Duration::from_secs(40));
+            for h in &hosts {
+                let held: BTreeSet<u32> =
+                    rt.usb_host(*h).snapshot().iter().map(|n| n.id.0).collect();
+                assert_eq!(
+                    held,
+                    routed_to(&rt, *h, &hubs_off, &disks_off),
+                    "case {case}: {h} after {log:?}"
+                );
             }
         }
     }
