@@ -103,16 +103,19 @@ use ustore_bench::{
 };
 use ustore_sim::Json;
 
-/// Counts heap allocations so `repro perf` can report allocations/event.
-/// Counting two relaxed atomics per alloc is noise next to the allocation
-/// itself and does not disturb the measured scenarios.
+/// Counts heap allocations and allocated bytes so `repro perf` can report
+/// allocations/event and allocated bytes per written byte. Counting
+/// relaxed atomics per alloc is noise next to the allocation itself and
+/// does not disturb the measured scenarios.
 struct CountingAlloc;
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+static ALLOCATED_BYTES: AtomicU64 = AtomicU64::new(0);
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        ALLOCATED_BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
         unsafe { System.alloc(layout) }
     }
 
@@ -122,6 +125,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        ALLOCATED_BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -129,8 +133,11 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-fn alloc_count() -> u64 {
-    ALLOCATIONS.load(Ordering::Relaxed)
+fn alloc_count() -> perf::AllocCount {
+    perf::AllocCount {
+        allocations: ALLOCATIONS.load(Ordering::Relaxed),
+        bytes: ALLOCATED_BYTES.load(Ordering::Relaxed),
+    }
 }
 
 const EXPERIMENTS: [&str; 19] = [

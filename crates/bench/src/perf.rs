@@ -17,7 +17,11 @@
 //! For each it reports **events/sec** (engine events processed per
 //! wall-clock second), **peak live queue depth**, and — when the caller
 //! provides an allocation counter (the `repro` binary installs a counting
-//! global allocator) — **allocations per event**. The podscale scenario
+//! global allocator) — **allocations per event** and, for the pod runs,
+//! **allocated bytes per written byte** (64 KiB archival writes; the
+//! caller's own payload buffer counts as 1.0, so a copy of the payload
+//! anywhere on the write path shows up as +1.0). Both counts are
+//! deterministic, unlike the wall clock. The podscale scenario
 //! runs twice with the same seed and the two telemetry digests must be
 //! identical: the determinism guard for the engine's interning and heap
 //! rewrites.
@@ -34,7 +38,7 @@ use ustore::TracePlan;
 use crate::degraded;
 use crate::fuzz;
 use crate::megapod;
-use crate::podscale::{run_podscale, PodConfig, RunOpts};
+use crate::podscale::{run_podscale, PodConfig, PodscaleRun, RunOpts, POD_WRITE_BYTES};
 use crate::profile;
 use crate::report::{Report, Row};
 use crate::slo;
@@ -51,9 +55,20 @@ pub struct PerfOptions {
     /// measures powers of two up to this, always including 1 and this
     /// value; the megapod runs at this value).
     pub shards: usize,
-    /// Returns the process-lifetime allocation count; measured around each
-    /// run to derive allocations/event. `None` leaves the metric out.
-    pub alloc_counter: Option<fn() -> u64>,
+    /// Returns the process-lifetime allocation counts; measured around
+    /// each run to derive allocations/event and allocated bytes per
+    /// written byte. `None` leaves both metrics out.
+    pub alloc_counter: Option<fn() -> AllocCount>,
+}
+
+/// Process-lifetime heap allocation totals from a counting allocator.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct AllocCount {
+    /// Allocations (and reallocations) made.
+    pub allocations: u64,
+    /// Bytes requested by those allocations (a reallocation counts its
+    /// new size).
+    pub bytes: u64,
 }
 
 /// One scenario's wall-clock measurement (best of the repetitions).
@@ -71,6 +86,9 @@ pub struct PerfSample {
     pub peak_queue_depth: f64,
     /// Heap allocations per processed event, if a counter was provided.
     pub allocs_per_event: Option<f64>,
+    /// Heap bytes allocated per payload byte written, if a counter was
+    /// provided and the run wrote anything.
+    pub alloc_bytes_per_write_byte: Option<f64>,
 }
 
 /// One point of the shard-scaling sweep.
@@ -161,20 +179,41 @@ pub struct PerfReport {
     pub faults: Json,
 }
 
+/// What a measured run reports about itself: virtual seconds, events,
+/// peak queue depth and payload bytes written.
+type RunStats = (f64, u64, f64, u64);
+
+/// The pod runs' [`RunStats`]: every acknowledged write carries
+/// [`POD_WRITE_BYTES`].
+fn pod_stats(run: &PodscaleRun) -> RunStats {
+    (
+        run.sim_seconds,
+        run.events,
+        run.peak_queue_depth,
+        run.writes_ok * POD_WRITE_BYTES,
+    )
+}
+
 fn measure<R>(
     iters: u32,
-    alloc_counter: Option<fn() -> u64>,
+    alloc_counter: Option<fn() -> AllocCount>,
     mut run: impl FnMut() -> R,
-    stats: impl Fn(&R) -> (f64, u64, f64),
+    stats: impl Fn(&R) -> RunStats,
 ) -> (PerfSample, R) {
     let mut best: Option<(PerfSample, R)> = None;
     for _ in 0..iters.max(1) {
-        let allocs_before = alloc_counter.map(|f| f());
+        let before = alloc_counter.map(|f| f());
         let t0 = Instant::now();
         let out = run();
         let wall = t0.elapsed();
-        let allocs = alloc_counter.map(|f| f() - allocs_before.unwrap_or(0));
-        let (sim_seconds, events, peak_queue_depth) = stats(&out);
+        let allocs = alloc_counter.map(|f| {
+            let (now, before) = (f(), before.unwrap_or_default());
+            (
+                now.allocations - before.allocations,
+                now.bytes - before.bytes,
+            )
+        });
+        let (sim_seconds, events, peak_queue_depth, written) = stats(&out);
         let wall_seconds = wall.as_secs_f64().max(1e-9);
         let sample = PerfSample {
             sim_seconds,
@@ -182,7 +221,10 @@ fn measure<R>(
             wall_seconds,
             events_per_sec: events as f64 / wall_seconds,
             peak_queue_depth,
-            allocs_per_event: allocs.map(|a| a as f64 / events.max(1) as f64),
+            allocs_per_event: allocs.map(|(a, _)| a as f64 / events.max(1) as f64),
+            alloc_bytes_per_write_byte: allocs
+                .filter(|_| written > 0)
+                .map(|(_, b)| b as f64 / written as f64),
         };
         let better = best
             .as_ref()
@@ -211,6 +253,7 @@ pub fn run_perf(opts: &PerfOptions) -> PerfReport {
                 run.timing.total.as_secs_f64(),
                 run.events_processed,
                 run.peak_queue_depth,
+                0,
             )
         },
     );
@@ -226,7 +269,7 @@ pub fn run_perf(opts: &PerfOptions) -> PerfReport {
             1,
             opts.alloc_counter,
             || run_podscale(opts.seed, &pod, &RunOpts::default()),
-            |run| (run.sim_seconds, run.events, run.peak_queue_depth),
+            pod_stats,
         )
     };
     let (podscale_sample, first) = classic();
@@ -262,7 +305,7 @@ pub fn run_perf(opts: &PerfOptions) -> PerfReport {
             shard_iters,
             opts.alloc_counter,
             || run_podscale(opts.seed, pod, &RunOpts::sharded(shards)),
-            |run| (run.sim_seconds, run.events, run.peak_queue_depth),
+            pod_stats,
         );
         let stats = run.sharding.expect("sharded run carries shard stats");
         ShardSample {
@@ -380,6 +423,10 @@ fn sample_json(s: &PerfSample) -> Json {
         (
             "allocs_per_event",
             s.allocs_per_event.map_or(Json::Null, Json::f64),
+        ),
+        (
+            "alloc_bytes_per_write_byte",
+            s.alloc_bytes_per_write_byte.map_or(Json::Null, Json::f64),
         ),
     ])
 }
@@ -516,6 +563,13 @@ impl PerfReport {
         if let Some(a) = self.podscale.allocs_per_event {
             rows.push(Row::measured_only("podscale allocs/event", a, ""));
         }
+        if let Some(b) = self.podscale.alloc_bytes_per_write_byte {
+            rows.push(Row::measured_only(
+                "podscale alloc bytes/written byte",
+                b,
+                "",
+            ));
+        }
         for s in &self.sharding.counts {
             rows.push(Row::measured_only(
                 format!("sharded pod events/sec ({} threads)", s.shards),
@@ -606,6 +660,7 @@ mod tests {
             events_per_sec: 200.0,
             peak_queue_depth: 7.0,
             allocs_per_event: Some(3.5),
+            alloc_bytes_per_write_byte: Some(1.25),
         };
         let shard = |shards: usize| ShardSample {
             shards,
@@ -647,6 +702,7 @@ mod tests {
         assert!(!j.contains(r#""baseline""#) && !j.contains(r#""speedup""#));
         assert!(j.contains(r#""events_per_sec":200"#));
         assert!(j.contains(r#""two_runs_identical":true"#));
+        assert!(j.contains(r#""alloc_bytes_per_write_byte":1.25"#));
         assert!(j.contains(r#""podscale_digest":"00000000deadbeef""#));
         assert!(j.contains(r#""disks":1024"#));
         assert!(j.contains(r#""digests_identical":true"#));

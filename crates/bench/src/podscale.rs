@@ -179,6 +179,9 @@ pub struct ShardStats {
     pub peak_queue_depth_sum: f64,
 }
 
+/// Payload bytes of every archival write the pod workload issues.
+pub const POD_WRITE_BYTES: u64 = 65536;
+
 /// Outcome of one pod-scale run.
 #[derive(Debug, Clone)]
 pub struct PodscaleRun {
@@ -298,13 +301,13 @@ fn drive_workload(
                 move |sim| {
                     let n = k.get();
                     k.set(n + 1);
-                    let offset = (n * 65536) % ((1 << 30) - 65536);
+                    let offset = (n * POD_WRITE_BYTES) % ((1 << 30) - POD_WRITE_BYTES);
                     let ok = ok.clone();
                     let err = err.clone();
                     m.write(
                         sim,
                         offset,
-                        vec![0xA5; 65536],
+                        vec![0xA5; POD_WRITE_BYTES as usize],
                         Box::new(move |_, r| match r {
                             Ok(()) => ok.set(ok.get() + 1),
                             Err(_) => err.set(err.get() + 1),

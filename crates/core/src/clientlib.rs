@@ -412,7 +412,9 @@ enum QueuedOp {
     },
     Write {
         offset: u64,
-        data: Vec<u8>,
+        /// Shared with the request in flight: a retry resends the same
+        /// buffer.
+        data: Arc<Vec<u8>>,
         cb: WriteCb,
         attempts: u32,
         trace: Option<TraceId>,
@@ -470,6 +472,25 @@ impl Mounted {
     /// the paper's "notification call backs ... of disk status changes".
     pub fn on_remount(&self, cb: impl Fn(&Sim) + 'static) {
         self.inner.borrow_mut().on_remount.push(Rc::new(cb));
+    }
+
+    /// Writes `data` at `offset`, queueing across remounts like every IO
+    /// on the mount. The buffer is never copied on its way down: the
+    /// ClientLib keeps a handle for retries, the request carries it to the
+    /// EndPoint, and the disk stores its fully covered pages by reference.
+    /// A `Vec<u8>` converts without a copy.
+    pub fn write(&self, sim: &Sim, offset: u64, data: impl Into<Arc<Vec<u8>>>, cb: WriteCb) {
+        let trace = sim.reqtracer().begin(ReqKind::Write, sim.now());
+        self.enqueue(
+            sim,
+            QueuedOp::Write {
+                offset,
+                data: data.into(),
+                cb,
+                attempts: 0,
+                trace,
+            },
+        );
     }
 
     fn enqueue(&self, sim: &Sim, op: QueuedOp) {
@@ -539,7 +560,7 @@ impl Mounted {
                 attempts,
                 trace,
             } => {
-                let data2 = data.clone();
+                let data2 = Arc::clone(&data);
                 session.write(sim, offset, data, move |sim, r| match r {
                     Ok(()) => {
                         if let Some(id) = trace {
@@ -787,17 +808,7 @@ impl BlockDevice for Mounted {
         );
     }
 
-    fn write(&self, sim: &Sim, offset: u64, data: Vec<u8>, cb: WriteCb) {
-        let trace = sim.reqtracer().begin(ReqKind::Write, sim.now());
-        self.enqueue(
-            sim,
-            QueuedOp::Write {
-                offset,
-                data,
-                cb,
-                attempts: 0,
-                trace,
-            },
-        );
+    fn write(&self, sim: &Sim, offset: u64, data: Arc<Vec<u8>>, cb: WriteCb) {
+        Mounted::write(self, sim, offset, data, cb);
     }
 }

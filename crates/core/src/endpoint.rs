@@ -78,7 +78,7 @@ struct Ep {
     /// Ready-disk list for heartbeats, cached against the USB tree's
     /// topology generation — rebuilding it means snapshotting and sorting
     /// the whole tree, which the steady state never needs.
-    ready_cache: (u64, Rc<Vec<DiskId>>),
+    ready_cache: (u64, Arc<[DiskId]>),
     /// Lazily-resolved heartbeat counter handle (avoids re-rendering the
     /// address label and re-hashing the metric name every beat).
     hb_counter: Option<CounterHandle>,
@@ -132,7 +132,7 @@ impl Endpoint {
                 idle_threshold: HashMap::new(),
                 seq: 0,
                 paused: false,
-                ready_cache: (u64::MAX, Rc::new(Vec::new())),
+                ready_cache: (u64::MAX, Arc::from([])),
                 hb_counter: None,
             })),
         };
@@ -386,19 +386,19 @@ impl Endpoint {
             let usb = self.runtime.usb_host(host);
             let gen = usb.topology_gen();
             if ep.ready_cache.0 != gen {
-                let ready: Vec<DiskId> = usb
+                let ready: Arc<[DiskId]> = usb
                     .snapshot()
                     .into_iter()
                     .filter(|n| n.kind == DeviceKind::Storage && n.state == DeviceState::Ready)
                     .map(|n| DiskId(n.id.0))
                     .collect();
-                ep.ready_cache = (gen, Rc::new(ready));
+                ep.ready_cache = (gen, ready);
             }
             let hb = Heartbeat {
                 unit: ep.unit,
                 host,
                 addr: self.rpc.addr().clone(),
-                ready_disks: ep.ready_cache.1.as_ref().clone(),
+                ready_disks: Arc::clone(&ep.ready_cache.1),
                 seq: ep.seq,
             };
             let target = ep.masters[ep.master_hint].clone();
@@ -566,7 +566,7 @@ impl BlockDevice for ExposedSpace {
             });
     }
 
-    fn write(&self, sim: &Sim, offset: u64, data: Vec<u8>, cb: WriteCb) {
+    fn write(&self, sim: &Sim, offset: u64, data: Arc<Vec<u8>>, cb: WriteCb) {
         if offset.saturating_add(data.len() as u64) > self.len {
             sim.schedule_now(move |sim| cb(sim, Err(BlockError::OutOfRange)));
             return;

@@ -491,7 +491,7 @@ impl Master {
             m.host_addr.insert(key, hb.addr.clone());
             let mut pushes = Vec::new();
             let now = sim.now();
-            for d in &hb.ready_disks {
+            for d in hb.ready_disks.iter() {
                 m.disk_host.insert((hb.unit, *d), hb.host);
                 m.disk_last_seen.insert((hb.unit, *d), now);
                 // Ensure every allocation on this disk is exposed there.
@@ -837,7 +837,8 @@ impl Master {
     fn sweep_missing_disks(&self, sim: &Sim) {
         let now = sim.now();
         let missing: Vec<(UnitId, DiskId, Vec<HostId>, Vec<Addr>)> = {
-            let mut m = self.inner.borrow_mut();
+            let mut guard = self.inner.borrow_mut();
+            let m = &mut *guard;
             if !m.active {
                 return;
             }
@@ -847,20 +848,16 @@ impl Master {
             let timeout = m.config.disk_timeout;
             let retry = m.config.disk_retry;
             let mut out = Vec::new();
-            let units: Vec<UnitId> = m.units.keys().copied().collect();
-            for unit in units {
+            // Read every unit's configuration in place: only a disk that
+            // is actually missing takes a copy of its targets and
+            // controllers.
+            for (&unit, conf) in &m.units {
                 // Skip while a host failover is running in this unit.
                 if m.failover_in_progress.iter().any(|(u, _)| *u == unit) {
                     continue;
                 }
-                let conf = m.units[&unit].clone();
-                let targets: Vec<HostId> = conf
-                    .hosts
-                    .iter()
-                    .map(|(h, _)| *h)
-                    .filter(|h| m.host_alive.get(&(unit, *h)).copied().unwrap_or(false))
-                    .collect();
-                if targets.is_empty() {
+                let alive = |h: &HostId| m.host_alive.get(&(unit, *h)).copied().unwrap_or(false);
+                if !conf.hosts.iter().any(|(h, _)| alive(h)) {
                     continue;
                 }
                 for (d, _) in &conf.disks {
@@ -882,7 +879,13 @@ impl Master {
                         }
                     }
                     m.disk_recovery_attempted.insert(key, now);
-                    out.push((unit, *d, targets.clone(), conf.controllers.clone()));
+                    let targets = conf
+                        .hosts
+                        .iter()
+                        .map(|(h, _)| *h)
+                        .filter(|h| alive(h))
+                        .collect();
+                    out.push((unit, *d, targets, conf.controllers.clone()));
                 }
             }
             out

@@ -12,6 +12,7 @@
 //! pre-partition system.
 
 use std::fmt;
+use std::sync::Arc;
 
 use ustore_fabric::{DiskId, HostId};
 use ustore_net::Addr;
@@ -28,8 +29,9 @@ pub struct Heartbeat {
     pub host: HostId,
     /// The host's network address (for ClientLib redirection).
     pub addr: Addr,
-    /// Disks currently enumerated and usable on this host.
-    pub ready_disks: Vec<DiskId>,
+    /// Disks currently enumerated and usable on this host (shared with
+    /// the EndPoint's cache: a beat does not copy the list).
+    pub ready_disks: Arc<[DiskId]>,
     /// Monotonic sequence number.
     pub seq: u64,
 }

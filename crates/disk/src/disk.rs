@@ -10,6 +10,7 @@ use std::cell::RefCell;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::fmt;
 use std::rc::Rc;
+use std::sync::Arc;
 
 use ustore_sim::{
     CounterHandle, Histogram, HistogramHandle, ReqStamp, Sim, SimRng, SimTime, Stage, Throughput,
@@ -22,6 +23,40 @@ use crate::profile::{Direction, DiskProfile, PowerStateKind};
 
 /// Page size of the sparse payload store.
 const PAGE: u64 = 4096;
+
+/// One stored page of the sparse payload store.
+enum Page {
+    /// A page a single write covered in full: a window `[at, at + PAGE)`
+    /// into that write's buffer, shared with the other pages it covered.
+    /// The buffer is freed once its last such page is overwritten.
+    Shared { buf: Arc<Vec<u8>>, at: usize },
+    /// A page assembled from partial writes: an owned copy.
+    Owned(Box<[u8; PAGE as usize]>),
+}
+
+impl Page {
+    fn bytes(&self) -> &[u8] {
+        match self {
+            Page::Shared { buf, at } => &buf[*at..*at + PAGE as usize],
+            Page::Owned(b) => &b[..],
+        }
+    }
+
+    /// The page as an owned copy, copying a shared page out of its buffer
+    /// first (copy on write) so the buffer's other readers never see the
+    /// change.
+    fn owned(&mut self) -> &mut [u8; PAGE as usize] {
+        if let Page::Shared { .. } = self {
+            let mut copy = Box::new([0u8; PAGE as usize]);
+            copy.copy_from_slice(self.bytes());
+            *self = Page::Owned(copy);
+        }
+        match self {
+            Page::Owned(b) => b,
+            Page::Shared { .. } => unreachable!("shared page was just copied"),
+        }
+    }
+}
 
 /// Errors a disk command can complete with.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -71,7 +106,7 @@ enum Pending {
     },
     Write {
         offset: u64,
-        data: Vec<u8>,
+        data: Arc<Vec<u8>>,
         cb: WriteCb,
     },
 }
@@ -180,7 +215,7 @@ struct Inner {
     last_spin: Option<(SimTime, SimTime)>,
     failed: bool,
     bad_pages: HashSet<u64>,
-    data: Option<HashMap<u64, Box<[u8]>>>,
+    data: Option<HashMap<u64, Page>>,
     stats: DiskStats,
     epoch: u64, // bumped on power-off to invalidate in-flight completions
     // Gradual-degradation injection (Gray & van Ingen: drives drift before
@@ -239,7 +274,9 @@ impl Disk {
     ///
     /// If `store_data` is true the disk retains written payloads (sparse,
     /// 4 KiB pages) so reads return real data; otherwise reads return
-    /// zeroes, which the throughput experiments use to save memory.
+    /// zeroes, which the throughput experiments use to save memory. A
+    /// page a write covers in full is kept as a reference into the
+    /// write's buffer rather than a copy; see [`Disk::write`].
     pub fn new(sim: &Sim, name: impl Into<String>, profile: DiskProfile, store_data: bool) -> Self {
         let p = profile.clone();
         let name = name.into();
@@ -346,18 +383,24 @@ impl Disk {
     }
 
     /// Submits a write of `data` at `offset`; `cb` fires on completion.
+    ///
+    /// The buffer is stored without a copy: every 4 KiB page the write
+    /// covers in full keeps a reference into it, and the buffer lives
+    /// until the last of those pages is overwritten. Partially covered
+    /// pages are copied. A `Vec<u8>` converts into the shared buffer
+    /// without copying.
     pub fn write(
         &self,
         sim: &Sim,
         offset: u64,
-        data: Vec<u8>,
+        data: impl Into<Arc<Vec<u8>>>,
         cb: impl FnOnce(&Sim, WriteResult) + 'static,
     ) {
         self.submit(
             sim,
             Pending::Write {
                 offset,
-                data,
+                data: data.into(),
                 cb: Box::new(cb),
             },
         );
@@ -607,7 +650,7 @@ impl Disk {
                     let s = offset.max(page_start);
                     let e = (offset + len).min(page_start + PAGE);
                     out[(s - offset) as usize..(e - offset) as usize].copy_from_slice(
-                        &page[(s - page_start) as usize..(e - page_start) as usize],
+                        &page.bytes()[(s - page_start) as usize..(e - page_start) as usize],
                     );
                 }
             }
@@ -615,30 +658,51 @@ impl Disk {
         Ok(out)
     }
 
-    fn do_write(&self, offset: u64, data: &[u8]) {
+    fn do_write(&self, offset: u64, data: &Arc<Vec<u8>>) {
         let mut i = self.inner.borrow_mut();
-        // Writing a page repairs a latent sector error on it.
+        let end = offset + data.len() as u64;
         let first_page = offset / PAGE;
-        let last_page = (offset + data.len() as u64 - 1) / PAGE;
+        let last_page = (end - 1) / PAGE;
         for p in first_page..=last_page {
-            // Only fully overwritten pages are repaired.
             let page_start = p * PAGE;
-            if offset <= page_start && offset + data.len() as u64 >= page_start + PAGE {
+            let s = offset.max(page_start);
+            let e = end.min(page_start + PAGE);
+            let full = e - s == PAGE;
+            // Only fully overwritten pages repair a latent sector error.
+            if full {
                 i.bad_pages.remove(&p);
             }
-        }
-        if let Some(store) = &mut i.data {
-            for p in first_page..=last_page {
-                let page_start = p * PAGE;
+            let Some(store) = &mut i.data else {
+                continue;
+            };
+            let src = (s - offset) as usize;
+            if full {
+                store.insert(
+                    p,
+                    Page::Shared {
+                        buf: Arc::clone(data),
+                        at: src,
+                    },
+                );
+            } else {
                 let page = store
                     .entry(p)
-                    .or_insert_with(|| vec![0u8; PAGE as usize].into_boxed_slice());
-                let s = offset.max(page_start);
-                let e = (offset + data.len() as u64).min(page_start + PAGE);
+                    .or_insert_with(|| Page::Owned(Box::new([0u8; PAGE as usize])))
+                    .owned();
                 page[(s - page_start) as usize..(e - page_start) as usize]
-                    .copy_from_slice(&data[(s - offset) as usize..(e - offset) as usize]);
+                    .copy_from_slice(&data[src..(e - offset) as usize]);
             }
         }
+    }
+
+    /// Address of the bytes backing the stored page that contains
+    /// `offset`, if the page holds data: lets callers check that a write
+    /// was stored by reference (the address then lies inside the
+    /// written buffer) rather than copied.
+    pub fn page_addr(&self, offset: u64) -> Option<usize> {
+        let i = self.inner.borrow();
+        let page = i.data.as_ref()?.get(&(offset / PAGE))?;
+        Some(page.bytes().as_ptr() as usize)
     }
 
     /// Cuts the 12 V rail: aborts all queued commands and forgets stream
@@ -1222,5 +1286,100 @@ mod tests {
         assert_eq!(s.reads.ops(), 1);
         assert_eq!(s.writes.ops(), 1);
         assert_eq!(s.latency.count(), 2);
+    }
+
+    /// Runs a write to completion.
+    fn write_now(sim: &Sim, disk: &Disk, offset: u64, data: impl Into<Arc<Vec<u8>>>) {
+        disk.write(sim, offset, data, |_, r| r.expect("write"));
+        sim.run();
+    }
+
+    /// Runs a read to completion and returns its result.
+    fn read_now(sim: &Sim, disk: &Disk, offset: u64, len: u64) -> ReadResult {
+        let out = Rc::new(RefCell::new(None));
+        let o = out.clone();
+        disk.read(sim, offset, len, move |_, r| *o.borrow_mut() = Some(r));
+        sim.run();
+        let r = out.borrow_mut().take().expect("read completed");
+        r
+    }
+
+    /// Whether the stored page holding `offset` lies inside `buf`.
+    fn page_in(disk: &Disk, offset: u64, buf: &[u8]) -> bool {
+        disk.page_addr(offset)
+            .is_some_and(|a| buf.as_ptr_range().contains(&(a as *const u8)))
+    }
+
+    #[test]
+    fn unaligned_write_shares_full_pages_and_copies_the_edges() {
+        let (sim, disk) = setup();
+        // [3000, 9000): page 0 and page 2 partial, page 1 covered in full.
+        let buf = Arc::new((0..6000u32).map(|i| (i % 253) as u8).collect::<Vec<u8>>());
+        write_now(&sim, &disk, 3000, Arc::clone(&buf));
+        assert!(!page_in(&disk, 0, &buf), "partial head page is a copy");
+        assert_eq!(
+            disk.page_addr(4096),
+            Some(buf.as_ptr() as usize + 1096),
+            "full page points into the written buffer"
+        );
+        assert!(!page_in(&disk, 8192, &buf), "partial tail page is a copy");
+        let got = read_now(&sim, &disk, 0, 3 * PAGE).expect("read");
+        assert!(got[..3000].iter().all(|&b| b == 0));
+        assert_eq!(&got[3000..9000], &buf[..]);
+        assert!(got[9000..].iter().all(|&b| b == 0));
+    }
+
+    #[test]
+    fn partial_write_into_a_shared_page_copies_it_first() {
+        let (sim, disk) = setup();
+        let buf = Arc::new(vec![0x11u8; 2 * PAGE as usize]);
+        write_now(&sim, &disk, 0, Arc::clone(&buf));
+        assert!(page_in(&disk, 0, &buf) && page_in(&disk, PAGE, &buf));
+        write_now(&sim, &disk, 50, vec![0xEEu8; 100]);
+        // The caller's buffer is untouched; page 0 became a private copy
+        // carrying both writes, page 1 still shares the buffer.
+        assert!(buf.iter().all(|&b| b == 0x11));
+        assert!(!page_in(&disk, 0, &buf));
+        assert!(page_in(&disk, PAGE, &buf));
+        let got = read_now(&sim, &disk, 0, 2 * PAGE).expect("read");
+        assert!(got[..50].iter().all(|&b| b == 0x11));
+        assert!(got[50..150].iter().all(|&b| b == 0xEE));
+        assert!(got[150..].iter().all(|&b| b == 0x11));
+    }
+
+    #[test]
+    fn only_full_page_writes_repair_bad_pages() {
+        let (sim, disk) = setup();
+        disk.inject_bad_page(PAGE);
+        // Everything of page 1 but its first byte: no repair.
+        write_now(&sim, &disk, PAGE + 1, vec![1u8; PAGE as usize - 1]);
+        assert_eq!(
+            read_now(&sim, &disk, PAGE, PAGE),
+            Err(DiskError::Medium { offset: PAGE })
+        );
+        assert_eq!(disk.bad_page_count(), 1);
+        // An unaligned write covering page 1 in full repairs it.
+        write_now(&sim, &disk, PAGE - 10, vec![2u8; PAGE as usize + 20]);
+        assert_eq!(disk.bad_page_count(), 0);
+        let got = read_now(&sim, &disk, PAGE, PAGE).expect("repaired");
+        assert!(got.iter().all(|&b| b == 2));
+    }
+
+    #[test]
+    fn overwritten_buffer_is_released() {
+        let (sim, disk) = setup();
+        let buf = Arc::new(vec![7u8; 2 * PAGE as usize]);
+        let weak = Arc::downgrade(&buf);
+        write_now(&sim, &disk, 0, buf);
+        assert!(weak.upgrade().is_some(), "stored pages keep the buffer");
+        // A partial overwrite copies page 0 out; page 1 still pins the
+        // buffer until a full overwrite replaces it.
+        write_now(&sim, &disk, 0, vec![8u8; 16]);
+        assert!(weak.upgrade().is_some(), "page 1 still references it");
+        write_now(&sim, &disk, PAGE, vec![9u8; PAGE as usize]);
+        assert!(weak.upgrade().is_none(), "last page overwritten: freed");
+        let got = read_now(&sim, &disk, 0, PAGE).expect("read");
+        assert!(got[..16].iter().all(|&b| b == 8));
+        assert!(got[16..].iter().all(|&b| b == 7));
     }
 }

@@ -20,6 +20,7 @@ use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::rc::Rc;
+use std::sync::Arc;
 use std::time::Duration;
 
 use ustore_disk::{Disk, DiskError, DiskProfile};
@@ -721,15 +722,18 @@ impl FabricRuntime {
         });
     }
 
-    /// Writes to a fabric-attached disk.
+    /// Writes to a fabric-attached disk. The buffer is handed to the
+    /// drive as is (see [`Disk::write`]); a `Vec<u8>` converts without a
+    /// copy.
     pub fn write(
         &self,
         sim: &Sim,
         d: DiskId,
         offset: u64,
-        data: Vec<u8>,
+        data: impl Into<Arc<Vec<u8>>>,
         cb: impl FnOnce(&Sim, Result<Vec<u8>, FabricIoError>) + 'static,
     ) {
+        let data = data.into();
         let (host, disk) = match self.io_route(d) {
             Ok(r) => r,
             Err(e) => {
@@ -815,7 +819,7 @@ impl FabricDisk {
         &self,
         sim: &Sim,
         offset: u64,
-        data: Vec<u8>,
+        data: impl Into<Arc<Vec<u8>>>,
         cb: impl FnOnce(&Sim, Result<(), FabricIoError>) + 'static,
     ) {
         self.runtime

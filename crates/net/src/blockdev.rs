@@ -11,6 +11,7 @@
 use std::cell::RefCell;
 use std::fmt;
 use std::rc::Rc;
+use std::sync::Arc;
 use std::time::Duration;
 
 use ustore_sim::Sim;
@@ -44,13 +45,17 @@ pub type ReadCb = Box<dyn FnOnce(&Sim, Result<Vec<u8>, BlockError>)>;
 pub type WriteCb = Box<dyn FnOnce(&Sim, Result<(), BlockError>)>;
 
 /// An asynchronous, byte-addressed block device.
+///
+/// Write payloads travel as one immutable shared buffer from the client
+/// down to the drive: every layer passes the `Arc` on, none copies the
+/// bytes (a `Vec<u8>` converts with `.into()`, without a copy).
 pub trait BlockDevice {
     /// Device capacity in bytes.
     fn capacity(&self) -> u64;
     /// Reads `len` bytes at `offset`.
     fn read(&self, sim: &Sim, offset: u64, len: u64, cb: ReadCb);
     /// Writes `data` at `offset`.
-    fn write(&self, sim: &Sim, offset: u64, data: Vec<u8>, cb: WriteCb);
+    fn write(&self, sim: &Sim, offset: u64, data: Arc<Vec<u8>>, cb: WriteCb);
 }
 
 /// A RAM-backed block device with a fixed service latency (test double).
@@ -64,7 +69,7 @@ pub trait BlockDevice {
 ///
 /// let sim = Sim::new(0);
 /// let dev = MemDevice::new(1 << 20, Duration::from_micros(50));
-/// dev.write(&sim, 0, vec![9u8; 16], Box::new(|_, r| r.expect("write")));
+/// dev.write(&sim, 0, vec![9u8; 16].into(), Box::new(|_, r| r.expect("write")));
 /// dev.read(&sim, 0, 16, Box::new(|_, r| {
 ///     assert_eq!(r.expect("read"), vec![9u8; 16]);
 /// }));
@@ -115,7 +120,7 @@ impl BlockDevice for MemDevice {
         });
     }
 
-    fn write(&self, sim: &Sim, offset: u64, data: Vec<u8>, cb: WriteCb) {
+    fn write(&self, sim: &Sim, offset: u64, data: Arc<Vec<u8>>, cb: WriteCb) {
         let this = self.clone();
         sim.schedule_in(self.latency, move |sim| {
             let result = {
@@ -177,7 +182,7 @@ impl BlockDevice for Partition {
         self.inner.read(sim, self.start + offset, len, cb);
     }
 
-    fn write(&self, sim: &Sim, offset: u64, data: Vec<u8>, cb: WriteCb) {
+    fn write(&self, sim: &Sim, offset: u64, data: Arc<Vec<u8>>, cb: WriteCb) {
         if offset.saturating_add(data.len() as u64) > self.len {
             sim.schedule_now(move |sim| cb(sim, Err(BlockError::OutOfRange)));
             return;
@@ -197,7 +202,12 @@ mod tests {
         let dev = MemDevice::new(1024, Duration::from_micros(50));
         let done = Rc::new(Cell::new(false));
         let d = done.clone();
-        dev.write(&sim, 10, vec![1, 2, 3], Box::new(|_, r| r.expect("write")));
+        dev.write(
+            &sim,
+            10,
+            vec![1, 2, 3].into(),
+            Box::new(|_, r| r.expect("write")),
+        );
         dev.read(
             &sim,
             10,
@@ -227,7 +237,7 @@ mod tests {
         dev.write(
             &sim,
             99,
-            vec![0; 2],
+            vec![0; 2].into(),
             Box::new(|_, r| {
                 assert_eq!(r.unwrap_err(), BlockError::OutOfRange);
             }),
@@ -241,7 +251,12 @@ mod tests {
         let base = Rc::new(MemDevice::new(1000, Duration::ZERO));
         let part = Partition::new(base.clone(), 100, 50);
         assert_eq!(part.capacity(), 50);
-        part.write(&sim, 0, vec![7u8; 10], Box::new(|_, r| r.expect("write")));
+        part.write(
+            &sim,
+            0,
+            vec![7u8; 10].into(),
+            Box::new(|_, r| r.expect("write")),
+        );
         sim.run();
         // Visible at offset 100 of the base device.
         base.read(

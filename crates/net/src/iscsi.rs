@@ -51,21 +51,22 @@ impl From<RpcError> for IscsiError {
 }
 
 struct LoginReq {
-    target: String,
+    target: Arc<str>,
 }
 type LoginResp = Result<u64, IscsiError>; // capacity
 
 struct ReadReq {
-    target: String,
+    target: Arc<str>,
     offset: u64,
     len: u64,
 }
 type ReadResp = Result<Vec<u8>, IscsiError>;
 
 struct WriteReq {
-    target: String,
+    target: Arc<str>,
     offset: u64,
-    data: Vec<u8>,
+    /// The client's buffer itself: the server hands it to the device.
+    data: Arc<Vec<u8>>,
 }
 type WriteResp = Result<(), IscsiError>;
 
@@ -95,7 +96,7 @@ impl IscsiServer {
         rpc.serve("iscsi.login", move |sim, req, responder| {
             let req: &LoginReq = req.downcast_ref().expect("LoginReq");
             sim.count(&comp, "iscsi.logins", 1);
-            let resp: LoginResp = match t.borrow().get(&req.target) {
+            let resp: LoginResp = match t.borrow().get(&*req.target) {
                 Some(dev) => Ok(dev.capacity()),
                 None => {
                     sim.count(&comp, "iscsi.login_failures", 1);
@@ -110,7 +111,7 @@ impl IscsiServer {
         rpc.serve("iscsi.read", move |sim, req, responder| {
             let req: &ReadReq = req.downcast_ref().expect("ReadReq");
             sim.count(&comp, "iscsi.reads", 1);
-            let dev = t.borrow().get(&req.target).cloned();
+            let dev = t.borrow().get(&*req.target).cloned();
             match dev {
                 None => {
                     responder.reply(sim, Arc::new(Err(IscsiError::NoSuchTarget) as ReadResp), 16)
@@ -139,7 +140,7 @@ impl IscsiServer {
         rpc.serve("iscsi.write", move |sim, req, responder| {
             let req: &WriteReq = req.downcast_ref().expect("WriteReq");
             sim.count(&comp, "iscsi.writes", 1);
-            let dev = t.borrow().get(&req.target).cloned();
+            let dev = t.borrow().get(&*req.target).cloned();
             match dev {
                 None => responder.reply(
                     sim,
@@ -152,7 +153,7 @@ impl IscsiServer {
                     dev.write(
                         sim,
                         req.offset,
-                        req.data.clone(),
+                        Arc::clone(&req.data),
                         Box::new(move |sim, res| {
                             if res.is_ok() {
                                 sim.count(&comp, "iscsi.write_bytes", len);
@@ -197,7 +198,8 @@ impl IscsiServer {
 pub struct IscsiSession {
     rpc: RpcNode,
     server: Addr,
-    target: String,
+    /// Shared with every request the session sends.
+    target: Arc<str>,
     capacity: u64,
     timeout: Duration,
 }
@@ -226,14 +228,13 @@ impl IscsiSession {
     ) {
         let rpc2 = rpc.clone();
         let server2 = server.clone();
-        let target2 = target.to_owned();
+        let target: Arc<str> = target.into();
+        let target2 = Arc::clone(&target);
         rpc.call::<LoginResp>(
             sim,
             server,
             "iscsi.login",
-            Arc::new(LoginReq {
-                target: target.to_owned(),
-            }),
+            Arc::new(LoginReq { target }),
             64,
             timeout,
             move |sim, resp| {
@@ -283,37 +284,40 @@ impl IscsiSession {
             &self.server,
             "iscsi.read",
             Arc::new(ReadReq {
-                target: self.target.clone(),
+                target: Arc::clone(&self.target),
                 offset,
                 len,
             }),
             32,
             self.timeout,
             move |sim, resp| {
+                // The response arrives unshared: the bytes move out.
                 let r = match resp {
                     Err(e) => Err(IscsiError::Rpc(e)),
-                    Ok(r) => (*r).clone(),
+                    Ok(r) => Arc::unwrap_or_clone(r),
                 };
                 cb(sim, r);
             },
         );
     }
 
-    /// Writes `data` at `offset` on the remote target.
+    /// Writes `data` at `offset` on the remote target. The buffer rides
+    /// the request as is and reaches the target's device uncopied.
     pub fn write(
         &self,
         sim: &Sim,
         offset: u64,
-        data: Vec<u8>,
+        data: impl Into<Arc<Vec<u8>>>,
         cb: impl FnOnce(&Sim, Result<(), IscsiError>) + 'static,
     ) {
+        let data = data.into();
         let bytes = data.len() as u64 + 32;
         self.rpc.call::<WriteResp>(
             sim,
             &self.server,
             "iscsi.write",
             Arc::new(WriteReq {
-                target: self.target.clone(),
+                target: Arc::clone(&self.target),
                 offset,
                 data,
             }),
@@ -322,7 +326,7 @@ impl IscsiSession {
             move |sim, resp| {
                 let r = match resp {
                     Err(e) => Err(IscsiError::Rpc(e)),
-                    Ok(r) => (*r).clone(),
+                    Ok(r) => Arc::unwrap_or_clone(r),
                 };
                 cb(sim, r);
             },
@@ -344,7 +348,7 @@ impl BlockDevice for IscsiSession {
         });
     }
 
-    fn write(&self, sim: &Sim, offset: u64, data: Vec<u8>, cb: crate::blockdev::WriteCb) {
+    fn write(&self, sim: &Sim, offset: u64, data: Arc<Vec<u8>>, cb: crate::blockdev::WriteCb) {
         IscsiSession::write(self, sim, offset, data, move |sim, r| {
             cb(sim, r.map_err(|e| BlockError::Unavailable(e.to_string())));
         });
@@ -530,7 +534,7 @@ mod tests {
                 dev.write(
                     sim,
                     0,
-                    vec![5u8; 8],
+                    vec![5u8; 8].into(),
                     Box::new(move |sim, r| {
                         r.expect("write");
                         dev2.read(

@@ -41,10 +41,14 @@ impl fmt::Display for RpcError {
 
 impl std::error::Error for RpcError {}
 
+/// Cloning only happens if a delivered envelope's payload is still shared
+/// (it never is on local or routed delivery); the body is an `Arc`, so a
+/// clone never copies the message bytes.
+#[derive(Clone)]
 enum RpcMsg {
     Request {
         id: u64,
-        method: String,
+        method: &'static str,
         body: Payload,
         /// Request-lifecycle stamp riding this hop (no wire bytes: the
         /// simulated message size is unchanged, so tracing cannot perturb
@@ -83,7 +87,7 @@ struct RpcMetrics {
 struct Inner {
     next_id: u64,
     pending: FastMap<u64, Pending>,
-    handlers: FastMap<String, Handler>,
+    handlers: FastMap<&'static str, Handler>,
     metrics: Option<RpcMetrics>,
 }
 
@@ -230,11 +234,17 @@ impl RpcNode {
     }
 
     /// Registers a handler for `method` (replacing any previous one).
-    pub fn serve(&self, method: &str, handler: impl Fn(&Sim, Payload, Responder) + 'static) {
+    /// Method names are static: every request carries the name without
+    /// allocating it.
+    pub fn serve(
+        &self,
+        method: &'static str,
+        handler: impl Fn(&Sim, Payload, Responder) + 'static,
+    ) {
         self.inner
             .borrow_mut()
             .handlers
-            .insert(method.to_owned(), Rc::new(handler));
+            .insert(method, Rc::new(handler));
     }
 
     /// Issues a call; `cb` receives the typed response or an error.
@@ -242,7 +252,7 @@ impl RpcNode {
         &self,
         sim: &Sim,
         to: &Addr,
-        method: &str,
+        method: &'static str,
         body: Payload,
         bytes: u64,
         timeout: Duration,
@@ -282,7 +292,7 @@ impl RpcNode {
         );
         let msg = RpcMsg::Request {
             id,
-            method: method.to_owned(),
+            method,
             body,
             stamp: sim.current_stamp(),
         };
@@ -309,11 +319,14 @@ impl RpcNode {
         f(i.metrics.as_ref().expect("metrics just initialized"))
     }
 
+    /// Dispatches one delivered message. The envelope is owned, so the
+    /// message is unwrapped rather than cloned and its body moves into the
+    /// handler or the pending call's callback.
     fn on_message(&self, sim: &Sim, env: Envelope) {
-        let Some(msg) = env.payload.downcast_ref::<RpcMsg>() else {
+        let Ok(msg) = env.payload.downcast::<RpcMsg>() else {
             return; // not RPC traffic
         };
-        match msg {
+        match Arc::unwrap_or_clone(msg) {
             RpcMsg::Request {
                 id,
                 method,
@@ -324,37 +337,37 @@ impl RpcNode {
                 let responder = Responder {
                     net: self.net.clone(),
                     from: self.addr.clone(),
-                    to: env.from.clone(),
-                    id: *id,
-                    stamp: *stamp,
+                    to: env.from,
+                    id,
+                    stamp,
                 };
                 match handler {
                     Some(h) => {
-                        if let Some(stamp) = *stamp {
+                        if let Some(stamp) = stamp {
                             // Close the request hop, then expose the stamp
                             // to the synchronous handler chain (iSCSI →
                             // exposed space → fabric → disk submit).
                             sim.reqtracer()
                                 .mark(Some(stamp), Stage::NetTransit, sim.now());
                             sim.set_current_stamp(Some(stamp));
-                            h(sim, body.clone(), responder);
+                            h(sim, body, responder);
                             sim.set_current_stamp(None);
                         } else {
-                            h(sim, body.clone(), responder);
+                            h(sim, body, responder);
                         }
                     }
                     None => responder.reply_err(sim, RpcError::NoSuchMethod),
                 }
             }
             RpcMsg::Response { id, body, stamp } => {
-                let pending = self.inner.borrow_mut().pending.remove(id);
+                let pending = self.inner.borrow_mut().pending.remove(&id);
                 if let Some(p) = pending {
                     sim.cancel(p.timeout_event);
                     if stamp.is_some() {
                         // Close the response hop. Late responses (timeout
                         // already fired) never reach here, and the stamp's
                         // attempt guard drops them anyway.
-                        sim.reqtracer().mark(*stamp, Stage::NetTransit, sim.now());
+                        sim.reqtracer().mark(stamp, Stage::NetTransit, sim.now());
                     }
                     self.with_metrics(sim, |m| {
                         m.round_trips.inc();
@@ -363,7 +376,7 @@ impl RpcNode {
                             m.errors.inc();
                         }
                     });
-                    (p.cb)(sim, body.clone());
+                    (p.cb)(sim, body);
                 }
             }
         }

@@ -191,7 +191,7 @@ impl BackupService {
         device.write(
             sim,
             base + written as u64,
-            piece,
+            piece.into(),
             Box::new(move |sim, r| match r {
                 Err(e) => cb(sim, Err(BackupError::Io(e))),
                 Ok(()) => this.write_chunks(sim, base, data, end, chunk, cb),
@@ -357,7 +357,7 @@ mod tests {
             dev.write(
                 sim,
                 meta.offset + 100,
-                vec![0xFF],
+                vec![0xFF].into(),
                 Box::new(move |sim, r| {
                     r.expect("tamper");
                     svc2.restore(sim, "s", move |_, r| {

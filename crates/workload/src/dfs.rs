@@ -388,7 +388,7 @@ impl DataNode {
         self.backing.write(
             sim,
             offset,
-            req.data.clone(),
+            req.data.clone().into(),
             Box::new(move |sim, r| {
                 finish(sim, &p1, r.map_err(|e| e.to_string()));
             }),

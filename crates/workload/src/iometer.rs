@@ -263,7 +263,7 @@ pub fn blockdev_issuer(dev: Rc<dyn ustore_net::BlockDevice>) -> IoIssuer {
         Direction::Write => dev.write(
             sim,
             offset,
-            vec![0u8; len as usize],
+            vec![0u8; len as usize].into(),
             Box::new(move |sim, r| done(sim, r.is_ok())),
         ),
     })

@@ -552,3 +552,59 @@ fn failover_emits_causally_ordered_span_tree() {
         .sum();
     assert!(master_failovers >= 1, "a master recorded the failover");
 }
+
+#[test]
+fn write_retried_across_a_failover_reads_back() {
+    // The serving host dies while a 64 KiB write is on the wire: the
+    // ClientLib remounts on the new host and resends the same buffer, and
+    // the acknowledged bytes read back.
+    let s = UStoreSystem::prototype(7010);
+    s.settle();
+    let client = s.client("app");
+    let info = allocate(&s, &client, "svc");
+    let m = mount(&s, &client, &info);
+    let payload: Vec<u8> = (0..65536u32).map(|j| (j % 239) as u8 ^ 0x5A).collect();
+    let expect = payload.clone();
+    let base = payload.as_ptr() as usize;
+    let victim = s.runtime.attached_host(info.name.disk).expect("attached");
+    let acked = Rc::new(Cell::new(false));
+    let a = acked.clone();
+    m.write(
+        &s.sim,
+        0,
+        payload,
+        Box::new(move |_, r| {
+            r.expect("write survives the failover");
+            a.set(true);
+        }),
+    );
+    // The request is in flight: kill its destination before it lands.
+    s.kill_host(victim);
+    run_for(&s, 30);
+    assert!(acked.get(), "write acknowledged after remount");
+    assert!(m.remount_count() >= 2, "the write needed a remount");
+    let now_on = s
+        .runtime
+        .attached_host(info.name.disk)
+        .expect("re-attached");
+    assert_ne!(now_on, victim, "the disk moved to a live host");
+    // The retry resent the caller's buffer itself.
+    assert_eq!(
+        s.runtime.disk(info.name.disk).page_addr(0),
+        Some(base),
+        "stored page points into the caller's allocation"
+    );
+    let got = Rc::new(Cell::new(false));
+    let g = got.clone();
+    m.read(
+        &s.sim,
+        0,
+        65536,
+        Box::new(move |_, r| {
+            assert_eq!(r.expect("read back"), expect);
+            g.set(true);
+        }),
+    );
+    run_for(&s, 5);
+    assert!(got.get(), "read completed");
+}

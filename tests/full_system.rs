@@ -379,3 +379,39 @@ fn stale_location_lease_is_invalidated_by_io_failure() {
         "directory still names the dead host"
     );
 }
+
+#[test]
+fn acknowledged_write_is_stored_in_the_callers_buffer() {
+    // One buffer from client to platter: the 64 KiB a client hands to
+    // `Mounted::write` is the allocation the disk store's pages point
+    // into, with no copy on the way (ClientLib, iSCSI, EndPoint, fabric).
+    let s = UStoreSystem::prototype(9010);
+    s.settle();
+    let client = s.client("zero-copy");
+    let info = allocate(&s, &client, "svc", 1 << 30);
+    let m = mount(&s, &client, &info);
+    let payload: Vec<u8> = (0..65536u32).map(|j| (j % 251) as u8).collect();
+    let base = payload.as_ptr() as usize;
+    let acked = Rc::new(Cell::new(false));
+    let a = acked.clone();
+    m.write(
+        &s.sim,
+        0,
+        payload,
+        Box::new(move |_, r| {
+            r.expect("write");
+            a.set(true);
+        }),
+    );
+    run_for(&s, 2);
+    assert!(acked.get(), "write acknowledged");
+    // The first space on a fresh disk starts at extent offset 0.
+    let disk = s.runtime.disk(info.name.disk);
+    for k in 0..16u64 {
+        assert_eq!(
+            disk.page_addr(k * 4096),
+            Some(base + (k * 4096) as usize),
+            "page {k} points into the caller's allocation"
+        );
+    }
+}
