@@ -15,7 +15,7 @@ use std::rc::Rc;
 use std::sync::Arc;
 use std::time::Duration;
 
-use ustore_net::{Addr, Network, RpcError, RpcNode};
+use ustore_net::{Addr, Network, Replicas, RetryPolicy, RpcNode, Verdict};
 use ustore_sim::{Sim, TraceLevel};
 
 use crate::rsm::{ClientReq, ClientResp, ReadOp, ReadResult, WatchNotification, WatchReg};
@@ -24,12 +24,6 @@ use crate::store::{Applied, Command, CreateMode, SessionId, StoreError, WatchEve
 /// Client-side tunables.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ClientConfig {
-    /// Per-attempt RPC timeout.
-    pub op_timeout: Duration,
-    /// Attempts across servers before giving up.
-    pub max_attempts: u32,
-    /// Delay between retries.
-    pub retry_backoff: Duration,
     /// Session keep-alive interval (must beat the server's
     /// `session_timeout`).
     pub ping_interval: Duration,
@@ -38,13 +32,18 @@ pub struct ClientConfig {
 impl Default for ClientConfig {
     fn default() -> Self {
         ClientConfig {
-            op_timeout: Duration::from_millis(400),
-            max_attempts: 10,
-            retry_backoff: Duration::from_millis(150),
             ping_interval: Duration::from_millis(500),
         }
     }
 }
+
+/// How a request finds the leader: per-attempt timeout, attempts across
+/// servers, and the delay between them.
+const REQUEST: RetryPolicy = RetryPolicy {
+    timeout: Duration::from_millis(400),
+    attempts: 10,
+    backoff: Duration::from_millis(150),
+};
 
 /// Client-visible failures.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -79,8 +78,6 @@ type WatchCb = Box<dyn FnOnce(&Sim, WatchEvent)>;
 
 struct C {
     config: ClientConfig,
-    servers: Vec<Addr>,
-    leader_hint: usize,
     session: Option<SessionId>,
     pinging: bool,
     next_watch: u64,
@@ -90,7 +87,7 @@ struct C {
 /// A coordination-service client bound to one network address.
 #[derive(Clone)]
 pub struct CoordClient {
-    rpc: RpcNode,
+    servers: Replicas,
     inner: Rc<RefCell<C>>,
 }
 
@@ -98,7 +95,7 @@ impl fmt::Debug for CoordClient {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let c = self.inner.borrow();
         f.debug_struct("CoordClient")
-            .field("addr", self.rpc.addr())
+            .field("addr", self.rpc().addr())
             .field("session", &c.session)
             .finish()
     }
@@ -114,11 +111,9 @@ impl CoordClient {
         assert!(!servers.is_empty(), "need at least one server");
         let rpc = RpcNode::new(net, addr);
         let client = CoordClient {
-            rpc,
+            servers: Replicas::new(rpc.clone(), servers),
             inner: Rc::new(RefCell::new(C {
                 config,
-                servers,
-                leader_hint: 0,
                 session: None,
                 pinging: false,
                 next_watch: 0,
@@ -126,7 +121,7 @@ impl CoordClient {
             })),
         };
         let c = client.clone();
-        client.rpc.serve("coord.event", move |sim, req, responder| {
+        rpc.serve("coord.event", move |sim, req, responder| {
             let notif: &WatchNotification = req.downcast_ref().expect("WatchNotification");
             let cb = c.inner.borrow_mut().watches.remove(&notif.watch_id);
             responder.reply(sim, Arc::new(()), 8);
@@ -155,77 +150,36 @@ impl CoordClient {
 
     /// The client's network address.
     pub fn addr(&self) -> Addr {
-        self.rpc.addr().clone()
+        self.rpc().addr().clone()
     }
 
     /// The client's RPC endpoint (for co-hosting other protocols).
     pub fn rpc(&self) -> &RpcNode {
-        &self.rpc
+        self.servers.rpc()
     }
 
     // ---- Core request/retry machinery ------------------------------------
 
+    /// Sends `req` to the leader: a follower's redirect names it, and a
+    /// server that cannot say (or does not answer) passes the request on.
     fn request(
         &self,
         sim: &Sim,
         req: ClientReq,
         cb: impl FnOnce(&Sim, Result<ClientResp, ClientError>) + 'static,
     ) {
-        let attempts = self.inner.borrow().config.max_attempts;
-        self.request_attempt(sim, req, attempts, Box::new(cb));
-    }
-
-    fn request_attempt(
-        &self,
-        sim: &Sim,
-        req: ClientReq,
-        attempts_left: u32,
-        cb: Box<dyn FnOnce(&Sim, Result<ClientResp, ClientError>)>,
-    ) {
-        if attempts_left == 0 {
-            cb(sim, Err(ClientError::NoLeader));
-            return;
-        }
-        let (target, timeout) = {
-            let c = self.inner.borrow();
-            (c.servers[c.leader_hint].clone(), c.config.op_timeout)
-        };
-        let this = self.clone();
-        self.rpc.call::<ClientResp>(
+        self.servers.call::<ClientResp, _>(
             sim,
-            &target,
             "coord.request",
-            Arc::new(req.clone()),
+            Arc::new(req),
             256,
-            timeout,
-            move |sim, resp| {
-                match resp {
-                    Ok(r) => match &*r {
-                        ClientResp::Redirect(hint) => {
-                            let mut c = this.inner.borrow_mut();
-                            match hint {
-                                Some(h) if (*h as usize) < c.servers.len() => {
-                                    c.leader_hint = *h as usize;
-                                }
-                                _ => c.leader_hint = (c.leader_hint + 1) % c.servers.len(),
-                            }
-                        }
-                        other => {
-                            cb(sim, Ok(other.clone()));
-                            return;
-                        }
-                    },
-                    Err(RpcError::Timeout) | Err(_) => {
-                        let mut c = this.inner.borrow_mut();
-                        c.leader_hint = (c.leader_hint + 1) % c.servers.len();
-                    }
-                }
-                let backoff = this.inner.borrow().config.retry_backoff;
-                let this2 = this.clone();
-                sim.schedule_in(backoff, move |sim| {
-                    this2.request_attempt(sim, req, attempts_left - 1, cb);
-                });
+            REQUEST,
+            |_, resp| match resp.map(Arc::unwrap_or_clone) {
+                Ok(ClientResp::Redirect(Some(h))) => Verdict::Redirect(h as usize),
+                Ok(ClientResp::Redirect(None)) | Err(_) => Verdict::Next,
+                Ok(other) => Verdict::Done(other),
             },
+            move |sim, resp| cb(sim, resp.ok_or(ClientError::NoLeader)),
         );
     }
 

@@ -317,7 +317,7 @@ impl CoordServer {
     }
 
     /// Who this replica believes leads, if anyone.
-    pub fn leader_hint(&self) -> Option<u32> {
+    pub fn believed_leader(&self) -> Option<u32> {
         let s = self.inner.borrow();
         match &s.role {
             Role::Leader => Some(s.id),
@@ -644,7 +644,7 @@ impl CoordServer {
                 drop(s);
                 self.metrics.redirects.inc();
                 if let Some(r) = responder {
-                    let hint = self.leader_hint();
+                    let hint = self.believed_leader();
                     r.reply(sim, Arc::new(ClientResp::Redirect(hint)), 16);
                 }
                 return;
@@ -953,7 +953,7 @@ impl CoordServer {
             matches!(s.role, Role::Leader)
         };
         if !is_leader {
-            let hint = self.leader_hint();
+            let hint = self.believed_leader();
             responder.reply(sim, Arc::new(ClientResp::Redirect(hint)), 16);
             return;
         }
@@ -1043,7 +1043,7 @@ mod tests {
         // Everyone agrees on who it is.
         let lid = l.expect("leader").id();
         for s in &servers {
-            assert_eq!(s.leader_hint(), Some(lid), "server {} hint", s.id());
+            assert_eq!(s.believed_leader(), Some(lid), "server {} hint", s.id());
         }
     }
 

@@ -10,6 +10,7 @@
 //! layer's view there is only "a temporary high latency accessing local
 //! disks".
 
+use std::any::Any;
 use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::fmt;
@@ -18,23 +19,18 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use ustore_fabric::DiskId;
-use ustore_net::{Addr, BlockDevice, BlockError, IscsiSession, Network, ReadCb, RpcNode, WriteCb};
+use ustore_net::{
+    Addr, BlockDevice, BlockError, IscsiSession, Network, ReadCb, Replicas, RetryPolicy, RpcNode,
+    Verdict, WriteCb,
+};
 use ustore_sim::{FastMap, ReqKind, Sim, SimTime, SpanId, TraceId, TraceLevel};
 
 use crate::ids::SpaceName;
-use crate::messages::{
-    AllocateReq, DiskPowerReq, EndpointAck, LookupReq, MasterError, ReleaseReq, SpaceInfo,
-};
+use crate::messages::{AllocateReq, DiskPowerReq, LookupReq, MasterError, ReleaseReq, SpaceInfo};
 
 /// ClientLib tunables.
 #[derive(Debug, Clone)]
 pub struct ClientLibConfig {
-    /// RPC timeout to the Master.
-    pub master_timeout: Duration,
-    /// Attempts across master processes before failing an operation.
-    pub master_attempts: u32,
-    /// Backoff between master retries.
-    pub master_backoff: Duration,
     /// IO timeout on a mounted session (detects dead hosts).
     pub io_timeout: Duration,
     /// Delay after an iSCSI login before the device is usable (device
@@ -56,9 +52,6 @@ pub struct ClientLibConfig {
 impl Default for ClientLibConfig {
     fn default() -> Self {
         ClientLibConfig {
-            master_timeout: Duration::from_millis(600),
-            master_attempts: 12,
-            master_backoff: Duration::from_millis(250),
             io_timeout: Duration::from_millis(800),
             mount_settle: Duration::from_millis(1000),
             remount_backoff: Duration::from_millis(300),
@@ -67,6 +60,15 @@ impl Default for ClientLibConfig {
         }
     }
 }
+
+/// How a call finds the active Master: per-attempt timeout, attempts
+/// across master processes (timeouts and `NotActive` alike), and the delay
+/// between them.
+const MASTER: RetryPolicy = RetryPolicy {
+    timeout: Duration::from_millis(600),
+    attempts: 12,
+    backoff: Duration::from_millis(250),
+};
 
 /// Client-visible errors.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -94,9 +96,7 @@ impl std::error::Error for ClientLibError {}
 /// The UStore client library, bound to one network address.
 #[derive(Clone)]
 pub struct UStoreClient {
-    rpc: RpcNode,
-    masters: Vec<Addr>,
-    hint: Rc<RefCell<usize>>,
+    masters: Replicas,
     config: ClientLibConfig,
     /// Location-lease cache: resolved space → (info, lease expiry).
     /// Only populated when `config.location_lease` is set.
@@ -106,7 +106,7 @@ pub struct UStoreClient {
 impl fmt::Debug for UStoreClient {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("UStoreClient")
-            .field("addr", self.rpc.addr())
+            .field("addr", self.rpc().addr())
             .finish()
     }
 }
@@ -120,9 +120,7 @@ impl UStoreClient {
     pub fn new(net: &Network, addr: Addr, masters: Vec<Addr>, config: ClientLibConfig) -> Self {
         assert!(!masters.is_empty(), "need at least one master address");
         UStoreClient {
-            rpc: RpcNode::new(net, addr),
-            masters,
-            hint: Rc::new(RefCell::new(0)),
+            masters: Replicas::new(RpcNode::new(net, addr), masters),
             config,
             leases: Rc::new(RefCell::new(FastMap::default())),
         }
@@ -130,101 +128,35 @@ impl UStoreClient {
 
     /// The client's network address (useful as a locality hint).
     pub fn addr(&self) -> Addr {
-        self.rpc.addr().clone()
+        self.rpc().addr().clone()
     }
 
-    fn master_call<T: std::any::Any + Send + Sync + Clone>(
+    fn rpc(&self) -> &RpcNode {
+        self.masters.rpc()
+    }
+
+    /// Calls the active Master. A standby's `NotActive` and a transport
+    /// failure both move on to the other master process, within one retry
+    /// budget.
+    fn master_call<T: Any + Send + Sync + Clone>(
         &self,
         sim: &Sim,
         method: &'static str,
         body: ustore_net::Payload,
         cb: impl FnOnce(&Sim, Result<T, ClientLibError>) + 'static,
     ) {
-        let attempts = self.config.master_attempts;
-        self.master_call_attempt(sim, method, body, attempts, Box::new(cb));
-    }
-
-    fn master_call_attempt<T: std::any::Any + Send + Sync + Clone>(
-        &self,
-        sim: &Sim,
-        method: &'static str,
-        body: ustore_net::Payload,
-        attempts: u32,
-        cb: Box<dyn FnOnce(&Sim, Result<T, ClientLibError>)>,
-    ) {
-        if attempts == 0 {
-            cb(sim, Err(ClientLibError::MasterUnreachable));
-            return;
-        }
-        let target = self.masters[*self.hint.borrow() % self.masters.len()].clone();
-        let this = self.clone();
-        let body2 = body.clone();
-        self.rpc.call::<T>(
+        self.masters.call::<Result<T, MasterError>, _>(
             sim,
-            &target,
             method,
             body,
             128,
-            self.config.master_timeout,
-            move |sim, r| match r {
-                Ok(resp) => cb(sim, Ok((*resp).clone())),
-                Err(_) => {
-                    *this.hint.borrow_mut() += 1;
-                    let backoff = this.config.master_backoff;
-                    let this2 = this.clone();
-                    sim.schedule_in(backoff, move |sim| {
-                        this2.master_call_attempt(sim, method, body2, attempts - 1, cb);
-                    });
-                }
+            MASTER,
+            |_, r| match r.map(Arc::unwrap_or_clone) {
+                Ok(Err(MasterError::NotActive)) | Err(_) => Verdict::Next,
+                Ok(r) => Verdict::Done(r.map_err(ClientLibError::Master)),
             },
+            move |sim, r| cb(sim, r.unwrap_or(Err(ClientLibError::MasterUnreachable))),
         );
-    }
-
-    /// Dispatch helper that retries `NotActive` responses on the other
-    /// master (with a bounded budget — a standby answering instantly must
-    /// not reset the overall retry loop forever).
-    fn master_result<T: std::any::Any + Send + Sync + Clone>(
-        &self,
-        sim: &Sim,
-        method: &'static str,
-        body: ustore_net::Payload,
-        cb: impl FnOnce(&Sim, Result<T, ClientLibError>) + 'static,
-    ) where
-        Result<T, MasterError>: Clone,
-    {
-        let rounds = self.config.master_attempts;
-        self.master_result_attempt(sim, method, body, rounds, Box::new(cb));
-    }
-
-    fn master_result_attempt<T: std::any::Any + Send + Sync + Clone>(
-        &self,
-        sim: &Sim,
-        method: &'static str,
-        body: ustore_net::Payload,
-        rounds_left: u32,
-        cb: Box<dyn FnOnce(&Sim, Result<T, ClientLibError>)>,
-    ) where
-        Result<T, MasterError>: Clone,
-    {
-        if rounds_left == 0 {
-            cb(sim, Err(ClientLibError::MasterUnreachable));
-            return;
-        }
-        let this = self.clone();
-        let body2 = body.clone();
-        self.master_call::<Result<T, MasterError>>(sim, method, body, move |sim, r| match r {
-            Err(e) => cb(sim, Err(e)),
-            Ok(Ok(v)) => cb(sim, Ok(v)),
-            Ok(Err(MasterError::NotActive)) => {
-                *this.hint.borrow_mut() += 1;
-                let backoff = this.config.master_backoff;
-                let this2 = this.clone();
-                sim.schedule_in(backoff, move |sim| {
-                    this2.master_result_attempt(sim, method, body2, rounds_left - 1, cb);
-                });
-            }
-            Ok(Err(e)) => cb(sim, Err(ClientLibError::Master(e))),
-        });
     }
 
     /// Requests `size` bytes for `service` (with this client as the
@@ -241,7 +173,7 @@ impl UStoreClient {
             size,
             near: Some(self.addr()),
         };
-        self.master_result::<SpaceInfo>(sim, "master.allocate", Arc::new(req), cb);
+        self.master_call::<SpaceInfo>(sim, "master.allocate", Arc::new(req), cb);
     }
 
     /// Directory lookup: where does this space live right now?
@@ -257,7 +189,7 @@ impl UStoreClient {
         cb: impl FnOnce(&Sim, Result<SpaceInfo, ClientLibError>) + 'static,
     ) {
         let Some(lease) = self.config.location_lease else {
-            self.master_result::<SpaceInfo>(sim, "master.lookup", Arc::new(LookupReq { name }), cb);
+            self.master_call::<SpaceInfo>(sim, "master.lookup", Arc::new(LookupReq { name }), cb);
             return;
         };
         let cached = self
@@ -277,7 +209,7 @@ impl UStoreClient {
         tracer.note_lease(false);
         let leases = self.leases.clone();
         let asked = sim.now();
-        self.master_result::<SpaceInfo>(
+        self.master_call::<SpaceInfo>(
             sim,
             "master.lookup",
             Arc::new(LookupReq { name }),
@@ -322,7 +254,7 @@ impl UStoreClient {
         cb: impl FnOnce(&Sim, Result<(), ClientLibError>) + 'static,
     ) {
         self.invalidate_lease(name);
-        self.master_result::<()>(sim, "master.release", Arc::new(ReleaseReq { name }), cb);
+        self.master_call::<()>(sim, "master.release", Arc::new(ReleaseReq { name }), cb);
     }
 
     /// Spins a disk belonging to this service up or down (§IV-F exposes
@@ -334,18 +266,11 @@ impl UStoreClient {
         up: bool,
         cb: impl FnOnce(&Sim, Result<(), ClientLibError>) + 'static,
     ) {
-        self.master_call::<EndpointAck>(
+        self.master_call::<()>(
             sim,
             "master.disk_power",
             Arc::new(DiskPowerReq { disk, up }),
-            move |sim, r| {
-                let out = match r {
-                    Err(e) => Err(e),
-                    Ok(Ok(())) => Ok(()),
-                    Ok(Err(w)) => Err(ClientLibError::MountFailed(w)),
-                };
-                cb(sim, out);
-            },
+            cb,
         );
     }
 
@@ -617,7 +542,11 @@ impl Mounted {
             m.queue.push_front(op);
             m.session = None;
         }
-        sim.count(&self.client.rpc.addr().to_string(), "client.io_retries", 1);
+        sim.count(
+            &self.client.rpc().addr().to_string(),
+            "client.io_retries",
+            1,
+        );
         sim.trace(
             TraceLevel::Warn,
             "clientlib",
@@ -639,7 +568,7 @@ impl Mounted {
             }
             m.remounting = true;
         }
-        sim.count(&self.client.rpc.addr().to_string(), "client.remounts", 1);
+        sim.count(&self.client.rpc().addr().to_string(), "client.remounts", 1);
         // A remount triggered by a failover joins that failover's remount
         // phase; the initial mount (or a standalone recovery) is a root.
         let span = match sim.find_open_span("failover.remount") {
@@ -715,7 +644,7 @@ impl Mounted {
                       sim: &Sim,
                       done: Box<dyn FnOnce(&Sim, Result<(), ClientLibError>)>| {
                     sim.count(
-                        &this.client.rpc.addr().to_string(),
+                        &this.client.rpc().addr().to_string(),
                         "client.remount_retries",
                         1,
                     );
@@ -740,7 +669,7 @@ impl Mounted {
                         let this2 = this.clone();
                         IscsiSession::login(
                             sim,
-                            &this.client.rpc,
+                            this.client.rpc(),
                             &host,
                             &info.target,
                             this.client.config.io_timeout,

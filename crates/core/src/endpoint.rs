@@ -16,7 +16,10 @@ use std::time::Duration;
 
 use ustore_disk::PowerStateKind;
 use ustore_fabric::{DiskId, FabricIoError, FabricRuntime, HostId};
-use ustore_net::{Addr, BlockDevice, BlockError, IscsiServer, ReadCb, RpcNode, WriteCb};
+use ustore_net::{
+    Addr, BlockDevice, BlockError, IscsiServer, ReadCb, Replicas, RetryPolicy, RpcNode, Verdict,
+    WriteCb,
+};
 use ustore_sim::{CounterHandle, Sim, SimTime, TraceLevel};
 use ustore_usb::{DeviceKind, DeviceState, UsbEvent};
 
@@ -39,8 +42,6 @@ pub struct EndpointConfig {
     pub spin_cycle_window: Duration,
     /// Spin-ups within the window that trigger threshold doubling.
     pub spin_cycle_limit: usize,
-    /// RPC timeout for heartbeats.
-    pub rpc_timeout: Duration,
 }
 
 impl Default for EndpointConfig {
@@ -52,10 +53,17 @@ impl Default for EndpointConfig {
             idle_check: Duration::from_secs(10),
             spin_cycle_window: Duration::from_secs(600),
             spin_cycle_limit: 3,
-            rpc_timeout: Duration::from_millis(400),
         }
     }
 }
+
+/// A heartbeat goes to one master process. A failed or `NotActive` beat
+/// moves the master hint on; the next beat is the retry.
+const HEARTBEAT: RetryPolicy = RetryPolicy {
+    timeout: Duration::from_millis(400),
+    attempts: 1,
+    backoff: Duration::ZERO,
+};
 
 struct Exposure {
     offset: u64,
@@ -66,8 +74,6 @@ struct Exposure {
 struct Ep {
     unit: UnitId,
     host: HostId,
-    masters: Vec<Addr>,
-    master_hint: usize,
     config: EndpointConfig,
     exposures: BTreeMap<SpaceName, Exposure>,
     activity: HashMap<DiskId, Rc<Cell<SimTime>>>,
@@ -89,6 +95,7 @@ struct Ep {
 #[derive(Clone)]
 pub struct Endpoint {
     rpc: RpcNode,
+    masters: Replicas,
     iscsi: Rc<IscsiServer>,
     runtime: FabricRuntime,
     inner: Rc<RefCell<Ep>>,
@@ -117,14 +124,13 @@ impl Endpoint {
     ) -> Endpoint {
         let iscsi = Rc::new(IscsiServer::new(rpc.clone()));
         let ep = Endpoint {
+            masters: Replicas::new(rpc.clone(), masters),
             rpc,
             iscsi,
             runtime: runtime.clone(),
             inner: Rc::new(RefCell::new(Ep {
                 unit,
                 host,
-                masters,
-                master_hint: 0,
                 config,
                 exposures: BTreeMap::new(),
                 activity: HashMap::new(),
@@ -379,7 +385,7 @@ impl Endpoint {
     }
 
     fn send_heartbeat(&self, sim: &Sim) {
-        let (hb, target, timeout) = {
+        let hb = {
             let mut ep = self.inner.borrow_mut();
             ep.seq += 1;
             let host = ep.host;
@@ -394,15 +400,13 @@ impl Endpoint {
                     .collect();
                 ep.ready_cache = (gen, ready);
             }
-            let hb = Heartbeat {
+            Heartbeat {
                 unit: ep.unit,
                 host,
                 addr: self.rpc.addr().clone(),
                 ready_disks: Arc::clone(&ep.ready_cache.1),
                 seq: ep.seq,
-            };
-            let target = ep.masters[ep.master_hint].clone();
-            (hb, target, ep.config.rpc_timeout)
+            }
         };
         {
             let mut ep = self.inner.borrow_mut();
@@ -414,21 +418,17 @@ impl Endpoint {
                 .expect("hb counter initialized")
                 .inc();
         }
-        let this = self.clone();
-        self.rpc.call::<HeartbeatAck>(
+        self.masters.call::<HeartbeatAck, ()>(
             sim,
-            &target,
             "master.heartbeat",
             Arc::new(hb),
             200,
-            timeout,
-            move |_sim, resp| {
-                let rotate = !matches!(resp.as_deref(), Ok(HeartbeatAck::Ok));
-                if rotate {
-                    let mut ep = this.inner.borrow_mut();
-                    ep.master_hint = (ep.master_hint + 1) % ep.masters.len();
-                }
+            HEARTBEAT,
+            |_, resp| match resp.as_deref() {
+                Ok(HeartbeatAck::Ok) => Verdict::Done(()),
+                _ => Verdict::Next,
             },
+            |_, _| {},
         );
     }
 

@@ -24,7 +24,7 @@ use ustore_consensus::{
     group_addrs, ClientConfig as CoordClientConfig, CoordClient, CreateMode, Election,
 };
 use ustore_fabric::{DiskId, HostId};
-use ustore_net::{Addr, Network, RpcNode};
+use ustore_net::{Addr, Network, Replicas, RetryPolicy, RpcError, RpcNode, Verdict};
 use ustore_sim::{CounterHandle, FastMap, FastSet, Sim, SimTime, SpanId, TraceLevel};
 
 use crate::alloc::{Allocator, Extent};
@@ -719,15 +719,11 @@ impl Master {
     }
 
     fn on_disk_power(&self, sim: &Sim, req: DiskPowerReq, responder: ustore_net::Responder) {
+        let reply = |sim: &Sim, r: Result<(), MasterError>| responder.reply(sim, Arc::new(r), 16);
         let target = {
             let m = self.inner.borrow();
             if !m.active {
-                responder.reply(
-                    sim,
-                    Arc::new(Err("not active".to_owned()) as EndpointAck),
-                    16,
-                );
-                return;
+                return reply(sim, Err(MasterError::NotActive));
             }
             m.units
                 .keys()
@@ -735,12 +731,10 @@ impl Master {
                 .and_then(|(u, h)| m.host_addr.get(&(u, h)).cloned())
         };
         let Some(addr) = target else {
-            responder.reply(
+            return reply(
                 sim,
-                Arc::new(Err("disk not attached".to_owned()) as EndpointAck),
-                16,
+                Err(MasterError::Endpoint("disk not attached".to_owned())),
             );
-            return;
         };
         let timeout = self.inner.borrow().config.rpc_timeout;
         self.rpc.call::<EndpointAck>(
@@ -751,11 +745,11 @@ impl Master {
             32,
             timeout,
             move |sim, r| {
-                let resp: EndpointAck = match r {
+                let r = match r {
                     Ok(a) => (*a).clone(),
                     Err(e) => Err(e.to_string()),
                 };
-                responder.reply(sim, Arc::new(resp), 16);
+                reply(sim, r.map_err(MasterError::Endpoint));
             },
         );
     }
@@ -974,33 +968,41 @@ impl Master {
         done: impl FnOnce(&Sim, Result<(), RerouteStep>) + 'static,
     ) {
         let this = self.clone();
-        let rpc_timeout = self.inner.borrow().config.rpc_timeout;
-        let exec_timeout = self.inner.borrow().config.execute_timeout;
+        let (rpc_timeout, exec_timeout) = {
+            let m = self.inner.borrow();
+            (m.config.rpc_timeout, m.config.execute_timeout)
+        };
         let what = disks
             .iter()
             .map(ToString::to_string)
             .collect::<Vec<_>>()
             .join(",");
-        self.controller_call::<PlanResp>(
+        // The primary Controller first, a backup only when it fails
+        // (§IV-C: "Only when the primary fails will the Master send
+        // commands to the backup Controller"). Plan and execute share the
+        // hint, so the Controller that planned is asked to execute.
+        let policy = |timeout| RetryPolicy {
+            timeout,
+            attempts: controllers.len() as u32,
+            backoff: Duration::ZERO,
+        };
+        let (plan_policy, exec_policy) = (policy(rpc_timeout), policy(exec_timeout));
+        let ctl = Replicas::new(self.rpc.clone(), controllers);
+        ctl.clone().call::<PlanResp, PlanResp>(
             sim,
-            controllers.clone(),
             "ctl.plan",
             Arc::new(PlanReq {
                 disks,
                 targets,
                 pull_cohort,
             }),
-            rpc_timeout,
+            256,
+            plan_policy,
+            controller_reply("ctl.plan"),
             move |sim, plan| {
-                let (order, pairs) = match plan {
-                    Some((responsive, Ok(pairs))) => {
-                        // Prefer the controller that just answered; keep
-                        // the rest as fallbacks.
-                        let mut order = vec![responsive.clone()];
-                        order.extend(controllers.into_iter().filter(|a| *a != responsive));
-                        (order, pairs)
-                    }
-                    Some((_, Err(why))) => {
+                let pairs = match plan {
+                    Some(Ok(pairs)) => pairs,
+                    Some(Err(why)) => {
                         // No alternative path: the paper "reports the
                         // failure to system administrator for future
                         // replacement or repair".
@@ -1017,18 +1019,18 @@ impl Master {
                         return;
                     }
                 };
-                let this2 = this.clone();
                 let pairs2 = pairs.clone();
-                this.controller_call::<ExecuteResp>(
+                ctl.call::<ExecuteResp, ExecuteResp>(
                     sim,
-                    order,
                     "ctl.execute",
                     Arc::new(ExecuteReq { pairs }),
-                    exec_timeout,
+                    256,
+                    exec_policy,
+                    controller_reply("ctl.execute"),
                     move |sim, r| {
                         let (outcome, r) = match r {
-                            Some((_, Ok(()))) => {
-                                let mut m = this2.inner.borrow_mut();
+                            Some(Ok(())) => {
+                                let mut m = this.inner.borrow_mut();
                                 for (d, h) in &pairs2 {
                                     m.disk_host.insert((unit, *d), *h);
                                 }
@@ -1111,47 +1113,23 @@ impl Master {
         };
         self.reroute(sim, unit, disks, targets, controllers, false, done);
     }
+}
 
-    /// Calls the unit's primary Controller, falling back to the backup on
-    /// timeout (§IV-C: "Only when the primary fails will the Master send
-    /// commands to the backup Controller").
-    fn controller_call<R: std::any::Any + Send + Sync + Clone>(
-        &self,
-        sim: &Sim,
-        controllers: Vec<Addr>,
-        method: &'static str,
-        body: ustore_net::Payload,
-        timeout: Duration,
-        cb: impl FnOnce(&Sim, Option<(Addr, R)>) + 'static,
-    ) {
-        let Some(primary) = controllers.first().cloned() else {
-            cb(sim, None);
-            return;
-        };
-        let this = self.clone();
-        let rest: Vec<Addr> = controllers[1..].to_vec();
-        let body2 = body.clone();
-        let primary2 = primary.clone();
-        self.rpc.call::<R>(
-            sim,
-            &primary,
-            method,
-            body,
-            256,
-            timeout,
-            move |sim, r| match r {
-                Ok(resp) => cb(sim, Some((primary2, (*resp).clone()))),
-                Err(_) if !rest.is_empty() => {
-                    sim.trace(
-                        TraceLevel::Warn,
-                        "master",
-                        format!("primary controller unreachable; trying backup for {method}"),
-                    );
-                    this.controller_call::<R>(sim, rest, method, body2, timeout, cb);
-                }
-                Err(_) => cb(sim, None),
-            },
-        );
+/// Judges a Controller's reply: any answer is final (a refused plan
+/// included); no answer moves on to the next Controller.
+fn controller_reply<R: Clone>(
+    method: &'static str,
+) -> impl FnMut(&Sim, Result<Arc<R>, RpcError>) -> Verdict<R> {
+    move |sim, r| match r {
+        Ok(resp) => Verdict::Done(Arc::unwrap_or_clone(resp)),
+        Err(_) => {
+            sim.trace(
+                TraceLevel::Warn,
+                "master",
+                format!("{method}: controller unreachable"),
+            );
+            Verdict::Next
+        }
     }
 }
 

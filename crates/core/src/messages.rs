@@ -94,6 +94,9 @@ pub enum MasterError {
     NoSuchSpace,
     /// The metadata store is unreachable.
     MetadataUnavailable,
+    /// A disk command failed: the disk is attached to no host, or its
+    /// EndPoint refused or did not answer.
+    Endpoint(String),
 }
 
 impl fmt::Display for MasterError {
@@ -103,6 +106,7 @@ impl fmt::Display for MasterError {
             MasterError::Alloc(e) => write!(f, "allocation: {e}"),
             MasterError::NoSuchSpace => write!(f, "no such space"),
             MasterError::MetadataUnavailable => write!(f, "metadata store unreachable"),
+            MasterError::Endpoint(w) => write!(f, "endpoint: {w}"),
         }
     }
 }

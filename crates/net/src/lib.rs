@@ -2,7 +2,8 @@
 //!
 //! The data-center substrate UStore assumes already exists: a [`Network`]
 //! of hosts with NIC serialization and failure injection, a typed
-//! request/response [`RpcNode`] layer with timeouts, the [`BlockDevice`]
+//! request/response [`RpcNode`] layer with timeouts, retries across a
+//! service's [`Replicas`], the [`BlockDevice`]
 //! abstraction UStore exports (§IV-D), and the iSCSI-style protocol
 //! ([`IscsiServer`] / [`IscsiSession`]) EndPoints use to expose disks
 //! (§IV-B).
@@ -33,9 +34,11 @@
 pub mod blockdev;
 pub mod iscsi;
 pub mod network;
+pub mod replicas;
 pub mod rpc;
 
 pub use blockdev::{BlockDevice, BlockError, MemDevice, Partition, ReadCb, WriteCb};
 pub use iscsi::{IscsiError, IscsiServer, IscsiSession};
 pub use network::{Addr, Envelope, NetConfig, Network, Payload};
+pub use replicas::{Replicas, RetryPolicy, Verdict};
 pub use rpc::{Responder, RpcError, RpcNode};

@@ -328,17 +328,17 @@ fn partitioned_master_agrees_with_monolithic_on_allocate_lookup_recover() {
             .expect("active master");
         s.kill_master(active);
         run_for(40);
-        // One lookup at a time: the client's master-selection hint is
-        // shared, and a concurrent batch would advance it in lockstep
-        // while the first post-failover timeouts are still resolving.
+        // One concurrent batch: every lookup first times out on the dead
+        // Master, and the shared master hint must still lead each one to
+        // the new active Master.
         let recovered: Rc<RefCell<Vec<Option<SpaceInfo>>>> = Rc::new(RefCell::new(vec![None; 8]));
         for (i, info) in allocated.iter().enumerate() {
             let out = recovered.clone();
             client.lookup(&s.sim, info.name, move |_, r| {
                 out.borrow_mut()[i] = Some(r.expect("lookup after failover"));
             });
-            run_for(3);
         }
+        run_for(24);
         let recovered: Vec<SpaceInfo> = recovered
             .borrow()
             .iter()

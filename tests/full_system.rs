@@ -415,3 +415,69 @@ fn acknowledged_write_is_stored_in_the_callers_buffer() {
         );
     }
 }
+
+#[test]
+fn disk_power_sent_to_a_standby_reaches_the_active_master() {
+    let s = UStoreSystem::prototype(9020);
+    s.settle();
+    let active = s
+        .masters
+        .iter()
+        .position(|m| m.is_active())
+        .expect("active master");
+    let standby = 1 - active;
+    let info = allocate(&s, &s.client("app"), "svc", 1 << 30);
+    // This client asks the standby first; its NotActive must move the
+    // call on to the active Master rather than fail it.
+    let client = ustore::UStoreClient::new(
+        &s.net,
+        ustore_net::Addr::new("app-standby-first"),
+        vec![
+            ustore::master_addr(standby as u32),
+            ustore::master_addr(active as u32),
+        ],
+        ustore::ClientLibConfig::default(),
+    );
+    let done = Rc::new(RefCell::new(None));
+    let d = done.clone();
+    client.disk_power(&s.sim, info.name.disk, false, move |_, r| {
+        *d.borrow_mut() = Some(r);
+    });
+    run_for(&s, 10);
+    assert_eq!(done.borrow_mut().take(), Some(Ok(())), "spin-down acked");
+    assert_eq!(
+        s.runtime.disk(info.name.disk).power_state(),
+        ustore_disk::PowerStateKind::Standby
+    );
+}
+
+#[test]
+fn concurrent_lookups_after_a_master_failover_all_resolve() {
+    let s = UStoreSystem::prototype(9021);
+    s.settle();
+    let client = s.client("app");
+    let spaces: Vec<SpaceInfo> = (0..8)
+        .map(|i| allocate(&s, &client, &format!("svc-{i}"), 64 << 20))
+        .collect();
+    let active = s
+        .masters
+        .iter()
+        .position(|m| m.is_active())
+        .expect("active master");
+    s.kill_master(active);
+    // The client's calls share one master hint, which still names the
+    // dead Master: all 8 lookups time out there together. The first
+    // failure moves the hint to the standby; the other 7 must not move
+    // it back.
+    let results = Rc::new(RefCell::new(vec![None; spaces.len()]));
+    for (i, info) in spaces.iter().enumerate() {
+        let out = results.clone();
+        client.lookup(&s.sim, info.name, move |_, r| out.borrow_mut()[i] = Some(r));
+    }
+    run_for(&s, 30);
+    for (r, info) in results.borrow().iter().zip(&spaces) {
+        let got = r.as_ref().expect("lookup answered");
+        let got = got.as_ref().expect("lookup after failover");
+        assert_eq!((got.name, got.size), (info.name, info.size));
+    }
+}
