@@ -13,8 +13,8 @@ use std::rc::Rc;
 use std::sync::Arc;
 
 use ustore_sim::{
-    CounterHandle, Histogram, HistogramHandle, ReqStamp, Sim, SimRng, SimTime, Stage, Throughput,
-    TraceLevel,
+    CounterHandle, GaugeHandle, Histogram, HistogramHandle, ReqStamp, Sim, SimRng, SimTime, Stage,
+    Throughput, TraceLevel,
 };
 
 use crate::model::IoModel;
@@ -202,6 +202,10 @@ pub struct ScrubReport {
 struct Inner {
     name: String,
     metrics: DiskMetrics,
+    /// Residency gauges in [`RESIDENCY`] order, resolved on the first
+    /// [`Disk::publish_residency`] (so the registry learns them then, as
+    /// it always has) instead of by name on every publish.
+    residency: Option<Box<[GaugeHandle; 7]>>,
     model: IoModel,
     state: PowerStateKind,
     meter: EnergyMeter,
@@ -232,6 +236,28 @@ impl Inner {
         self.meter.transition(now, s);
     }
 }
+
+/// The power states whose residency [`Disk::publish_residency`] reports,
+/// in the order of the first five [`RESIDENCY`] gauges.
+const STATES: [PowerStateKind; 5] = [
+    PowerStateKind::PoweredOff,
+    PowerStateKind::Standby,
+    PowerStateKind::Idle,
+    PowerStateKind::Active,
+    PowerStateKind::SpinningUp,
+];
+
+/// The gauges [`Disk::publish_residency`] sets, in registration order:
+/// one residency per [`STATES`] entry, then energy and draw.
+const RESIDENCY: [&str; 7] = [
+    "power.residency.powered_off_s",
+    "power.residency.standby_s",
+    "power.residency.idle_s",
+    "power.residency.active_s",
+    "power.residency.spinning_up_s",
+    "power.energy_j",
+    "power.watts",
+];
 
 /// A simulated hard disk.
 ///
@@ -285,6 +311,7 @@ impl Disk {
             inner: Rc::new(RefCell::new(Inner {
                 name,
                 metrics,
+                residency: None,
                 model: IoModel::new(profile),
                 state: PowerStateKind::Idle,
                 meter: EnergyMeter::new(sim.now(), PowerStateKind::Idle, move |s| p.power_w(s)),
@@ -348,20 +375,19 @@ impl Disk {
     /// energy (joules) and instantaneous draw (watts) as gauges in the
     /// simulation's metrics registry, labelled with the disk's name.
     pub fn publish_residency(&self, sim: &Sim) {
-        const STATES: [(PowerStateKind, &str); 5] = [
-            (PowerStateKind::PoweredOff, "power.residency.powered_off_s"),
-            (PowerStateKind::Standby, "power.residency.standby_s"),
-            (PowerStateKind::Idle, "power.residency.idle_s"),
-            (PowerStateKind::Active, "power.residency.active_s"),
-            (PowerStateKind::SpinningUp, "power.residency.spinning_up_s"),
-        ];
-        let mut i = self.inner.borrow_mut();
+        let mut guard = self.inner.borrow_mut();
+        let i = &mut *guard;
         i.meter.sync(sim.now());
-        for (state, gauge) in STATES {
-            sim.gauge_set(&i.name, gauge, i.meter.time_in(state).as_secs_f64());
+        let name = &i.name;
+        let gauges = i
+            .residency
+            .get_or_insert_with(|| Box::new(RESIDENCY.map(|g| sim.gauge(name, g))));
+        let (states, totals) = gauges.split_at(STATES.len());
+        for (state, gauge) in STATES.iter().zip(states) {
+            gauge.set(i.meter.time_in(*state).as_secs_f64());
         }
-        sim.gauge_set(&i.name, "power.energy_j", i.meter.total_joules());
-        sim.gauge_set(&i.name, "power.watts", i.meter.watts_now());
+        totals[0].set(i.meter.total_joules());
+        totals[1].set(i.meter.watts_now());
     }
 
     /// Submits a read of `len` bytes at `offset`; `cb` fires on completion.

@@ -686,8 +686,9 @@ impl FabricRuntime {
     /// Publishes every disk's power-state residency and energy gauges into
     /// the metrics registry (one set per disk, under the disk's name).
     pub fn publish_residency(&self, sim: &Sim) {
-        let disks: Vec<Disk> = self.inner.borrow().disks.values().cloned().collect();
-        for d in disks {
+        // Publishing touches only each disk and the registry, never the
+        // runtime, so the map is borrowed for the whole pass.
+        for d in self.inner.borrow().disks.values() {
             d.publish_residency(sim);
         }
     }
