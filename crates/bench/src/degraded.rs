@@ -29,7 +29,7 @@ use std::time::Duration;
 
 use ustore::{Mounted, SpaceInfo, UStoreSystem, WatchdogConfig};
 use ustore_net::BlockDevice;
-use ustore_sim::{Json, ScraperConfig, SimTime, TraceLevel};
+use ustore_sim::{Json, ScraperConfig, SimTime, Span, TraceLevel};
 
 use crate::report::{Report, Row, TelemetryArtifacts};
 
@@ -43,6 +43,9 @@ const WARMUP: Duration = Duration::from_secs(8);
 /// Onset-relative deadline at which the drive fails hard if the watchdog
 /// has not finished recovery by then.
 const HARD_FAILURE_AFTER: Duration = Duration::from_secs(25);
+/// Longest wait, once the read workload stops, for IO already queued or
+/// in flight (and the remounts its errors start) to finish.
+const DRAIN_LIMIT: Duration = Duration::from_secs(60);
 
 /// Measured breakdown of one degraded-disk recovery.
 #[derive(Debug, Clone, PartialEq)]
@@ -127,7 +130,7 @@ pub fn run_degraded_traced(seed: u64) -> DegradedRun {
     // watchdog's remount phase is waiting on it and, if so, closes it —
     // exactly how the hard-failover scenario closes `failover.remount`.
     let recovered_at: Rc<Cell<SimTime>> = Rc::new(Cell::new(SimTime::ZERO));
-    {
+    let reads = {
         let mounted = mounted.clone();
         let comp = component.clone();
         let rec = recovered_at.clone();
@@ -154,8 +157,8 @@ pub fn run_degraded_traced(seed: u64) -> DegradedRun {
                     }
                 }),
             );
-        });
-    }
+        })
+    };
     s.sim.run_until(s.sim.now() + WARMUP);
     let onset = s.sim.now();
 
@@ -191,6 +194,14 @@ pub fn run_degraded_traced(seed: u64) -> DegradedRun {
     }
     s.sim
         .run_until(onset + HARD_FAILURE_AFTER + Duration::from_secs(7));
+    // Stop the workload and drain until every span has closed, so the
+    // exports do not depend on where the window's end falls among the
+    // client's remounts (each read error starts one).
+    s.sim.cancel_timer(reads);
+    let drain_end = s.sim.now() + DRAIN_LIMIT;
+    while s.sim.now() < drain_end && s.sim.with_spans(|t| t.spans().iter().any(Span::is_open)) {
+        s.sim.run_until(s.sim.now() + READ_INTERVAL);
+    }
 
     // Phase boundaries from the watchdog's degradation span tree.
     let (detection, reconfiguration, remount) = s.sim.with_spans(|t| {

@@ -25,7 +25,7 @@ use ustore_net::{
 };
 use ustore_sim::{FastMap, ReqKind, Sim, SimTime, SpanId, TraceId, TraceLevel};
 
-use crate::ids::SpaceName;
+use crate::ids::{SpaceName, UnitId};
 use crate::messages::{AllocateReq, DiskPowerReq, LookupReq, MasterError, ReleaseReq, SpaceInfo};
 
 /// ClientLib tunables.
@@ -257,11 +257,12 @@ impl UStoreClient {
         self.master_call::<()>(sim, "master.release", Arc::new(ReleaseReq { name }), cb);
     }
 
-    /// Spins a disk belonging to this service up or down (§IV-F exposes
+    /// Spins disk `disk` of deploy unit `unit` up or down (§IV-F exposes
     /// disk management to upper-layer services).
     pub fn disk_power(
         &self,
         sim: &Sim,
+        unit: UnitId,
         disk: DiskId,
         up: bool,
         cb: impl FnOnce(&Sim, Result<(), ClientLibError>) + 'static,
@@ -269,7 +270,7 @@ impl UStoreClient {
         self.master_call::<()>(
             sim,
             "master.disk_power",
-            Arc::new(DiskPowerReq { disk, up }),
+            Arc::new(DiskPowerReq { unit, disk, up }),
             cb,
         );
     }

@@ -16,15 +16,12 @@ use std::time::Duration;
 
 use ustore_disk::PowerStateKind;
 use ustore_fabric::{DiskId, FabricIoError, FabricRuntime, HostId};
-use ustore_net::{
-    Addr, BlockDevice, BlockError, IscsiServer, ReadCb, Replicas, RetryPolicy, RpcNode, Verdict,
-    WriteCb,
-};
+use ustore_net::{Addr, BlockDevice, BlockError, IscsiServer, ReadCb, Replicas, RpcNode, WriteCb};
 use ustore_sim::{CounterHandle, Sim, SimTime, TraceLevel};
 use ustore_usb::{DeviceKind, DeviceState, UsbEvent};
 
 use crate::ids::{SpaceName, UnitId};
-use crate::messages::{DiskPowerReq, EndpointAck, ExposeReq, Heartbeat, HeartbeatAck, UnexposeReq};
+use crate::messages::{ActiveMaster, DiskPowerReq, EndpointAck, ExposeReq, Heartbeat, UnexposeReq};
 
 /// EndPoint tunables.
 #[derive(Debug, Clone)]
@@ -56,14 +53,6 @@ impl Default for EndpointConfig {
         }
     }
 }
-
-/// A heartbeat goes to one master process. A failed or `NotActive` beat
-/// moves the master hint on; the next beat is the retry.
-const HEARTBEAT: RetryPolicy = RetryPolicy {
-    timeout: Duration::from_millis(400),
-    attempts: 1,
-    backoff: Duration::ZERO,
-};
 
 struct Exposure {
     offset: u64,
@@ -214,6 +203,13 @@ impl Endpoint {
                 disk.spin_down(sim);
             }
             responder.reply(sim, Arc::new(Ok(()) as EndpointAck), 16);
+        });
+        // Heartbeats go to the hinted Master; only the active Master moves
+        // the hint, by announcing itself.
+        let masters = self.masters.clone();
+        self.rpc.serve_cast("ep.active_master", move |_, msg| {
+            let msg: &ActiveMaster = msg.downcast_ref().expect("ActiveMaster");
+            masters.point_at(&msg.addr);
         });
     }
 
@@ -418,18 +414,8 @@ impl Endpoint {
                 .expect("hb counter initialized")
                 .inc();
         }
-        self.masters.call::<HeartbeatAck, ()>(
-            sim,
-            "master.heartbeat",
-            Arc::new(hb),
-            200,
-            HEARTBEAT,
-            |_, resp| match resp.as_deref() {
-                Ok(HeartbeatAck::Ok) => Verdict::Done(()),
-                _ => Verdict::Next,
-            },
-            |_, _| {},
-        );
+        self.masters
+            .cast(sim, "master.heartbeat", Arc::new(hb), 200);
     }
 
     // ---- Power management (§IV-F) ---------------------------------------------

@@ -8,6 +8,10 @@
 //! processes elected through the Paxos-backed coordination service
 //! (§V-B), exactly like the prototype's ZooKeeper deployment.
 //!
+//! Heartbeats are one way: nothing answers them. The active Master tells
+//! EndPoints where it is instead — every configured host on activation,
+//! then any host whose heartbeats have gone quiet.
+//!
 //! Failure handling (§IV-E): when heartbeats from a host stop, the Master
 //! declares it dead and commands the unit's Controller to move the dead
 //! host's disks to survivors; once the moved disks re-enumerate, the new
@@ -24,15 +28,15 @@ use ustore_consensus::{
     group_addrs, ClientConfig as CoordClientConfig, CoordClient, CreateMode, Election,
 };
 use ustore_fabric::{DiskId, HostId};
-use ustore_net::{Addr, Network, Replicas, RetryPolicy, RpcError, RpcNode, Verdict};
+use ustore_net::{Addr, Network, Payload, Replicas, RetryPolicy, RpcError, RpcNode, Verdict};
 use ustore_sim::{CounterHandle, FastMap, FastSet, Sim, SimTime, SpanId, TraceLevel};
 
 use crate::alloc::{Allocator, Extent};
 use crate::ids::{SpaceName, UnitId};
 use crate::messages::ExposeReq;
 use crate::messages::{
-    AllocateReq, AllocateResp, DiskPowerReq, EndpointAck, ExecuteReq, ExecuteResp, Heartbeat,
-    HeartbeatAck, LookupReq, LookupResp, MasterError, PlanReq, PlanResp, ReleaseReq, ReleaseResp,
+    ActiveMaster, AllocateReq, AllocateResp, DiskPowerReq, EndpointAck, ExecuteReq, ExecuteResp,
+    Heartbeat, LookupReq, LookupResp, MasterError, PlanReq, PlanResp, ReleaseReq, ReleaseResp,
     SpaceInfo, UnexposeReq,
 };
 use crate::meta::MetaRouter;
@@ -96,6 +100,8 @@ struct M {
     host_last_hb: FastMap<(UnitId, HostId), SimTime>,
     host_alive: FastMap<(UnitId, HostId), bool>,
     host_addr: FastMap<(UnitId, HostId), Addr>,
+    /// When this process last told each host that it is the active Master.
+    announced: FastMap<(UnitId, HostId), SimTime>,
     disk_host: FastMap<(UnitId, DiskId), HostId>,
     disk_last_seen: FastMap<(UnitId, DiskId), SimTime>,
     failover_in_progress: BTreeSet<(UnitId, HostId)>,
@@ -197,6 +203,7 @@ impl Master {
                 host_last_hb: FastMap::default(),
                 host_alive: FastMap::default(),
                 host_addr: FastMap::default(),
+                announced: FastMap::default(),
                 disk_host: FastMap::default(),
                 disk_last_seen: FastMap::default(),
                 failover_in_progress: BTreeSet::new(),
@@ -433,18 +440,57 @@ impl Master {
             "master",
             format!("{} active", self.rpc.addr()),
         );
+        self.announce(sim);
+    }
+
+    /// Casts this Master's address to every host in SysConf that is silent
+    /// (never heard by this process, or not for more than half the
+    /// heartbeat timeout), at most once per half timeout per host; the
+    /// host points its heartbeats here. Run on activation, when no host
+    /// has been heard yet, and after every sweep, this one rule covers a
+    /// Master change, a lost announcement, a healed partition and a
+    /// resumed EndPoint. A host that beats more often than every half
+    /// timeout hears nothing.
+    fn announce(&self, sim: &Sim) {
+        let hosts: Vec<Addr> = {
+            let mut guard = self.inner.borrow_mut();
+            let m = &mut *guard;
+            if !m.active {
+                return;
+            }
+            let quiet = m.config.heartbeat_timeout / 2;
+            let now = sim.now();
+            let since = |t: Option<&SimTime>| t.map(|t| now.saturating_duration_since(*t));
+            let mut out = Vec::new();
+            for (unit, conf) in &m.units {
+                for (host, addr) in &conf.hosts {
+                    let key = (*unit, *host);
+                    let silent = since(m.host_last_hb.get(&key)).is_none_or(|d| d > quiet);
+                    let due = since(m.announced.get(&key)).is_none_or(|d| d >= quiet);
+                    if silent && due {
+                        m.announced.insert(key, now);
+                        out.push(addr.clone());
+                    }
+                }
+            }
+            out
+        };
+        let msg: Payload = Arc::new(ActiveMaster {
+            addr: self.rpc.addr().clone(),
+        });
+        for addr in hosts {
+            self.rpc
+                .cast(sim, &addr, "ep.active_master", Arc::clone(&msg), 32);
+        }
     }
 
     // ---- RPC handlers ---------------------------------------------------------
 
     fn install_handlers(&self) {
         let m = self.clone();
-        self.rpc
-            .serve("master.heartbeat", move |sim, req, responder| {
-                let hb: &Heartbeat = req.downcast_ref().expect("Heartbeat");
-                let ack = m.on_heartbeat(sim, hb);
-                responder.reply(sim, Arc::new(ack), 16);
-            });
+        self.rpc.serve_cast("master.heartbeat", move |sim, hb| {
+            m.on_heartbeat(sim, hb.downcast_ref().expect("Heartbeat"));
+        });
         let m = self.clone();
         self.rpc
             .serve("master.allocate", move |sim, req, responder| {
@@ -472,11 +518,12 @@ impl Master {
             });
     }
 
-    fn on_heartbeat(&self, sim: &Sim, hb: &Heartbeat) -> HeartbeatAck {
+    /// Records a heartbeat into SysStat; a standby drops it.
+    fn on_heartbeat(&self, sim: &Sim, hb: &Heartbeat) {
         let pushes: Vec<(Addr, ExposeReq)> = {
             let mut m = self.inner.borrow_mut();
             if !m.active {
-                return HeartbeatAck::NotActive;
+                return;
             }
             let key = (hb.unit, hb.host);
             m.host_last_hb.insert(key, sim.now());
@@ -532,7 +579,6 @@ impl Master {
                 |_, _| {},
             );
         }
-        HeartbeatAck::Ok
     }
 
     fn on_allocate(&self, sim: &Sim, req: AllocateReq, responder: ustore_net::Responder) {
@@ -725,10 +771,9 @@ impl Master {
             if !m.active {
                 return reply(sim, Err(MasterError::NotActive));
             }
-            m.units
-                .keys()
-                .find_map(|u| m.disk_host.get(&(*u, req.disk)).map(|h| (*u, *h)))
-                .and_then(|(u, h)| m.host_addr.get(&(u, h)).cloned())
+            m.disk_host
+                .get(&(req.unit, req.disk))
+                .and_then(|h| m.host_addr.get(&(req.unit, *h)).cloned())
         };
         let Some(addr) = target else {
             return reply(
@@ -822,6 +867,7 @@ impl Master {
             self.failover(sim, unit, host);
         }
         self.sweep_missing_disks(sim);
+        self.announce(sim);
     }
 
     /// §IV-E fabric-device failures: a disk that stops appearing in any

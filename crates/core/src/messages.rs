@@ -20,7 +20,8 @@ use ustore_net::Addr;
 use crate::alloc::AllocError;
 use crate::ids::{SpaceName, UnitId};
 
-/// Periodic EndPoint → Master heartbeat (§IV-B).
+/// Periodic EndPoint → Master heartbeat (§IV-B), sent one way: nothing
+/// answers it.
 #[derive(Debug, Clone)]
 pub struct Heartbeat {
     /// Which deploy unit the host serves.
@@ -36,13 +37,12 @@ pub struct Heartbeat {
     pub seq: u64,
 }
 
-/// Master's answer to a heartbeat.
+/// Active Master → EndPoint, one way: send heartbeats here. Cast on
+/// activation and to hosts whose heartbeats have gone quiet.
 #[derive(Debug, Clone)]
-pub enum HeartbeatAck {
-    /// Accepted by the active master.
-    Ok,
-    /// This master is standby; retry elsewhere.
-    NotActive,
+pub struct ActiveMaster {
+    /// The active Master's service address.
+    pub addr: Addr,
 }
 
 /// Client → Master: allocate storage.
@@ -141,6 +141,8 @@ pub struct UnexposeReq {
 /// Master/Service → EndPoint: disk power control (§IV-F).
 #[derive(Debug, Clone)]
 pub struct DiskPowerReq {
+    /// The deploy unit of the disk (disk ids repeat in every unit).
+    pub unit: UnitId,
     /// The disk to control.
     pub disk: DiskId,
     /// Spin the disk up (`true`) or down (`false`).

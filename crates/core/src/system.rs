@@ -777,10 +777,16 @@ mod tests {
         let info = allocate_blocking(&s, &client, "svc", 1 << 30);
         let done = Rc::new(Cell::new(false));
         let d = done.clone();
-        client.disk_power(&s.sim, info.name.disk, false, move |_, r| {
-            r.expect("spin down command");
-            d.set(true);
-        });
+        client.disk_power(
+            &s.sim,
+            info.name.unit,
+            info.name.disk,
+            false,
+            move |_, r| {
+                r.expect("spin down command");
+                d.set(true);
+            },
+        );
         run_for(&s, 10);
         assert!(done.get());
         assert_eq!(

@@ -6,6 +6,8 @@
 //! addresses and a hint at the serving one, shared by every call made
 //! through it. The hint moves on [`Verdict::Next`] only if it still names
 //! the replica that attempt used, so a late failure never moves it back.
+//! A one-way [`Replicas::cast`] hears nothing back; the service moves the
+//! hint itself by naming its serving replica ([`Replicas::point_at`]).
 
 use std::any::Any;
 use std::cell::Cell;
@@ -67,6 +69,23 @@ impl Replicas {
     /// The endpoint calls are issued from.
     pub fn rpc(&self) -> &RpcNode {
         &self.0.rpc
+    }
+
+    /// Sends `method` one way to the hinted replica. Nothing answers, so
+    /// nothing moves the hint.
+    pub fn cast(&self, sim: &Sim, method: &'static str, body: Payload, bytes: u64) {
+        let set = &*self.0;
+        if let Some(to) = set.addrs.get(set.hint.get()) {
+            set.rpc.cast(sim, to, method, body, bytes);
+        }
+    }
+
+    /// Points the hint at `addr`, if it is one of the replicas.
+    pub fn point_at(&self, addr: &Addr) {
+        let set = &*self.0;
+        if let Some(i) = set.addrs.iter().position(|a| a == addr) {
+            set.hint.set(i);
+        }
     }
 
     /// Calls `method` on the hinted replica until `judge` returns
@@ -221,6 +240,28 @@ mod tests {
         assert_eq!(*out.borrow(), vec![None]);
         // Three timeouts and three backoffs, the last before the report.
         assert_eq!(sim.now().duration_since(SimTime::ZERO), 330 * MS);
+    }
+
+    #[test]
+    fn a_cast_goes_to_the_hint_and_point_at_moves_it() {
+        let sim = Sim::new(3);
+        let net = Network::new(NetConfig::default());
+        let heard = Rc::new(RefCell::new(Vec::new()));
+        let addrs: Vec<Addr> = (0..2).map(|i| Addr::new(format!("s{i}"))).collect();
+        for (i, a) in addrs.iter().enumerate() {
+            let h = heard.clone();
+            RpcNode::new(&net, a.clone()).serve_cast("note", move |_, _| h.borrow_mut().push(i));
+        }
+        let replicas = Replicas::new(RpcNode::new(&net, Addr::new("client")), addrs);
+        replicas.cast(&sim, "note", Arc::new(()), 8);
+        sim.run();
+        replicas.point_at(&Addr::new("nowhere"));
+        replicas.cast(&sim, "note", Arc::new(()), 8);
+        sim.run();
+        replicas.point_at(&Addr::new("s1"));
+        replicas.cast(&sim, "note", Arc::new(()), 8);
+        sim.run();
+        assert_eq!(*heard.borrow(), vec![0, 0, 1]);
     }
 
     #[test]

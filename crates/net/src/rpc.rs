@@ -2,9 +2,10 @@
 //!
 //! The network itself is lossy (like UDP); [`RpcNode`] adds correlation ids
 //! and per-call timeouts so callers observe either a typed response or a
-//! [`RpcError::Timeout`]. This is the transport used by heartbeats, the
+//! [`RpcError::Timeout`]. This is the transport used by the
 //! Master↔Controller/EndPoint command channels, the coordination service
-//! and the iSCSI layer.
+//! and the iSCSI layer. A one-way [`RpcNode::cast`] (heartbeats, the
+//! active Master's announcements) has no id, no timeout and no reply.
 
 use std::any::Any;
 use std::cell::RefCell;
@@ -60,6 +61,8 @@ enum RpcMsg {
         body: Result<Payload, RpcError>,
         stamp: Option<ReqStamp>,
     },
+    /// A one-way message: nothing answers it.
+    Cast { method: &'static str, body: Payload },
 }
 
 type ResponseCb = Box<dyn FnOnce(&Sim, Result<Payload, RpcError>)>;
@@ -71,6 +74,8 @@ struct Pending {
 }
 
 type Handler = Rc<dyn Fn(&Sim, Payload, Responder)>;
+
+type CastHandler = Rc<dyn Fn(&Sim, Payload)>;
 
 /// Per-endpoint metric handles, resolved once (lazily: [`RpcNode::new`]
 /// has no simulator handle) so per-call accounting neither formats the
@@ -88,6 +93,7 @@ struct Inner {
     next_id: u64,
     pending: FastMap<u64, Pending>,
     handlers: FastMap<&'static str, Handler>,
+    casts: FastMap<&'static str, CastHandler>,
     metrics: Option<RpcMetrics>,
 }
 
@@ -196,6 +202,7 @@ impl RpcNode {
                 next_id: 0,
                 pending: FastMap::default(),
                 handlers: FastMap::default(),
+                casts: FastMap::default(),
                 metrics: None,
             })),
         };
@@ -209,14 +216,16 @@ impl RpcNode {
         let weak = Rc::downgrade(&node.inner);
         net.on_teardown(move || {
             if let Some(inner) = weak.upgrade() {
-                let (handlers, pending) = {
+                let (handlers, casts, pending) = {
                     let mut i = inner.borrow_mut();
                     (
                         std::mem::take(&mut i.handlers),
+                        std::mem::take(&mut i.casts),
                         std::mem::take(&mut i.pending),
                     )
                 };
                 drop(handlers);
+                drop(casts);
                 drop(pending);
             }
         });
@@ -245,6 +254,24 @@ impl RpcNode {
             .borrow_mut()
             .handlers
             .insert(method, Rc::new(handler));
+    }
+
+    /// Registers the handler for one-way messages to `method` (replacing
+    /// any previous one). A cast to a method with no handler is dropped.
+    pub fn serve_cast(&self, method: &'static str, handler: impl Fn(&Sim, Payload) + 'static) {
+        self.inner
+            .borrow_mut()
+            .casts
+            .insert(method, Rc::new(handler));
+    }
+
+    /// Sends a one-way message: one network send with the request's wire
+    /// overhead, and nothing else (no id, no pending call, no timeout, no
+    /// `rpc.*` metric). Lost like any datagram.
+    pub fn cast(&self, sim: &Sim, to: &Addr, method: &'static str, body: Payload, bytes: u64) {
+        let msg = RpcMsg::Cast { method, body };
+        self.net
+            .send(sim, &self.addr, to, bytes + 48, Arc::new(msg));
     }
 
     /// Issues a call; `cb` receives the typed response or an error.
@@ -377,6 +404,12 @@ impl RpcNode {
                         }
                     });
                     (p.cb)(sim, body);
+                }
+            }
+            RpcMsg::Cast { method, body } => {
+                let handler = self.inner.borrow().casts.get(method).cloned();
+                if let Some(h) = handler {
+                    h(sim, body);
                 }
             }
         }
@@ -541,6 +574,29 @@ mod tests {
         assert_eq!(m.counter("client", "rpc.timeouts"), 1);
         let h = m.histogram("client", "rpc.rtt_ns").expect("rtt histogram");
         assert_eq!(h.count(), 1);
+    }
+
+    #[test]
+    fn a_cast_is_one_delivery_and_leaves_nothing_behind() {
+        let (sim, _net, server, client) = setup();
+        let got = Rc::new(Cell::new(0u32));
+        let g = got.clone();
+        server.serve_cast("note", move |_, body| {
+            g.set(*body.downcast_ref::<u32>().expect("u32"));
+        });
+        client.cast(&sim, &Addr::new("server"), "note", Arc::new(7u32), 4);
+        // No handler for this method: dropped, and no error travels back.
+        client.cast(&sim, &Addr::new("server"), "unserved", Arc::new(()), 4);
+        assert_eq!(client.inner.borrow().pending.len(), 0, "no pending call");
+        sim.run();
+        assert_eq!(got.get(), 7);
+        assert_eq!(sim.events_processed(), 2, "one delivery per cast");
+        let m = sim.metrics_snapshot();
+        for name in ["rpc.calls", "rpc.round_trips", "rpc.timeouts", "rpc.errors"] {
+            assert_eq!(m.counter("client", name), 0, "{name}");
+        }
+        assert!(m.histogram("client", "rpc.rtt_ns").is_none());
+        assert!(client.inner.borrow().metrics.is_none(), "no rpc.* series");
     }
 
     #[test]

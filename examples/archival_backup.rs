@@ -71,7 +71,9 @@ fn main() {
         }
         // Window over: the service spins its disk down itself.
         let before = system.runtime.unit_power_w();
-        client.disk_power(&sim, info.name.disk, false, |_, r| r.expect("spin down"));
+        client.disk_power(&sim, info.name.unit, info.name.disk, false, |_, r| {
+            r.expect("spin down")
+        });
         run_for(&system, 10);
         let after = system.runtime.unit_power_w();
         println!(

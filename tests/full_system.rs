@@ -440,9 +440,15 @@ fn disk_power_sent_to_a_standby_reaches_the_active_master() {
     );
     let done = Rc::new(RefCell::new(None));
     let d = done.clone();
-    client.disk_power(&s.sim, info.name.disk, false, move |_, r| {
-        *d.borrow_mut() = Some(r);
-    });
+    client.disk_power(
+        &s.sim,
+        info.name.unit,
+        info.name.disk,
+        false,
+        move |_, r| {
+            *d.borrow_mut() = Some(r);
+        },
+    );
     run_for(&s, 10);
     assert_eq!(done.borrow_mut().take(), Some(Ok(())), "spin-down acked");
     assert_eq!(
@@ -480,4 +486,103 @@ fn concurrent_lookups_after_a_master_failover_all_resolve() {
         let got = got.as_ref().expect("lookup after failover");
         assert_eq!((got.name, got.size), (info.name, info.size));
     }
+}
+
+#[test]
+fn disk_power_acts_on_the_named_units_disk() {
+    // Disk ids repeat in every unit: a spin-down for unit 1's disk 0
+    // must reach unit 1, not the lowest unit that has a disk 0.
+    let cfg = SystemConfig {
+        units: 2,
+        ..SystemConfig::default()
+    };
+    let s = UStoreSystem::build(Sim::new(9022), cfg);
+    s.settle();
+    let client = s.client("tenant");
+    // The balance rule fills unit 0's 16 disks before spilling into
+    // unit 1.
+    let target = (0..32)
+        .map(|i| allocate(&s, &client, &format!("svc-{i}"), 1 << 30).name)
+        .find(|n| n.unit == UnitId(1) && n.disk == ustore_fabric::DiskId(0))
+        .expect("a space on unit 1 disk 0");
+    let done = Rc::new(RefCell::new(None));
+    let d = done.clone();
+    client.disk_power(&s.sim, target.unit, target.disk, false, move |_, r| {
+        *d.borrow_mut() = Some(r);
+    });
+    run_for(&s, 10);
+    assert_eq!(done.borrow_mut().take(), Some(Ok(())), "spin-down acked");
+    let state = |u: usize| s.runtimes[u].disk(target.disk).power_state();
+    assert_eq!(state(1), ustore_disk::PowerStateKind::Standby);
+    assert_eq!(state(0), ustore_disk::PowerStateKind::Idle);
+}
+
+/// Runs in 100 ms steps until `done` holds, for at most `limit`.
+fn run_until(s: &UStoreSystem, limit: Duration, done: impl Fn() -> bool) {
+    let end = s.sim.now() + limit;
+    while !done() {
+        assert!(s.sim.now() < end, "condition not reached within {limit:?}");
+        s.sim.run_until(s.sim.now() + Duration::from_millis(100));
+    }
+}
+
+fn master_counter(s: &UStoreSystem, i: usize, name: &str) -> u64 {
+    let addr = ustore::master_addr(i as u32);
+    s.sim.metrics_snapshot().counter(addr.as_str(), name)
+}
+
+#[test]
+fn a_new_active_master_hears_every_heartbeat() {
+    // Nothing answers a heartbeat, so the EndPoints learn of the Master
+    // change only from the new Master's announcement. If they kept
+    // beating at the dead Master, the new one would declare hosts dead.
+    let s = UStoreSystem::prototype(9023);
+    s.settle();
+    let active = s
+        .masters
+        .iter()
+        .position(|m| m.is_active())
+        .expect("active master");
+    let standby = 1 - active;
+    s.kill_master(active);
+    run_until(&s, Duration::from_secs(30), || {
+        s.masters[standby].is_active()
+    });
+    // One beat interval for the announcement to land and beats to turn.
+    let beat = SystemConfig::default().endpoint.heartbeat_interval;
+    s.sim.run_until(s.sim.now() + beat);
+    let before = master_counter(&s, standby, "master.heartbeats");
+    run_for(&s, 5);
+    let heard = master_counter(&s, standby, "master.heartbeats") - before;
+    let full = s.endpoints.len() as u64 * (5_000 / beat.as_millis() as u64);
+    assert!(
+        heard >= full,
+        "{heard} heartbeats in 5 s, full rate is {full}"
+    );
+    assert_eq!(master_counter(&s, standby, "master.failovers"), 0);
+}
+
+#[test]
+fn a_host_restored_after_a_master_change_is_heard_again() {
+    // Host 1 dies while the old Master is active, so its EndPoint still
+    // points at that Master when it comes back. The new Master keeps
+    // announcing itself to the silent host, which finds it unaided.
+    let s = UStoreSystem::prototype(9024);
+    s.settle();
+    let active = s
+        .masters
+        .iter()
+        .position(|m| m.is_active())
+        .expect("active master");
+    let standby = 1 - active;
+    s.kill_host(HostId(1));
+    s.kill_master(active);
+    let new = s.masters[standby].clone();
+    run_until(&s, Duration::from_secs(40), || {
+        new.is_active() && !new.host_alive(UnitId(0), HostId(1))
+    });
+    s.restore_host(HostId(1));
+    let timeout = SystemConfig::default().master.heartbeat_timeout;
+    s.sim.run_until(s.sim.now() + timeout);
+    assert!(new.host_alive(UnitId(0), HostId(1)), "host 1 heard again");
 }
