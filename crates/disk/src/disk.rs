@@ -7,7 +7,7 @@
 //! injection, and per-disk statistics and energy accounting.
 
 use std::cell::RefCell;
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt;
 use std::rc::Rc;
 use std::sync::Arc;
@@ -24,38 +24,172 @@ use crate::profile::{Direction, DiskProfile, PowerStateKind};
 /// Page size of the sparse payload store.
 const PAGE: u64 = 4096;
 
-/// One stored page of the sparse payload store.
-enum Page {
-    /// A page a single write covered in full: a window `[at, at + PAGE)`
-    /// into that write's buffer, shared with the other pages it covered.
-    /// The buffer is freed once its last such page is overwritten.
-    Shared { buf: Arc<Vec<u8>>, at: usize },
-    /// A page assembled from partial writes: an owned copy.
-    Owned(Box<[u8; PAGE as usize]>),
+/// Consecutive stored pages backed by one buffer: the run's `k`-th page
+/// is the window `[at + k * PAGE, at + (k + 1) * PAGE)` of `buf`.
+struct Run {
+    buf: Arc<Vec<u8>>,
+    at: usize,
+    pages: u64,
 }
 
-impl Page {
-    fn bytes(&self) -> &[u8] {
-        match self {
-            Page::Shared { buf, at } => &buf[*at..*at + PAGE as usize],
-            Page::Owned(b) => &b[..],
+impl Run {
+    /// The run without its first `skip` pages, sharing the buffer.
+    fn skip(&self, skip: u64) -> Run {
+        Run {
+            buf: Arc::clone(&self.buf),
+            at: self.at + (skip * PAGE) as usize,
+            pages: self.pages - skip,
         }
     }
 
-    /// The page as an owned copy, copying a shared page out of its buffer
-    /// first (copy on write) so the buffer's other readers never see the
-    /// change.
-    fn owned(&mut self) -> &mut [u8; PAGE as usize] {
-        if let Page::Shared { .. } = self {
-            let mut copy = Box::new([0u8; PAGE as usize]);
-            copy.copy_from_slice(self.bytes());
-            *self = Page::Owned(copy);
+    /// The run's bytes from byte `from` to byte `to` of the run.
+    fn bytes(&self, from: u64, to: u64) -> &[u8] {
+        &self.buf[self.at + from as usize..self.at + to as usize]
+    }
+}
+
+/// The sparse payload store: non-overlapping page runs keyed by their
+/// first page. A write's fully covered pages become one run sharing its
+/// buffer, so storing an aligned write costs O(log runs) whatever its
+/// length; partially covered pages are one-page copies.
+#[derive(Default)]
+struct PageRuns(BTreeMap<u64, Run>);
+
+impl PageRuns {
+    /// The run holding page `p`, with its first page.
+    fn run_at(&self, p: u64) -> Option<(u64, &Run)> {
+        let (&first, run) = self.0.range(..=p).next_back()?;
+        (p < first + run.pages).then_some((first, run))
+    }
+
+    /// Forgets pages `[lo, hi)`: runs inside go, runs across either edge
+    /// are trimmed to the part outside (the buffer stays shared).
+    fn carve(&mut self, lo: u64, hi: u64) {
+        let tail = self
+            .0
+            .range_mut(..lo)
+            .next_back()
+            .and_then(|(&first, run)| {
+                let end = first + run.pages;
+                if end <= lo {
+                    return None;
+                }
+                let tail = (end > hi).then(|| run.skip(hi - first));
+                run.pages = lo - first;
+                tail
+            });
+        if let Some(tail) = tail {
+            self.0.insert(hi, tail);
+            return;
         }
-        match self {
-            Page::Owned(b) => b,
-            Page::Shared { .. } => unreachable!("shared page was just copied"),
+        while let Some((&first, _)) = self.0.range(lo..hi).next() {
+            let run = self.0.remove(&first).expect("run was just found");
+            if first + run.pages > hi {
+                self.0.insert(hi, run.skip(hi - first));
+            }
         }
     }
+
+    /// Stores `data` at byte `offset`. The pages it covers in full become
+    /// one run that shares `data`; a page it covers in part is copied out
+    /// of its old run (copy on write) and patched.
+    fn write(&mut self, offset: u64, data: &Arc<Vec<u8>>) {
+        let end = offset + data.len() as u64;
+        let (lo, hi) = full_pages(offset, end);
+        if lo < hi {
+            self.carve(lo, hi);
+            let run = Run {
+                buf: Arc::clone(data),
+                at: (lo * PAGE - offset) as usize,
+                pages: hi - lo,
+            };
+            self.0.insert(lo, run);
+        }
+        let (first, last) = (offset / PAGE, (end - 1) / PAGE);
+        if !(lo..hi).contains(&first) {
+            self.patch(first, offset, data);
+        }
+        if last != first && !(lo..hi).contains(&last) {
+            self.patch(last, offset, data);
+        }
+    }
+
+    /// Writes the part of `data` (stored at byte `offset`) that falls in
+    /// page `p`, which it covers in part.
+    fn patch(&mut self, p: u64, offset: u64, data: &[u8]) {
+        let start = p * PAGE;
+        let s = offset.max(start);
+        let e = (offset + data.len() as u64).min(start + PAGE);
+        let src = &data[(s - offset) as usize..(e - offset) as usize];
+        let dst = (s - start) as usize..(e - start) as usize;
+        // A one-page copy nobody else holds is patched in place.
+        if let Some(run) = self.0.get_mut(&p) {
+            if run.pages == 1 && run.buf.len() == PAGE as usize {
+                if let Some(page) = Arc::get_mut(&mut run.buf) {
+                    page[dst].copy_from_slice(src);
+                    return;
+                }
+            }
+        }
+        let mut page = match self.run_at(p) {
+            Some((first, run)) => {
+                let from = (p - first) * PAGE;
+                run.bytes(from, from + PAGE).to_vec()
+            }
+            None => vec![0u8; PAGE as usize],
+        };
+        page[dst].copy_from_slice(src);
+        self.carve(p, p + 1);
+        let run = Run {
+            buf: Arc::new(page),
+            at: 0,
+            pages: 1,
+        };
+        self.0.insert(p, run);
+    }
+
+    /// Copies the stored bytes of `[offset, offset + out.len())` into
+    /// `out`, leaving unstored pages untouched.
+    fn read(&self, offset: u64, out: &mut [u8]) {
+        let end = offset + out.len() as u64;
+        let (first, last) = (offset / PAGE, (end - 1) / PAGE);
+        let from = self.run_at(first).map_or(first, |(f, _)| f);
+        for (&f, run) in self.0.range(from..=last) {
+            let start = f * PAGE;
+            let s = offset.max(start);
+            let e = end.min(start + run.pages * PAGE);
+            out[(s - offset) as usize..(e - offset) as usize]
+                .copy_from_slice(run.bytes(s - start, e - start));
+        }
+    }
+
+    /// Address of the stored bytes of the page holding byte `offset`.
+    fn page_addr(&self, offset: u64) -> Option<usize> {
+        let p = offset / PAGE;
+        let (first, run) = self.run_at(p)?;
+        let from = (p - first) * PAGE;
+        Some(run.bytes(from, from + PAGE).as_ptr() as usize)
+    }
+}
+
+/// The pages `[lo, hi)` that the byte range `[offset, end)` covers in
+/// full (empty when `lo >= hi`).
+fn full_pages(offset: u64, end: u64) -> (u64, u64) {
+    (offset.div_ceil(PAGE), end / PAGE)
+}
+
+/// Removes the latent sector errors among pages `[lo, hi)`; returns how
+/// many there were.
+fn repair_pages(bad: &mut BTreeSet<u64>, lo: u64, hi: u64) -> u64 {
+    if lo >= hi {
+        return 0;
+    }
+    let mut repaired = 0;
+    while let Some(&p) = bad.range(lo..hi).next() {
+        bad.remove(&p);
+        repaired += 1;
+    }
+    repaired
 }
 
 /// Errors a disk command can complete with.
@@ -218,8 +352,8 @@ struct Inner {
     /// commands overlapping it charge that overlap to `SpinUpWait`.
     last_spin: Option<(SimTime, SimTime)>,
     failed: bool,
-    bad_pages: HashSet<u64>,
-    data: Option<HashMap<u64, Page>>,
+    bad_pages: BTreeSet<u64>,
+    data: Option<PageRuns>,
     stats: DiskStats,
     epoch: u64, // bumped on power-off to invalidate in-flight completions
     // Gradual-degradation injection (Gray & van Ingen: drives drift before
@@ -321,8 +455,8 @@ impl Disk {
                 spin_started: None,
                 last_spin: None,
                 failed: false,
-                bad_pages: HashSet::new(),
-                data: store_data.then(HashMap::new),
+                bad_pages: BTreeSet::new(),
+                data: store_data.then(PageRuns::default),
                 stats: DiskStats::default(),
                 epoch: 0,
                 latency_factor: 1.0,
@@ -410,8 +544,8 @@ impl Disk {
 
     /// Submits a write of `data` at `offset`; `cb` fires on completion.
     ///
-    /// The buffer is stored without a copy: every 4 KiB page the write
-    /// covers in full keeps a reference into it, and the buffer lives
+    /// The buffer is stored without a copy: the 4 KiB pages the write
+    /// covers in full become one run referencing it, and the buffer lives
     /// until the last of those pages is overwritten. Partially covered
     /// pages are copied. A `Vec<u8>` converts into the shared buffer
     /// without copying.
@@ -661,63 +795,24 @@ impl Disk {
 
     fn do_read(&self, offset: u64, len: u64) -> ReadResult {
         let i = self.inner.borrow();
-        let first_page = offset / PAGE;
-        let last_page = (offset + len - 1) / PAGE;
-        for p in first_page..=last_page {
-            if i.bad_pages.contains(&p) {
-                return Err(DiskError::Medium { offset: p * PAGE });
-            }
+        let (first_page, last_page) = (offset / PAGE, (offset + len - 1) / PAGE);
+        if let Some(&p) = i.bad_pages.range(first_page..=last_page).next() {
+            return Err(DiskError::Medium { offset: p * PAGE });
         }
         let mut out = vec![0u8; len as usize];
         if let Some(data) = &i.data {
-            for p in first_page..=last_page {
-                if let Some(page) = data.get(&p) {
-                    let page_start = p * PAGE;
-                    let s = offset.max(page_start);
-                    let e = (offset + len).min(page_start + PAGE);
-                    out[(s - offset) as usize..(e - offset) as usize].copy_from_slice(
-                        &page.bytes()[(s - page_start) as usize..(e - page_start) as usize],
-                    );
-                }
-            }
+            data.read(offset, &mut out);
         }
         Ok(out)
     }
 
     fn do_write(&self, offset: u64, data: &Arc<Vec<u8>>) {
         let mut i = self.inner.borrow_mut();
-        let end = offset + data.len() as u64;
-        let first_page = offset / PAGE;
-        let last_page = (end - 1) / PAGE;
-        for p in first_page..=last_page {
-            let page_start = p * PAGE;
-            let s = offset.max(page_start);
-            let e = end.min(page_start + PAGE);
-            let full = e - s == PAGE;
-            // Only fully overwritten pages repair a latent sector error.
-            if full {
-                i.bad_pages.remove(&p);
-            }
-            let Some(store) = &mut i.data else {
-                continue;
-            };
-            let src = (s - offset) as usize;
-            if full {
-                store.insert(
-                    p,
-                    Page::Shared {
-                        buf: Arc::clone(data),
-                        at: src,
-                    },
-                );
-            } else {
-                let page = store
-                    .entry(p)
-                    .or_insert_with(|| Page::Owned(Box::new([0u8; PAGE as usize])))
-                    .owned();
-                page[(s - page_start) as usize..(e - page_start) as usize]
-                    .copy_from_slice(&data[src..(e - offset) as usize]);
-            }
+        // Only fully overwritten pages repair a latent sector error.
+        let (lo, hi) = full_pages(offset, offset + data.len() as u64);
+        repair_pages(&mut i.bad_pages, lo, hi);
+        if let Some(store) = &mut i.data {
+            store.write(offset, data);
         }
     }
 
@@ -726,9 +821,13 @@ impl Disk {
     /// was stored by reference (the address then lies inside the
     /// written buffer) rather than copied.
     pub fn page_addr(&self, offset: u64) -> Option<usize> {
-        let i = self.inner.borrow();
-        let page = i.data.as_ref()?.get(&(offset / PAGE))?;
-        Some(page.bytes().as_ptr() as usize)
+        self.inner.borrow().data.as_ref()?.page_addr(offset)
+    }
+
+    /// Number of page runs in the payload store.
+    #[cfg(test)]
+    fn run_count(&self) -> usize {
+        self.inner.borrow().data.as_ref().map_or(0, |d| d.0.len())
     }
 
     /// Cuts the 12 V rail: aborts all queued commands and forgets stream
@@ -926,22 +1025,14 @@ impl Disk {
                 } else {
                     let first_page = offset / PAGE;
                     let last_page = (offset + len - 1) / PAGE;
-                    let bad: Vec<u64> = i
-                        .bad_pages
-                        .iter()
-                        .copied()
-                        .filter(|p| (first_page..=last_page).contains(p))
-                        .collect();
-                    for p in &bad {
-                        i.bad_pages.remove(p);
-                    }
+                    let bad = repair_pages(&mut i.bad_pages, first_page, last_page + 1);
                     let scanned = last_page - first_page + 1;
                     i.metrics.scrub_pages.add(scanned);
-                    i.metrics.scrub_repairs.add(bad.len() as u64);
+                    i.metrics.scrub_repairs.add(bad);
                     Some(ScrubReport {
                         scanned_pages: scanned,
-                        bad_found: bad.len() as u64,
-                        repaired: bad.len() as u64,
+                        bad_found: bad,
+                        repaired: bad,
                     })
                 }
             };
@@ -1407,5 +1498,131 @@ mod tests {
         let got = read_now(&sim, &disk, 0, PAGE).expect("read");
         assert!(got[..16].iter().all(|&b| b == 8));
         assert!(got[16..].iter().all(|&b| b == 7));
+    }
+
+    #[test]
+    fn aligned_write_over_existing_data_leaves_one_run() {
+        let (sim, disk) = setup();
+        const MIB: u64 = 1 << 20;
+        // Scattered partial and one-page writes inside the first MiB.
+        for k in 0..64u64 {
+            write_now(&sim, &disk, k * 16_000 + 7, vec![k as u8; 3000]);
+        }
+        assert!(disk.run_count() > 64);
+        let buf = Arc::new(vec![0xA5u8; MIB as usize]);
+        write_now(&sim, &disk, 0, Arc::clone(&buf));
+        assert_eq!(disk.run_count(), 1, "one run for the whole write");
+        assert!(page_in(&disk, 0, &buf) && page_in(&disk, MIB - 1, &buf));
+        // Inside a bigger run: the old run is split around the new one.
+        let big = Arc::new(vec![0x3Cu8; 3 * MIB as usize]);
+        write_now(&sim, &disk, 0, Arc::clone(&big));
+        write_now(&sim, &disk, MIB, Arc::clone(&buf));
+        assert_eq!(disk.run_count(), 3);
+        assert!(page_in(&disk, MIB - PAGE, &big) && page_in(&disk, 2 * MIB, &big));
+        let got = read_now(&sim, &disk, 0, 3 * MIB).expect("read");
+        assert!(got[..MIB as usize].iter().all(|&b| b == 0x3C));
+        assert!(got[MIB as usize..2 * MIB as usize]
+            .iter()
+            .all(|&b| b == 0xA5));
+        assert!(got[2 * MIB as usize..].iter().all(|&b| b == 0x3C));
+    }
+
+    /// Log-uniform length in `[1, max]`.
+    fn log_len(rng: &mut SimRng, max: u64) -> u64 {
+        let bits = rng.range_u64(0, 64 - max.leading_zeros() as u64);
+        rng.range_u64(1 << bits, (2u64 << bits).min(max + 1))
+    }
+
+    /// Random writes and reads against a flat reference disk: every read
+    /// matches it, fully covered pages are stored by reference, a buffer
+    /// is freed exactly when its last page is overwritten, and only
+    /// full-page writes repair latent sector errors.
+    #[test]
+    fn page_runs_match_a_flat_reference_disk() {
+        const SPAN: u64 = 6 << 20;
+        const MAX_IO: u64 = 1 << 20;
+        const PAGES: usize = (SPAN / PAGE) as usize;
+        let (sim, disk) = setup();
+        let mut rng = SimRng::seed_from(2024);
+        let pool: Vec<u8> = (0..SPAN + MAX_IO).map(|_| rng.next_u64() as u8).collect();
+        let mut flat = vec![0u8; SPAN as usize];
+        let mut bad = BTreeSet::new();
+        // The write whose buffer backs each page, if the page is shared.
+        let mut owner: Vec<Option<usize>> = vec![None; PAGES];
+        let mut live: Vec<u64> = Vec::new();
+        let mut weak: Vec<std::sync::Weak<Vec<u8>>> = Vec::new();
+        let mut repaired_by_full_write = 0;
+        for _ in 0..10_000 {
+            if rng.chance(0.02) {
+                let p = rng.u64_below(SPAN / PAGE);
+                disk.inject_bad_page(p * PAGE);
+                bad.insert(p);
+            }
+            let (offset, len) = if rng.chance(0.3) {
+                let pages = log_len(&mut rng, MAX_IO / PAGE);
+                let first = rng.u64_below(SPAN / PAGE - pages + 1);
+                (first * PAGE, pages * PAGE)
+            } else {
+                let len = log_len(&mut rng, MAX_IO);
+                (rng.u64_below(SPAN - len + 1), len)
+            };
+            let src = rng.u64_below(MAX_IO) as usize;
+            let buf = Arc::new(pool[src..src + len as usize].to_vec());
+            let id = weak.len();
+            weak.push(Arc::downgrade(&buf));
+            live.push(0);
+            let end = offset + len;
+            let (lo, hi) = full_pages(offset, end);
+            let before = bad.len();
+            bad.retain(|p| !(lo..hi).contains(p));
+            repaired_by_full_write += before - bad.len();
+            let mut released = Vec::new();
+            for p in offset / PAGE..=(end - 1) / PAGE {
+                if let Some(old) = owner[p as usize].take() {
+                    live[old] -= 1;
+                    if live[old] == 0 {
+                        released.push(old);
+                    }
+                }
+                if (lo..hi).contains(&p) {
+                    owner[p as usize] = Some(id);
+                    live[id] += 1;
+                }
+            }
+            flat[offset as usize..end as usize].copy_from_slice(&buf);
+            write_now(&sim, &disk, offset, Arc::clone(&buf));
+            for p in [offset / PAGE, lo, hi.saturating_sub(1), (end - 1) / PAGE] {
+                let shared = (lo..hi).contains(&p);
+                let want = buf.as_ptr() as usize + (p * PAGE) as usize - offset as usize;
+                assert_eq!(shared, disk.page_addr(p * PAGE) == Some(want), "page {p}");
+                assert!(shared || !page_in(&disk, p * PAGE, &buf), "page {p} copied");
+            }
+            drop(buf);
+            for old in released {
+                assert!(weak[old].upgrade().is_none(), "write {old} released");
+            }
+            assert_eq!(weak[id].upgrade().is_some(), live[id] > 0);
+            assert_eq!(disk.bad_page_count(), bad.len());
+            if rng.chance(0.5) {
+                let len = log_len(&mut rng, MAX_IO);
+                let offset = rng.u64_below(SPAN - len + 1);
+                let got = read_now(&sim, &disk, offset, len);
+                let (first, last) = (offset / PAGE, (offset + len - 1) / PAGE);
+                match bad.range(first..=last).next() {
+                    Some(&p) => assert_eq!(got, Err(DiskError::Medium { offset: p * PAGE })),
+                    None => assert!(
+                        got.expect("read") == flat[offset as usize..(offset + len) as usize],
+                        "read {offset}+{len}"
+                    ),
+                }
+            }
+        }
+        assert!(
+            repaired_by_full_write > 0,
+            "some latent errors were repaired"
+        );
+        for (id, w) in weak.iter().enumerate() {
+            assert_eq!(w.upgrade().is_some(), live[id] > 0, "write {id}");
+        }
     }
 }
