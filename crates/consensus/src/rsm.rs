@@ -212,6 +212,24 @@ impl S {
         }
         upto
     }
+
+    /// The committed entries each replica lacks, indexed by replica id.
+    /// The leader's own slot stays empty: it has its whole log.
+    fn learn_entries(&self) -> Vec<Vec<(u64, Command)>> {
+        let commit = self.commit_upto();
+        (0..self.peers.len() as u32)
+            .map(|pid| {
+                if pid == self.id {
+                    return Vec::new();
+                }
+                let have = self.peer_have.get(&pid).copied().unwrap_or(0);
+                self.chosen
+                    .range(have..commit)
+                    .map(|(k, v)| (*k, v.clone()))
+                    .collect()
+            })
+            .collect()
+    }
 }
 
 /// Per-replica consensus counters, resolved once at construction so the
@@ -586,22 +604,9 @@ impl CoordServer {
     }
 
     fn broadcast_learn(&self, sim: &Sim) {
-        let (ballot, me, peers, per_peer): (Ballot, u32, Vec<Addr>, Vec<Vec<(u64, Command)>>) = {
+        let (ballot, me, peers, mut per_peer) = {
             let s = self.inner.borrow();
-            let commit = s.commit_upto();
-            let per_peer = s
-                .peers
-                .iter()
-                .enumerate()
-                .map(|(pid, _)| {
-                    let have = s.peer_have.get(&(pid as u32)).copied().unwrap_or(0);
-                    s.chosen
-                        .range(have..commit)
-                        .map(|(k, v)| (*k, v.clone()))
-                        .collect()
-                })
-                .collect();
-            (s.ballot, s.id, s.peers.clone(), per_peer)
+            (s.ballot, s.id, s.peers.clone(), s.learn_entries())
         };
         let timeout = self.inner.borrow().config.rpc_timeout;
         for (pid, addr) in peers.iter().enumerate() {
@@ -611,7 +616,7 @@ impl CoordServer {
             let req = LearnReq {
                 ballot,
                 leader: me,
-                entries: per_peer[pid].clone(),
+                entries: std::mem::take(&mut per_peer[pid]),
             };
             let this = self.clone();
             let pid = pid as u32;
@@ -1232,5 +1237,34 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn caught_up_followers_and_the_leader_learn_nothing() {
+        let sim = Sim::new(18);
+        let (_net, servers) = cluster(&sim, 5);
+        sim.run_until(SimTime::from_secs(2));
+        let l = leader(&servers).expect("leader").clone();
+        for id in 0..200 {
+            propose_ok(&sim, &l, Command::CreateSession { id });
+        }
+        sim.run_until(SimTime::from_secs(4));
+        let s = l.inner.borrow();
+        assert!(s.commit_upto() >= 200, "long committed log");
+        assert!(
+            !s.peer_have.contains_key(&s.id),
+            "the leader tracks no progress of its own"
+        );
+        let entries = s.learn_entries();
+        assert_eq!(entries.len(), 5);
+        assert_eq!(
+            entries[s.id as usize].capacity(),
+            0,
+            "no list built for the leader"
+        );
+        assert!(
+            entries.iter().all(Vec::is_empty),
+            "heartbeats carry no entries"
+        );
     }
 }
