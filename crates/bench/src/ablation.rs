@@ -155,7 +155,12 @@ pub fn allocation_ablation(seed: u64) -> Report {
                             // kicks in, then releasing nothing.
                             let unique = format!("rand-{svc}-{}", rng.next_u64());
                             let got = alloc
-                                .allocate(&unique, GB, &attachments, Some(HostId(d.0 / 4)))
+                                .allocate(
+                                    &unique,
+                                    GB,
+                                    &attachments,
+                                    Some((UnitId(0), HostId(d.0 / 4))),
+                                )
                                 .expect("allocate");
                             let _ = got;
                             break;

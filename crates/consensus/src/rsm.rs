@@ -1156,7 +1156,7 @@ mod tests {
         // Cut the old leader off from everyone.
         for s in &servers {
             if s.id() != old.id() {
-                net.partition(&old.addr(), &s.addr());
+                net.partition(&sim, &old.addr(), &s.addr());
             }
         }
         sim.run_until(SimTime::from_secs(6));
@@ -1165,7 +1165,7 @@ mod tests {
             .filter(|s| s.id() != old.id() && s.is_leader())
             .collect();
         assert_eq!(majority_leader.len(), 1, "majority side elected a leader");
-        net.heal();
+        net.heal(&sim);
         sim.run_until(SimTime::from_secs(10));
         // Exactly one leader overall after healing.
         let l: Vec<&CoordServer> = servers.iter().filter(|s| s.is_leader()).collect();
@@ -1219,7 +1219,7 @@ mod tests {
                     kept += 1;
                     continue;
                 }
-                net.partition(&l.addr(), &s.addr());
+                net.partition(&sim, &l.addr(), &s.addr());
             }
         }
         // Give the majority side time to elect; then the old leader proposes.

@@ -44,6 +44,7 @@
 #![warn(missing_docs)]
 
 pub mod alloc;
+pub mod beats;
 pub mod clientlib;
 pub mod controller;
 pub mod endpoint;

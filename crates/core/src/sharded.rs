@@ -24,7 +24,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use ustore_consensus::{group_addrs, CoordGroup, CoordServer};
-use ustore_fabric::Topology;
+use ustore_fabric::{HostId, Topology};
 use ustore_net::{Addr, Envelope, Network};
 use ustore_sim::{
     FastMap, LookaheadMatrix, ProfSnapshot, Profiler, RequestTracer, Routed, Scraper,
@@ -32,12 +32,13 @@ use ustore_sim::{
     TrafficMatrix, TrafficSnapshot, WorldBuilder,
 };
 
+use crate::beats;
 use crate::clientlib::UStoreClient;
 use crate::ids::UnitId;
 use crate::master::Master;
 use crate::meta::MetaRouter;
 use crate::system::{
-    client, coord_addrs, coord_servers, finalize_world, master_addr, masters, network,
+    client, coord_addrs, coord_servers, finalize_world, kill_host, master_addr, masters, network,
     partition_groups, start_pipeline, unit_hardware, unit_host_addr, SystemConfig, UnitHardware,
 };
 
@@ -269,6 +270,12 @@ struct WorldSpec {
     lookahead: Arc<LookaheadMatrix>,
     traffic: Option<Arc<TrafficMatrix>>,
     tracer: RequestTracer,
+    /// Simulate every heartbeat (see [`beats::with_simulated_beats`]),
+    /// carried to the thread that builds the world.
+    simulated_beats: bool,
+    /// Host failures to inject, as `(instant, unit, host)`; the world
+    /// hosting the unit schedules its own.
+    kills: Vec<(SimTime, UnitId, HostId)>,
 }
 
 impl WorldSpec {
@@ -304,7 +311,17 @@ impl WorldSpec {
         } else {
             (Vec::new(), Vec::new())
         };
-        let hw = unit_hardware(&sim, &net, sys, self.units);
+        let hw = beats::with_simulated_beats(self.simulated_beats, || {
+            unit_hardware(&sim, &net, sys, self.units.clone())
+        });
+        for &(at, unit, host) in &self.kills {
+            if !self.units.contains(&unit.0) {
+                continue;
+            }
+            let (net, eps) = (net.clone(), hw.endpoints.clone());
+            let rt = hw.runtimes[(unit.0 - self.units.start) as usize].clone();
+            sim.schedule_at(at, move |sim| kill_host(sim, &net, &rt, &eps, unit, host));
+        }
         let scraper: Rc<RefCell<Option<Scraper>>> = Rc::new(RefCell::new(None));
         if let Some(plan) = self.cfg.telemetry.clone() {
             let (net, runtimes, slot) = (net.clone(), hw.runtimes.clone(), scraper.clone());
@@ -364,6 +381,18 @@ impl ShardedPod {
     /// Panics on a degenerate shape (`groups` 0 or > units, `shards` 0)
     /// or a zero network base latency (no lookahead bound).
     pub fn build(seed: u64, cfg: &ShardedPodConfig) -> ShardedPod {
+        ShardedPod::build_with_kills(seed, cfg, Vec::new())
+    }
+
+    /// [`ShardedPod::build`], plus host failures injected at fixed
+    /// instants, as `(instant, unit, host)`. Each is scheduled inside the
+    /// world hosting the unit, exactly as `UStoreSystem::kill_unit_host`
+    /// would run it there.
+    pub fn build_with_kills(
+        seed: u64,
+        cfg: &ShardedPodConfig,
+        kills: Vec<(SimTime, UnitId, HostId)>,
+    ) -> ShardedPod {
         let sys = &cfg.system;
         assert!(sys.units >= 1, "need at least one deploy unit");
         assert!(
@@ -438,6 +467,8 @@ impl ShardedPod {
             lookahead: matrix.clone(),
             traffic: traffic.clone(),
             tracer: tracer.clone(),
+            simulated_beats: beats::simulated_beats(),
+            kills: kills.clone(),
         };
         let control = spec(0).build();
         let sim = control.sim.clone();
@@ -656,6 +687,48 @@ mod tests {
                     "world {} spans differ (shards={shards})",
                     a.world
                 );
+            }
+        }
+    }
+
+    /// The `failover.detection` span's end, in ns, from a spans JSON.
+    fn detection_end_ns(spans_json: &str) -> Option<u64> {
+        let at = spans_json.find("\"failover.detection\"")?;
+        let rest = &spans_json[at..];
+        let end = rest.find("\"end_ns\":")? + "\"end_ns\":".len();
+        let digits: String = rest[end..]
+            .chars()
+            .take_while(char::is_ascii_digit)
+            .collect();
+        digits.parse().ok()
+    }
+
+    #[test]
+    fn detection_across_worlds_is_identical_for_shards_1_2_4() {
+        // Unit 2 lives in world 3; its host's stream ends with a notice
+        // that crosses into the Masters' world 0.
+        let kill = (SimTime::from_secs(20), UnitId(2), HostId(1));
+        let run = |shards: usize| -> Vec<WorldTelemetry> {
+            let mut pod = ShardedPod::build_with_kills(2005, &pod_cfg(4, 4, shards, 1), vec![kill]);
+            pod.run_until(SimTime::from_secs(30));
+            let m = pod.active_master().expect("master").clone();
+            assert!(!m.host_alive(UnitId(2), HostId(1)), "victim declared dead");
+            assert!(m.host_alive(UnitId(2), HostId(0)), "its neighbour is not");
+            pod.finalize()
+        };
+        let one = run(1);
+        let detected = detection_end_ns(&one[0].spans_json).expect("detection span");
+        let after = detected - kill.0.as_nanos();
+        assert!(
+            (1_000_000_000..1_600_000_000).contains(&after),
+            "detected {after} ns after the kill"
+        );
+        for shards in [2, 4] {
+            let n = run(shards);
+            assert_eq!(detection_end_ns(&n[0].spans_json), Some(detected));
+            for (a, b) in one.iter().zip(&n) {
+                assert_eq!(a.metrics_json, b.metrics_json, "world {} metrics", a.world);
+                assert_eq!(a.spans_json, b.spans_json, "world {} spans", a.world);
             }
         }
     }

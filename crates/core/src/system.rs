@@ -290,6 +290,30 @@ pub(crate) fn start_pipeline(
     Scraper::start(sim, config)
 }
 
+/// Kills host `h` of `unit`: the machine drops off the network, its USB
+/// tree disappears and its EndPoint stops. A `failover` span opens at the
+/// instant of failure; its detection child stays open until the Master's
+/// sweeper declares the host dead, so its duration is the paper's
+/// detection time.
+pub(crate) fn kill_host(
+    sim: &Sim,
+    net: &Network,
+    runtime: &FabricRuntime,
+    endpoints: &[Endpoint],
+    unit: UnitId,
+    h: HostId,
+) {
+    sim.trace(TraceLevel::Warn, "system", format!("killing {unit} {h}"));
+    let root = sim.span_start("system", "failover");
+    sim.span_attr(root, "victim", format!("{unit}/{h}"));
+    sim.span_child(root, "master", "failover.detection");
+    net.set_down(sim, &unit_host_addr(unit, h));
+    runtime.host_failed(sim, h);
+    if let Some(ep) = endpoints.iter().find(|e| e.unit() == unit && e.host() == h) {
+        ep.pause(sim);
+    }
+}
+
 /// `(partition, applied log length)` of the metadata partitions whose
 /// replicas are `coord` (the base cluster, partition 0) and `groups`.
 fn partition_logs(coord: &[CoordServer], groups: &[CoordGroup]) -> Vec<(u32, u64)> {
@@ -409,23 +433,8 @@ impl UStoreSystem {
 
     /// Kills a host of a specific deploy unit.
     pub fn kill_unit_host(&self, unit: UnitId, h: HostId) {
-        self.sim
-            .trace(TraceLevel::Warn, "system", format!("killing {unit} {h}"));
-        // Open the failover span tree at the instant of failure. The
-        // detection child stays open until the Master's sweeper declares
-        // the host dead, so its duration is the paper's detection time.
-        let root = self.sim.span_start("system", "failover");
-        self.sim.span_attr(root, "victim", format!("{unit}/{h}"));
-        self.sim.span_child(root, "master", "failover.detection");
-        self.net.set_down(&self.sim, &unit_host_addr(unit, h));
-        self.runtimes[unit.0 as usize].host_failed(&self.sim, h);
-        if let Some(ep) = self
-            .endpoints
-            .iter()
-            .find(|e| e.unit() == unit && e.host() == h)
-        {
-            ep.pause();
-        }
+        let runtime = &self.runtimes[unit.0 as usize];
+        kill_host(&self.sim, &self.net, runtime, &self.endpoints, unit, h);
     }
 
     /// Repairs a previously killed host.
@@ -457,7 +466,7 @@ impl UStoreSystem {
             self.net
                 .set_down(&self.sim, &MetaRouter::coord_socket(&m, k));
         }
-        self.masters[i].pause();
+        self.masters[i].pause(&self.sim);
     }
 
     /// Starts the telemetry pipeline: a gauge publisher (disk residency +
@@ -535,6 +544,10 @@ mod tests {
 
     fn run_for(s: &UStoreSystem, secs: u64) {
         s.sim.run_until(s.sim.now() + Duration::from_secs(secs));
+    }
+
+    fn run_for_ms(s: &UStoreSystem, ms: u64) {
+        s.sim.run_until(s.sim.now() + Duration::from_millis(ms));
     }
 
     fn allocate_blocking(
@@ -766,6 +779,70 @@ mod tests {
         assert!(
             done_at.get().saturating_duration_since(t0) >= Duration::from_secs(7),
             "paid spin-up"
+        );
+    }
+
+    #[test]
+    fn a_quick_kill_and_restore_keeps_one_timer_chain() {
+        let s = UStoreSystem::prototype(7);
+        s.settle();
+        s.kill_host(HostId(0));
+        run_for_ms(&s, 50);
+        s.restore_host(HostId(0));
+        run_for(&s, 1);
+        let beats = |h: u32| {
+            s.sim
+                .metrics_snapshot()
+                .counter(&format!("host-{h}"), "endpoint.heartbeats_sent")
+        };
+        let (b0, b1) = (beats(0), beats(1));
+        let (i0, i1) = (s.endpoints[0].idle_checks(), s.endpoints[1].idle_checks());
+        run_for(&s, 30);
+        // 30 s of 300 ms beats and 10 s idle checks, once per host.
+        assert_eq!(beats(0) - b0, 100, "restored host beats once per tick");
+        assert_eq!(beats(1) - b1, 100);
+        assert_eq!(s.endpoints[0].idle_checks() - i0, 3, "one idle checker");
+        assert_eq!(s.endpoints[1].idle_checks() - i1, 3);
+    }
+
+    #[test]
+    fn a_locality_hint_names_a_host_of_one_unit() {
+        let cfg = SystemConfig {
+            units: 2,
+            ..SystemConfig::default()
+        };
+        let s = UStoreSystem::build(Sim::new(108), cfg);
+        s.settle();
+        let master = s.active_master().expect("active").addr();
+        let probe = RpcNode::new(&s.net, Addr::new("probe"));
+        let got = Rc::new(RefCell::new(None));
+        let g = got.clone();
+        let near = unit_host_addr(UnitId(1), HostId(0));
+        let req = crate::messages::AllocateReq {
+            service: "svc".into(),
+            size: 1 << 30,
+            near: Some(near),
+        };
+        probe.call::<crate::messages::AllocateResp>(
+            &s.sim,
+            &master,
+            "master.allocate",
+            std::sync::Arc::new(req),
+            64,
+            Duration::from_secs(5),
+            move |_, r| *g.borrow_mut() = Some(r.expect("reply").as_ref().clone()),
+        );
+        run_for(&s, 5);
+        let info = got
+            .borrow_mut()
+            .take()
+            .expect("answered")
+            .expect("allocated");
+        assert_eq!(info.name.unit, UnitId(1), "the hint's unit wins");
+        assert_eq!(
+            s.runtimes[1].attached_host(info.name.disk),
+            Some(HostId(0)),
+            "on a disk of the hinted host"
         );
     }
 

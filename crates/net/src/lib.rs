@@ -39,6 +39,6 @@ pub mod rpc;
 
 pub use blockdev::{BlockDevice, BlockError, MemDevice, Partition, ReadCb, WriteCb};
 pub use iscsi::{IscsiError, IscsiServer, IscsiSession};
-pub use network::{Addr, Envelope, NetConfig, Network, Payload};
+pub use network::{Addr, Envelope, KeyedFlow, NetConfig, Network, Payload, RuleChange};
 pub use replicas::{Replicas, RetryPolicy, Verdict};
 pub use rpc::{Responder, RpcError, RpcNode};

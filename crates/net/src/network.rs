@@ -14,6 +14,7 @@ use std::rc::Rc;
 use std::sync::Arc;
 use std::time::Duration;
 
+use ustore_sim::faultgen::mix_seed;
 use ustore_sim::{
     FastMap, FastSet, LookaheadMatrix, Routed, Sim, SimTime, TraceLevel, TrafficMatrix,
 };
@@ -105,6 +106,70 @@ struct Node {
     up: bool,
 }
 
+/// The timing of one keyed flow: every message `n` of the flow
+/// `from → to` takes base latency + serialization + a jitter drawn from a
+/// stream keyed by `(from, to, n)`, and never queues on the sender's NIC.
+/// Its latency is therefore a pure function that the sender and the
+/// receiver can both evaluate, in any world, without simulating the
+/// message.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct KeyedFlow {
+    key: u64,
+    fixed: Duration,
+    jitter_ns: f64,
+}
+
+impl KeyedFlow {
+    /// Latency of message `n`.
+    pub fn latency(&self, n: u64) -> Duration {
+        if self.jitter_ns == 0.0 {
+            return self.fixed;
+        }
+        // 53 high bits of the keyed draw: a uniform f64 in [0, 1).
+        let u = (mix_seed(self.key, n) >> 11) as f64 / (1u64 << 53) as f64;
+        self.fixed + Duration::from_nanos((self.jitter_ns * u) as u64)
+    }
+
+    /// An upper bound on [`KeyedFlow::latency`].
+    pub fn max_latency(&self) -> Duration {
+        self.fixed + Duration::from_nanos(self.jitter_ns as u64)
+    }
+}
+
+/// A change to the network's drop rules, announced to
+/// [`Network::on_rule_change`] hooks just *before* it takes effect.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum RuleChange {
+    /// The node goes down.
+    Down(Addr),
+    /// The node comes back up.
+    Up(Addr),
+    /// The directed link `from -> to` is blocked.
+    Block(Addr, Addr),
+    /// Every link block is removed.
+    Heal,
+}
+
+impl RuleChange {
+    /// Whether the change can alter what the sender-side rules (see
+    /// [`Network::path_clear`]) drop of `from -> to`.
+    pub fn touches(&self, from: &Addr, to: &Addr) -> bool {
+        match self {
+            RuleChange::Down(a) | RuleChange::Up(a) => a == from,
+            RuleChange::Block(f, t) => f == from && t == to,
+            RuleChange::Heal => true,
+        }
+    }
+}
+
+/// An out-of-band notice between two components' models (see
+/// [`Network::notify`]): routed like a message, counted nowhere, and
+/// never dropped.
+struct Notice(Payload);
+
+type NoticeHandler = Rc<dyn Fn(&Sim, Payload)>;
+type RuleHook = Rc<dyn Fn(&Sim, &RuleChange)>;
+
 /// Shard-routing state: when a `Network` is one world of a sharded
 /// simulation, sends whose destination lives in another world are
 /// buffered here instead of being scheduled locally.
@@ -139,6 +204,10 @@ struct Inner {
     sent: u64,
     delivered: u64,
     dropped: u64,
+    /// Notice handlers by destination address.
+    notice_handlers: FastMap<Addr, NoticeHandler>,
+    /// Hooks told about every drop-rule change before it applies.
+    rule_hooks: Vec<RuleHook>,
     /// Endpoint teardown hooks, run once by [`Network::teardown`].
     /// Endpoints whose handler tables cycle back to their owning
     /// components (see [`Network::on_teardown`]) register breakers here.
@@ -194,6 +263,8 @@ impl Network {
                 sent: 0,
                 delivered: 0,
                 dropped: 0,
+                notice_handlers: FastMap::default(),
+                rule_hooks: Vec::new(),
                 teardown_hooks: Vec::new(),
             })),
         }
@@ -231,6 +302,121 @@ impl Network {
     /// computed, so the sender-side NIC/jitter accounting is identical to
     /// a local send) instead of being scheduled here.
     pub fn send(&self, sim: &Sim, from: &Addr, to: &Addr, bytes: u64, payload: Payload) {
+        self.transmit(sim, from, to, bytes, payload, None);
+    }
+
+    /// Sends message `n` of the keyed flow `flow` (see [`KeyedFlow`]):
+    /// the same drop rules as [`Network::send`], but the latency is
+    /// `flow.latency(n)` and the sender's NIC is neither waited for nor
+    /// occupied.
+    #[allow(clippy::too_many_arguments)]
+    pub fn send_keyed(
+        &self,
+        sim: &Sim,
+        from: &Addr,
+        to: &Addr,
+        bytes: u64,
+        payload: Payload,
+        flow: &KeyedFlow,
+        n: u64,
+    ) {
+        self.transmit(sim, from, to, bytes, payload, Some(flow.latency(n)));
+    }
+
+    /// The keyed flow `from → to` for messages of `bytes` on the wire.
+    pub fn keyed_flow(&self, from: &Addr, to: &Addr, bytes: u64) -> KeyedFlow {
+        let i = self.inner.borrow();
+        let c = &i.config;
+        KeyedFlow {
+            key: mix_seed(addr_hash(from), addr_hash(to)),
+            fixed: c.base_latency + Duration::from_secs_f64(bytes as f64 / c.nic_rate),
+            jitter_ns: c.jitter.as_nanos() as f64,
+        }
+    }
+
+    /// Whether a message `from -> to` sent now passes every sender-side
+    /// drop rule: `from` is up, the link is not blocked, and the network
+    /// loses nothing. (The destination's liveness is judged where it
+    /// lives.)
+    pub fn path_clear(&self, from: &Addr, to: &Addr) -> bool {
+        let i = self.inner.borrow();
+        i.config.loss_probability == 0.0
+            && i.nodes.get(from).is_some_and(|n| n.up)
+            && !i.blocked.contains(&(from.clone(), to.clone()))
+    }
+
+    /// Whether `addr` is a registered node that is up.
+    pub fn is_up(&self, addr: &Addr) -> bool {
+        self.inner.borrow().nodes.get(addr).is_some_and(|n| n.up)
+    }
+
+    /// Adds messages whose send or delivery was computed rather than
+    /// simulated to the `(sent, delivered, dropped)` counters.
+    pub fn count_computed(&self, sent: u64, delivered: u64, dropped: u64) {
+        let mut i = self.inner.borrow_mut();
+        i.sent += sent;
+        i.delivered += delivered;
+        i.dropped += dropped;
+    }
+
+    /// Installs the notice handler for `addr` (replacing any previous).
+    pub fn bind_notices(&self, addr: &Addr, handler: impl Fn(&Sim, Payload) + 'static) {
+        self.inner
+            .borrow_mut()
+            .notice_handlers
+            .insert(addr.clone(), Rc::new(handler));
+    }
+
+    /// Sends an out-of-band notice from `from`'s model to `to`'s: it
+    /// arrives exactly one base latency from now (the smallest latency
+    /// any message has, so it is never behind a message sent after it),
+    /// crosses worlds like a message, and is handed to `to`'s notice
+    /// handler whatever the drop rules say. It counts in no counter. A
+    /// notice keeps a computed model in step with the simulated one; it
+    /// is not traffic.
+    pub fn notify(&self, sim: &Sim, from: &Addr, to: &Addr, payload: Payload) {
+        let (at, remote_dst) = {
+            let i = self.inner.borrow();
+            let remote_dst = i.routing.as_ref().and_then(|r| {
+                let dst = r.placement.get(to).copied()?;
+                (dst != r.world).then_some(dst)
+            });
+            (sim.now() + i.config.base_latency, remote_dst)
+        };
+        let env = Envelope {
+            from: from.clone(),
+            to: to.clone(),
+            bytes: 0,
+            payload: Arc::new(Notice(payload)),
+        };
+        match remote_dst {
+            None => self.schedule_delivery(sim, at, env),
+            Some(dst_world) => self.route(sim, at, dst_world, env),
+        }
+    }
+
+    /// Registers a hook told about every drop-rule change (node up/down,
+    /// link block, heal) just before it takes effect.
+    pub fn on_rule_change(&self, hook: impl Fn(&Sim, &RuleChange) + 'static) {
+        self.inner.borrow_mut().rule_hooks.push(Rc::new(hook));
+    }
+
+    fn rule_change(&self, sim: &Sim, change: RuleChange) {
+        let hooks = self.inner.borrow().rule_hooks.clone();
+        for hook in hooks {
+            hook(sim, &change);
+        }
+    }
+
+    fn transmit(
+        &self,
+        sim: &Sim,
+        from: &Addr,
+        to: &Addr,
+        bytes: u64,
+        payload: Payload,
+        keyed: Option<Duration>,
+    ) {
         // None = dropped; Some((at, Some(dst))) = route to world `dst`.
         let disposition = {
             let mut i = self.inner.borrow_mut();
@@ -242,8 +428,11 @@ impl Network {
             });
             let up_from = i.nodes.get(from).is_some_and(|n| n.up);
             // A destination in another world is liveness-checked at
-            // delivery time by its own Network.
-            let up_to = remote_dst.is_some() || i.nodes.get(to).is_some_and(|n| n.up);
+            // delivery time by its own Network; so is the destination of
+            // a keyed message in any world, which keeps a keyed flow's
+            // accounting independent of placement.
+            let up_to =
+                remote_dst.is_some() || keyed.is_some() || i.nodes.get(to).is_some_and(|n| n.up);
             // No partitions installed (the common case) skips the tuple
             // hash entirely.
             let blocked = !i.blocked.is_empty() && i.blocked.contains(&(from.clone(), to.clone()));
@@ -257,6 +446,8 @@ impl Network {
             {
                 i.dropped += 1;
                 None
+            } else if let Some(latency) = keyed {
+                Some((now + latency, remote_dst))
             } else {
                 let ser = Duration::from_secs_f64(bytes as f64 / i.config.nic_rate);
                 let jitter = if i.config.jitter > Duration::ZERO {
@@ -282,42 +473,44 @@ impl Network {
         };
         match remote_dst {
             None => self.schedule_delivery(sim, at, env),
-            Some(dst_world) => {
-                let mut i = self.inner.borrow_mut();
-                let base_latency = i.config.base_latency;
-                let r = i.routing.as_mut().expect("routing enabled");
-                let m = &r.lookahead;
-                assert!(
-                    m.reachable(r.world, dst_world),
-                    "cross-world send {} -> {} but the lookahead matrix says the pair \
-                     cannot talk (conservative bounds would be unsound)",
-                    r.world,
-                    dst_world
-                );
-                debug_assert!(
-                    at.duration_since(sim.now()).as_nanos()
-                        >= u128::from(m.get_ns(r.world, dst_world)),
-                    "cross-world delivery latency undercuts the lookahead matrix"
-                );
-                if let Some(m) = &r.traffic {
-                    let slack = at
-                        .duration_since(sim.now())
-                        .saturating_sub(base_latency)
-                        .as_nanos()
-                        .min(u128::from(u64::MAX)) as u64;
-                    m.record(r.world, dst_world, slack);
-                }
-                let seq = r.seq;
-                r.seq += 1;
-                r.outbox.push(Routed {
-                    deliver_at: at,
-                    src_world: r.world,
-                    dst_world,
-                    seq,
-                    msg: env,
-                });
-            }
+            Some(dst_world) => self.route(sim, at, dst_world, env),
         }
+    }
+
+    /// Buffers a cross-world delivery into the outbox.
+    fn route(&self, sim: &Sim, at: SimTime, dst_world: usize, env: Envelope) {
+        let mut i = self.inner.borrow_mut();
+        let base_latency = i.config.base_latency;
+        let r = i.routing.as_mut().expect("routing enabled");
+        let m = &r.lookahead;
+        assert!(
+            m.reachable(r.world, dst_world),
+            "cross-world send {} -> {} but the lookahead matrix says the pair \
+             cannot talk (conservative bounds would be unsound)",
+            r.world,
+            dst_world
+        );
+        debug_assert!(
+            at.duration_since(sim.now()).as_nanos() >= u128::from(m.get_ns(r.world, dst_world)),
+            "cross-world delivery latency undercuts the lookahead matrix"
+        );
+        if let Some(m) = &r.traffic {
+            let slack = at
+                .duration_since(sim.now())
+                .saturating_sub(base_latency)
+                .as_nanos()
+                .min(u128::from(u64::MAX)) as u64;
+            m.record(r.world, dst_world, slack);
+        }
+        let seq = r.seq;
+        r.seq += 1;
+        r.outbox.push(Routed {
+            deliver_at: at,
+            src_world: r.world,
+            dst_world,
+            seq,
+            msg: env,
+        });
     }
 
     /// Schedules the destination-side half of a delivery: liveness and
@@ -326,6 +519,13 @@ impl Network {
     fn schedule_delivery(&self, sim: &Sim, at: SimTime, env: Envelope) {
         let this = self.clone();
         sim.schedule_at(at, move |sim| {
+            if let Some(notice) = env.payload.downcast_ref::<Notice>() {
+                let handler = this.inner.borrow().notice_handlers.get(&env.to).cloned();
+                if let Some(h) = handler {
+                    h(sim, Arc::clone(&notice.0));
+                }
+                return;
+            }
             let handler = {
                 let mut i = this.inner.borrow_mut();
                 match i.nodes.get(&env.to) {
@@ -420,6 +620,7 @@ impl Network {
     /// Crashes a node: in-flight messages to it are dropped on arrival and
     /// it can no longer send.
     pub fn set_down(&self, sim: &Sim, addr: &Addr) {
+        self.rule_change(sim, RuleChange::Down(addr.clone()));
         if let Some(n) = self.inner.borrow_mut().nodes.get_mut(addr) {
             n.up = false;
         }
@@ -428,6 +629,7 @@ impl Network {
 
     /// Restores a crashed node.
     pub fn set_up(&self, sim: &Sim, addr: &Addr) {
+        self.rule_change(sim, RuleChange::Up(addr.clone()));
         if let Some(n) = self.inner.borrow_mut().nodes.get_mut(addr) {
             n.up = true;
         }
@@ -435,7 +637,8 @@ impl Network {
     }
 
     /// Blocks the directed link `from -> to` (one direction of a partition).
-    pub fn block(&self, from: &Addr, to: &Addr) {
+    pub fn block(&self, sim: &Sim, from: &Addr, to: &Addr) {
+        self.rule_change(sim, RuleChange::Block(from.clone(), to.clone()));
         self.inner
             .borrow_mut()
             .blocked
@@ -443,17 +646,19 @@ impl Network {
     }
 
     /// Blocks both directions between two nodes.
-    pub fn partition(&self, a: &Addr, b: &Addr) {
-        self.block(a, b);
-        self.block(b, a);
+    pub fn partition(&self, sim: &Sim, a: &Addr, b: &Addr) {
+        self.block(sim, a, b);
+        self.block(sim, b, a);
     }
 
     /// Removes all link blocks.
-    pub fn heal(&self) {
+    pub fn heal(&self, sim: &Sim) {
+        self.rule_change(sim, RuleChange::Heal);
         self.inner.borrow_mut().blocked.clear();
     }
 
-    /// `(sent, delivered, dropped)` counters.
+    /// `(sent, delivered, dropped)` counters, as of the last
+    /// [`Sim::settle`] for messages whose send or delivery is computed.
     pub fn stats(&self) -> (u64, u64, u64) {
         let i = self.inner.borrow();
         (i.sent, i.delivered, i.dropped)
@@ -464,6 +669,7 @@ impl Network {
     /// scrape is idempotent). A rising `net.dropped` between scrapes is a
     /// watchdog-visible sign of partitions or crashed peers.
     pub fn publish_metrics(&self, sim: &Sim) {
+        sim.settle();
         let (sent, delivered, dropped) = self.stats();
         sim.gauge_set("net", "net.sent", sent as f64);
         sim.gauge_set("net", "net.delivered", delivered as f64);
@@ -493,8 +699,10 @@ impl Network {
     /// afterwards. Harnesses arm this via `sim.on_teardown(..)` so one
     /// `Sim::teardown` call releases the whole deployment.
     pub fn teardown(&self) {
-        let (handlers, outbox, hooks) = {
+        let (handlers, outbox, hooks, notices, rules) = {
             let mut i = self.inner.borrow_mut();
+            let notices = std::mem::take(&mut i.notice_handlers);
+            let rules = std::mem::take(&mut i.rule_hooks);
             let handlers: Vec<_> = i
                 .nodes
                 .values_mut()
@@ -506,7 +714,7 @@ impl Network {
                 .map(|r| std::mem::take(&mut r.outbox))
                 .unwrap_or_default();
             let hooks = std::mem::take(&mut i.teardown_hooks);
-            (handlers, outbox, hooks)
+            (handlers, outbox, hooks, notices, rules)
         };
         // Run hooks (and drop closures) outside the borrow: a handler drop
         // may release the last strong ref to a component that holds this
@@ -516,7 +724,15 @@ impl Network {
         }
         drop(handlers);
         drop(outbox);
+        drop((notices, rules));
     }
+}
+
+/// FNV-1a of an address: a stable per-name key for keyed flows.
+fn addr_hash(a: &Addr) -> u64 {
+    a.as_str().bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
 }
 
 #[cfg(test)]
@@ -605,11 +821,11 @@ mod tests {
         let count = Rc::new(Cell::new(0));
         let c = count.clone();
         net.bind(&b, move |_, _| c.set(c.get() + 1));
-        net.partition(&a, &b);
+        net.partition(&sim, &a, &b);
         net.send(&sim, &a, &b, 10, Arc::new(()));
         sim.run();
         assert_eq!(count.get(), 0);
-        net.heal();
+        net.heal(&sim);
         net.send(&sim, &a, &b, 10, Arc::new(()));
         sim.run();
         assert_eq!(count.get(), 1);

@@ -17,7 +17,10 @@ use std::time::Duration;
 
 use ustore_sim::{CounterHandle, EventId, FastMap, HistogramHandle, ReqStamp, Sim, SimTime, Stage};
 
-use crate::network::{Addr, Envelope, Network, Payload};
+use crate::network::{Addr, Envelope, KeyedFlow, Network, Payload};
+
+/// Wire bytes every RPC message adds to its body (method, id, framing).
+const HEADER_BYTES: u64 = 48;
 
 /// RPC failure modes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -176,8 +179,13 @@ impl Responder {
             body: Ok(body),
             stamp: self.stamp,
         };
-        self.net
-            .send(sim, &self.from, &self.to, bytes + 48, Arc::new(msg));
+        self.net.send(
+            sim,
+            &self.from,
+            &self.to,
+            bytes + HEADER_BYTES,
+            Arc::new(msg),
+        );
     }
 
     /// Sends an error response.
@@ -187,7 +195,8 @@ impl Responder {
             body: Err(err),
             stamp: self.stamp,
         };
-        self.net.send(sim, &self.from, &self.to, 48, Arc::new(msg));
+        self.net
+            .send(sim, &self.from, &self.to, HEADER_BYTES, Arc::new(msg));
     }
 }
 
@@ -271,7 +280,38 @@ impl RpcNode {
     pub fn cast(&self, sim: &Sim, to: &Addr, method: &'static str, body: Payload, bytes: u64) {
         let msg = RpcMsg::Cast { method, body };
         self.net
-            .send(sim, &self.addr, to, bytes + 48, Arc::new(msg));
+            .send(sim, &self.addr, to, bytes + HEADER_BYTES, Arc::new(msg));
+    }
+
+    /// Sends message `n` of the keyed flow `flow` one way (see
+    /// [`Network::send_keyed`]), with the same wire overhead as
+    /// [`RpcNode::cast`].
+    #[allow(clippy::too_many_arguments)]
+    pub fn cast_keyed(
+        &self,
+        sim: &Sim,
+        to: &Addr,
+        method: &'static str,
+        body: Payload,
+        bytes: u64,
+        flow: &KeyedFlow,
+        n: u64,
+    ) {
+        let msg = RpcMsg::Cast { method, body };
+        self.net.send_keyed(
+            sim,
+            &self.addr,
+            to,
+            bytes + HEADER_BYTES,
+            Arc::new(msg),
+            flow,
+            n,
+        );
+    }
+
+    /// Bytes a cast of a `bytes`-byte body puts on the wire.
+    pub fn cast_wire_bytes(bytes: u64) -> u64 {
+        bytes + HEADER_BYTES
     }
 
     /// Issues a call; `cb` receives the typed response or an error.
@@ -324,7 +364,7 @@ impl RpcNode {
             stamp: sim.current_stamp(),
         };
         self.net
-            .send(sim, &self.addr, to, bytes + 48, Arc::new(msg));
+            .send(sim, &self.addr, to, bytes + HEADER_BYTES, Arc::new(msg));
     }
 
     /// Runs `f` with the endpoint's metric handles, resolving the address
@@ -608,7 +648,7 @@ mod tests {
         server.serve("slow", move |sim, _req, r| {
             r.reply(sim, Arc::new(7u32), 4);
         });
-        net.block(&Addr::new("server"), &Addr::new("client"));
+        net.block(&sim, &Addr::new("server"), &Addr::new("client"));
         let outcomes = Rc::new(RefCell::new(Vec::new()));
         let o = outcomes.clone();
         client.call::<u32>(

@@ -142,9 +142,15 @@ impl Ord for Scheduled {
 /// never reallocates the queue's backing storage.
 const QUEUE_PREALLOC: usize = 4096;
 
+/// Ordinary events take sequence numbers from the top half of the `u64`
+/// range, so an early event (bottom half) fires before every ordinary
+/// event of its instant while each class keeps its FIFO order.
+const ORDINARY_SEQ: u64 = 1 << 63;
+
 struct Inner {
     now: SimTime,
     next_seq: u64,
+    next_early_seq: u64,
     events: SlotArena,
     timers: SlotArena,
     queue: BinaryHeap<Reverse<Scheduled>>,
@@ -172,6 +178,8 @@ struct Inner {
     /// queue (network handler maps, rpc handler maps, remount callbacks)
     /// register a breaker here at construction time.
     teardown_hooks: Vec<Box<dyn FnOnce()>>,
+    /// Settle hooks, run by [`Sim::settle`] (see there).
+    settle_hooks: Vec<Rc<dyn Fn(&Sim)>>,
 }
 
 impl Inner {
@@ -235,7 +243,8 @@ impl Sim {
         Sim {
             inner: Rc::new(RefCell::new(Inner {
                 now: SimTime::ZERO,
-                next_seq: 0,
+                next_seq: ORDINARY_SEQ,
+                next_early_seq: 0,
                 events: SlotArena::default(),
                 timers: SlotArena::default(),
                 queue: BinaryHeap::with_capacity(QUEUE_PREALLOC),
@@ -250,6 +259,7 @@ impl Sim {
                 reqtracer: RequestTracer::off(),
                 current_stamp: None,
                 teardown_hooks: Vec::new(),
+                settle_hooks: Vec::new(),
             })),
         }
     }
@@ -274,17 +284,35 @@ impl Sim {
     /// Events scheduled in the past (relative to [`Sim::now`]) fire
     /// immediately on the next engine step, preserving scheduling order.
     pub fn schedule_at(&self, at: SimTime, action: impl FnOnce(&Sim) + 'static) -> EventId {
+        self.push(at, false, Box::new(action))
+    }
+
+    /// Schedules `action` at `at`, ahead of every ordinary event of that
+    /// instant (early events keep their own FIFO order). A periodic source
+    /// whose ticks are also computed in closed form uses this, so "the
+    /// tick at `t` happened before anything else at `t`" holds whether
+    /// the tick runs as an event or not.
+    pub fn schedule_early_at(&self, at: SimTime, action: impl FnOnce(&Sim) + 'static) -> EventId {
+        self.push(at, true, Box::new(action))
+    }
+
+    fn push(&self, at: SimTime, early: bool, action: Action) -> EventId {
         let mut inner = self.inner.borrow_mut();
         let at = at.max(inner.now);
         let (slot, gen) = inner.events.alloc();
         let id = EventId(pack(slot, gen));
-        let seq = inner.next_seq;
-        inner.next_seq += 1;
+        let seq = if early {
+            inner.next_early_seq += 1;
+            inner.next_early_seq - 1
+        } else {
+            inner.next_seq += 1;
+            inner.next_seq - 1
+        };
         inner.queue.push(Reverse(Scheduled {
             at,
             seq,
             id,
-            action: Box::new(action),
+            action,
         }));
         inner.live_pending += 1;
         inner.queue_depth_max = inner.queue_depth_max.max(inner.live_pending);
@@ -472,6 +500,8 @@ impl Sim {
     /// component that owns the endpoint — register breakers there, so one
     /// `teardown()` call releases the whole component graph.
     pub fn teardown(&self) {
+        let settle = std::mem::take(&mut self.inner.borrow_mut().settle_hooks);
+        drop(settle);
         let hooks = std::mem::take(&mut self.inner.borrow_mut().teardown_hooks);
         for hook in hooks {
             hook();
@@ -486,6 +516,22 @@ impl Sim {
             )
         };
         drop(retained);
+    }
+
+    /// Registers a settle hook. A component that computes some of its
+    /// counters in closed form instead of counting them event by event
+    /// (heartbeat streams) brings them up to [`Sim::now`] here.
+    pub fn on_settle(&self, hook: impl Fn(&Sim) + 'static) {
+        self.inner.borrow_mut().settle_hooks.push(Rc::new(hook));
+    }
+
+    /// Runs every settle hook, in registration order, so counters are
+    /// current. [`Sim::metrics_snapshot`] and every scrape call this first.
+    pub fn settle(&self) {
+        let hooks = self.inner.borrow().settle_hooks.clone();
+        for hook in hooks {
+            hook(self);
+        }
     }
 
     /// Registers a hook to run once at [`Sim::teardown`] time, before the
@@ -643,6 +689,7 @@ impl Sim {
     /// gauges (see [`Sim::publish_engine_gauges`]) refreshed first.
     /// Per-component event counts come from the components' own counters.
     pub fn metrics_snapshot(&self) -> MetricsRegistry {
+        self.settle();
         self.publish_engine_gauges();
         self.inner.borrow().metrics.snapshot()
     }

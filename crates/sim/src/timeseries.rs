@@ -307,6 +307,7 @@ impl Scraper {
     /// sampling allocates nothing beyond ring-buffer growth.
     pub fn scrape(&self, sim: &Sim) {
         let now = sim.now();
+        sim.settle();
         sim.publish_engine_gauges();
         {
             let mut i = self.inner.borrow_mut();

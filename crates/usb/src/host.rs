@@ -170,6 +170,8 @@ struct Inner {
     in_busy: SimTime,
     out_busy: SimTime,
     listeners: Vec<Rc<dyn Fn(&Sim, UsbEvent)>>,
+    /// Called synchronously whenever `topo_gen` changes.
+    tree_watchers: Vec<Rc<dyn Fn(&Sim)>>,
     next_epoch: u64,
     /// Bumped on every attach/detach/state change; consumers (the
     /// EndPoint's heartbeat) cache derived views keyed by this and skip
@@ -220,6 +222,7 @@ impl UsbHost {
                 in_busy: SimTime::ZERO,
                 out_busy: SimTime::ZERO,
                 listeners: Vec::new(),
+                tree_watchers: Vec::new(),
                 next_epoch: 0,
                 topo_gen: 0,
                 metrics: None,
@@ -244,7 +247,25 @@ impl UsbHost {
     /// event queue. Harness teardown calls this so repeated in-process
     /// builds don't accumulate whole deployments.
     pub fn clear_listeners(&self) {
-        self.inner.borrow_mut().listeners.clear();
+        let mut i = self.inner.borrow_mut();
+        i.listeners.clear();
+        i.tree_watchers.clear();
+    }
+
+    /// Registers a tree watcher: called at the very instant the
+    /// [`topology_gen`](Self::topology_gen) changes, with no notification
+    /// delay (a detach removes devices from the tree at once, while its
+    /// [`UsbEvent::Detached`] fires only after the disconnect-detect
+    /// delay).
+    pub fn watch_tree(&self, f: impl Fn(&Sim) + 'static) {
+        self.inner.borrow_mut().tree_watchers.push(Rc::new(f));
+    }
+
+    fn tree_changed(&self, sim: &Sim) {
+        let watchers: Vec<_> = self.inner.borrow().tree_watchers.clone();
+        for w in watchers {
+            w(sim);
+        }
     }
 
     fn emit(&self, sim: &Sim, ev: UsbEvent) {
@@ -306,6 +327,7 @@ impl UsbHost {
         };
         match verdict {
             Ok((ready_at, epoch)) => {
+                self.tree_changed(sim);
                 self.emit(sim, UsbEvent::Attached(desc.id));
                 let this = self.clone();
                 sim.schedule_at(ready_at, move |sim| {
@@ -321,6 +343,7 @@ impl UsbHost {
                     };
                     if became_ready {
                         this.inner.borrow_mut().topo_gen += 1;
+                        this.tree_changed(sim);
                     }
                     if became_ready {
                         sim.count(&this.name(), "usb.enumerations", 1);
@@ -355,6 +378,8 @@ impl UsbHost {
                         },
                     );
                     i.topo_gen += 1;
+                    drop(i);
+                    self.tree_changed(sim);
                 }
                 sim.trace(
                     TraceLevel::Warn,
@@ -398,6 +423,7 @@ impl UsbHost {
         if removed.is_empty() {
             return;
         }
+        self.tree_changed(sim);
         sim.count(&self.name(), "usb.detaches", removed.len() as u64);
         let delay = self.inner.borrow().profile.disconnect_detect;
         let this = self.clone();

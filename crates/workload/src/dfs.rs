@@ -434,18 +434,20 @@ pub struct DfsClientStats {
     pub errors: u64,
     /// Virtual times at which errors were observed.
     pub error_times: Vec<SimTime>,
+    /// When the last block write that needed a retry finally landed.
+    pub recovered_at: Option<SimTime>,
     /// Replica failovers during reads.
     pub read_failovers: u64,
 }
 
 impl DfsClientStats {
-    /// Span from first to last observed error (the client-visible
-    /// disruption window).
+    /// Span from the first observed error until the client wrote again
+    /// (the client-visible disruption window). A single error still
+    /// disrupts the client until its retry lands.
     pub fn error_window(&self) -> Option<Duration> {
-        match (self.error_times.first(), self.error_times.last()) {
-            (Some(a), Some(b)) => Some(b.saturating_duration_since(*a)),
-            _ => None,
-        }
+        let first = self.error_times.first()?;
+        let end = self.error_times.last().max(self.recovered_at.as_ref())?;
+        Some(end.saturating_duration_since(*first))
     }
 }
 
@@ -609,6 +611,9 @@ impl DfsClient {
                             };
                             retry(this2, sim, why, file, data, cb);
                             return;
+                        }
+                        if attempt > 0 {
+                            this2.stats.borrow_mut().recovered_at = Some(sim.now());
                         }
                         // Commit the block.
                         let len = data.len() as u64;
