@@ -686,7 +686,10 @@ mod tests {
         assert!(run.writes_ok > 0, "archival writes completed");
         assert!(run.reads_ok > 0, "restore reads completed");
         assert_eq!(run.io_errors, 0, "healthy pod serves all IO");
-        assert!(run.events > 10_000, "pod generates real event volume");
+        assert!(
+            run.events > 2 * (run.writes_ok + run.reads_ok),
+            "every served IO runs as events"
+        );
     }
 
     #[test]

@@ -714,7 +714,7 @@ mod tests {
             .find(|s| s.is_leader())
             .expect("leader")
             .clone();
-        leader.pause();
+        leader.pause(&f.sim);
         f.net.set_down(&f.sim, &leader.addr());
         // Issue a write immediately; the client should retry to the new
         // leader.

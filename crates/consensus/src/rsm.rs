@@ -13,6 +13,22 @@
 //! (notifications pushed to clients when applied commands touch watched
 //! paths; clients re-register after a leader change, as real ZooKeeper
 //! clients re-sync on reconnect).
+//!
+//! ## Learns
+//!
+//! Every heartbeat interval the leader casts each follower a *learn*: its
+//! ballot, the chosen entries the follower lacks, and what the leader
+//! believes the follower has. A learn at the follower's ballot or above
+//! makes it a follower of that leader and moves its election deadline; the
+//! follower answers (`paxos.learned`) only when the belief is wrong, and
+//! answers only steer what the leader resends, never what is chosen. A
+//! learn is a keyed flow (`Network::keyed_flow`), numbered per follower
+//! within the leader's term, so its latency is a pure function both ends
+//! can evaluate. While a leader→follower flow is steady (see
+//! `CoordServer::steady`) its learns are computed rather than simulated
+//! (DESIGN §17 "Computed learns"): the leader stops ticking and sends a
+//! `LearnsOpen` notice, and each side settles what the learns would have
+//! done before anything reads or changes its state.
 
 use std::cell::RefCell;
 use std::collections::{BTreeMap, HashMap};
@@ -21,8 +37,9 @@ use std::rc::Rc;
 use std::sync::Arc;
 use std::time::Duration;
 
-use ustore_net::{Addr, Network, Responder, RpcNode};
-use ustore_sim::{CounterHandle, Sim, SimTime, TraceLevel};
+use ustore_net::{Addr, BeatClock, KeyedFlow, Network, Payload, Responder, RpcNode, RuleChange};
+use ustore_sim::faultgen::mix_seed;
+use ustore_sim::{CounterHandle, EventId, Sim, SimTime, TraceLevel};
 
 use crate::paxos::{AcceptReply, Acceptor, Ballot, PrepareReply, Proposer};
 use crate::store::{Applied, Command, SessionId, StoreError, WatchEvent, ZnodeStore};
@@ -89,17 +106,45 @@ pub(crate) struct AcceptResp {
     pub ok: bool,
 }
 
+/// Leader → follower, one way (`paxos.learn`).
 #[derive(Clone)]
 pub(crate) struct LearnReq {
     pub ballot: Ballot,
     pub leader: u32,
+    /// The chosen entries from `belief` up to the leader's commit index.
     pub entries: Vec<(u64, Command)>,
+    /// What the leader believes the follower has: slots below this are
+    /// chosen there.
+    pub belief: u64,
 }
 
+/// Follower → leader, one way (`paxos.learned`), sent only when the
+/// learn's belief was wrong.
 #[derive(Clone)]
-pub(crate) struct LearnResp {
-    /// Slots below this are chosen at the responder.
+pub(crate) struct Learned {
+    pub from: u32,
+    /// Slots below this are chosen at the follower.
     pub have_upto: u64,
+}
+
+/// Bytes of a learn body on the wire.
+const LEARN_BYTES: u64 = 256;
+
+/// Leader → follower notice: the learns from `clock.first` on repeat an
+/// empty learn at `ballot` with `belief`, over `flow`, until a
+/// [`LearnsEnd`].
+struct LearnsOpen {
+    ballot: Ballot,
+    leader: u32,
+    belief: u64,
+    clock: BeatClock,
+    flow: KeyedFlow,
+}
+
+/// Leader → follower notice: `leader`'s stream ends with learn `last`.
+struct LearnsEnd {
+    leader: u32,
+    last: u64,
 }
 
 // ---- Client-facing messages --------------------------------------------
@@ -173,12 +218,86 @@ struct WatchEntry {
     client: Addr,
 }
 
+/// The learns to one peer in the leader's term.
+#[derive(Default)]
+struct Out {
+    /// Number of the last learn sent, simulated or computed.
+    sent: u64,
+    /// The computed stream, while the flow is steady.
+    stream: Option<BeatClock>,
+}
+
+/// A computed learn stream as its follower sees it.
+struct Inbound {
+    leader: u32,
+    ballot: Ballot,
+    belief: u64,
+    clock: BeatClock,
+    flow: KeyedFlow,
+    /// The first learn not yet settled.
+    next: u64,
+    /// The stream's last learn, once its end notice arrived.
+    last: Option<u64>,
+    /// A settle scheduled at the next learn's arrival.
+    wake: Option<(SimTime, EventId)>,
+}
+
+impl Inbound {
+    fn pending(&self) -> bool {
+        self.last.is_none_or(|l| self.next <= l)
+    }
+
+    fn next_arrival(&self) -> SimTime {
+        self.clock.arrival(self.next, &self.flow)
+    }
+}
+
+/// Forgets inbound stream `i`, cancelling its pending wake.
+fn drop_inbound(sim: &Sim, inbound: &mut Vec<Inbound>, i: usize) {
+    if let Some((_, id)) = inbound.remove(i).wake {
+        sim.cancel(id);
+    }
+}
+
+/// What one computed learn does at its follower.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Effect {
+    /// Nothing: the follower is paused or down, or the learn is stale and
+    /// its belief right.
+    Nothing,
+    /// Only the election deadline moves: the follower already follows
+    /// this leader at this ballot, and the belief is right.
+    Deadline,
+    /// Anything more (an adopted ballot or role, a reply): the learn is
+    /// handled as an event at its arrival.
+    Handle,
+}
+
 struct S {
     id: u32,
     peers: Vec<Addr>,
     config: CoordConfig,
     paused: bool,
-    timer_gen: u64,
+    /// Simulate every learn (the differential oracle; see
+    /// [`ustore_net::with_simulated_streams`]).
+    simulated: bool,
+
+    // Timers.
+    /// Key of this server's election-timeout stream.
+    election_key: u64,
+    /// When an election starts unless something moves it first; `None`
+    /// while leading or paused.
+    deadline: Option<SimTime>,
+    /// The one pending election timer, at or before the deadline.
+    timer: Option<(SimTime, EventId)>,
+    /// Origin of the session-sweep grid: construction or last restart.
+    sweep_origin: SimTime,
+    /// The leader's pending session sweep.
+    sweeper: Option<EventId>,
+    /// Start of the leader's term: origin of its tick grid.
+    term_start: SimTime,
+    /// The leader's pending tick.
+    tick: Option<EventId>,
 
     // Paxos state.
     ballot: Ballot, // highest ballot seen/promised
@@ -193,6 +312,14 @@ struct S {
     proposers: HashMap<u64, Proposer<Command>>,
     pending: HashMap<u64, Responder>,
     peer_have: HashMap<u32, u64>,
+    /// Learns to each peer, indexed by replica id.
+    out: Vec<Out>,
+    /// The keyed learn flow to each peer.
+    flows: Vec<KeyedFlow>,
+
+    // Follower state.
+    /// Computed learn streams pointed at this replica, by leader.
+    inbound: Vec<Inbound>,
 
     // Service state (leader-owned).
     session_last_heard: HashMap<SessionId, SimTime>,
@@ -213,6 +340,10 @@ impl S {
         upto
     }
 
+    fn peer_have(&self, pid: u32) -> u64 {
+        self.peer_have.get(&pid).copied().unwrap_or(0)
+    }
+
     /// The committed entries each replica lacks, indexed by replica id.
     /// The leader's own slot stays empty: it has its whole log.
     fn learn_entries(&self) -> Vec<Vec<(u64, Command)>> {
@@ -222,13 +353,53 @@ impl S {
                 if pid == self.id {
                     return Vec::new();
                 }
-                let have = self.peer_have.get(&pid).copied().unwrap_or(0);
                 self.chosen
-                    .range(have..commit)
+                    .range(self.peer_have(pid)..commit)
                     .map(|(k, v)| (*k, v.clone()))
                     .collect()
             })
             .collect()
+    }
+
+    /// This server's election timeout at `ballot`: a draw in
+    /// `[min, max)` keyed by the server and the ballot, so every arm
+    /// under one ballot waits the same time.
+    fn election_timeout(&self) -> Duration {
+        let min = self.config.election_timeout_min.as_nanos() as u64;
+        let max = self.config.election_timeout_max.as_nanos() as u64;
+        let draw = mix_seed(
+            mix_seed(self.election_key, self.ballot.round),
+            self.ballot.node.into(),
+        );
+        Duration::from_nanos(min + draw % max.saturating_sub(min).max(1))
+    }
+
+    /// The next point of `origin + k · interval` strictly after `now`.
+    fn next_on_grid(origin: SimTime, interval: Duration, now: SimTime) -> SimTime {
+        let step = interval.as_nanos() as u64;
+        let k = now.as_nanos().saturating_sub(origin.as_nanos()) / step + 1;
+        origin + Duration::from_nanos(k * step)
+    }
+
+    /// What the next learn of `st` does here, with this node `up` or not.
+    fn effect(&self, st: &Inbound, up: bool) -> Effect {
+        if self.paused || !up {
+            return Effect::Nothing;
+        }
+        let belief_right = self.commit_upto() == st.belief;
+        if st.ballot < self.ballot {
+            return if belief_right {
+                Effect::Nothing
+            } else {
+                Effect::Handle
+            };
+        }
+        let following = matches!(self.role, Role::Follower { leader: Some(l) } if l == st.leader);
+        if st.ballot == self.ballot && following && belief_right && self.deadline.is_some() {
+            Effect::Deadline
+        } else {
+            Effect::Handle
+        }
     }
 }
 
@@ -289,15 +460,29 @@ impl CoordServer {
             redirects: sim.counter(&label, "consensus.redirects"),
             proposals: sim.counter(&label, "consensus.proposals"),
         };
+        let bytes = RpcNode::cast_wire_bytes(LEARN_BYTES);
+        let flows = peers
+            .iter()
+            .map(|p| net.keyed_flow(rpc.addr(), p, bytes))
+            .collect();
         let server = CoordServer {
             rpc,
             metrics,
             inner: Rc::new(RefCell::new(S {
                 id,
+                out: peers.iter().map(|_| Out::default()).collect(),
+                flows,
                 peers,
                 config,
                 paused: false,
-                timer_gen: 0,
+                simulated: ustore_net::simulated_streams(),
+                election_key: sim.with_rng(|r| r.next_u64()),
+                deadline: None,
+                timer: None,
+                sweep_origin: sim.now(),
+                sweeper: None,
+                term_start: sim.now(),
+                tick: None,
                 ballot: Ballot::ZERO,
                 role: Role::Follower { leader: None },
                 acceptors: BTreeMap::new(),
@@ -308,14 +493,22 @@ impl CoordServer {
                 proposers: HashMap::new(),
                 pending: HashMap::new(),
                 peer_have: HashMap::new(),
+                inbound: Vec::new(),
                 session_last_heard: HashMap::new(),
                 data_watches: HashMap::new(),
                 child_watches: HashMap::new(),
             })),
         };
         server.install_handlers();
-        server.arm_election_timer(sim);
-        server.arm_session_sweeper(sim);
+        let this = server.clone();
+        net.bind_notices(server.rpc.addr(), move |sim, notice| {
+            this.event(sim, |this| this.on_notice(sim, &notice));
+        });
+        let this = server.clone();
+        net.on_rule_change(move |sim, change| this.on_rule_change(sim, change));
+        let this = server.clone();
+        sim.on_settle(move |sim| this.event(sim, |this| this.settle_out(sim)));
+        server.event(sim, |this| this.arm_election(sim));
         server
     }
 
@@ -344,6 +537,11 @@ impl CoordServer {
         }
     }
 
+    /// The highest ballot this replica has seen or promised.
+    pub fn ballot(&self) -> Ballot {
+        self.inner.borrow().ballot
+    }
+
     /// Number of applied log entries.
     pub fn applied_len(&self) -> u64 {
         self.inner.borrow().applied
@@ -370,70 +568,217 @@ impl CoordServer {
     /// Simulates a process crash: the replica ignores everything until
     /// [`CoordServer::restart`]. (Network-level crash should be injected
     /// separately via [`Network::set_down`].)
-    pub fn pause(&self) {
-        let mut s = self.inner.borrow_mut();
-        s.paused = true;
-        s.timer_gen += 1;
+    pub fn pause(&self, sim: &Sim) {
+        self.event(sim, |this| {
+            let mut s = this.inner.borrow_mut();
+            s.paused = true;
+            s.deadline = None;
+        });
     }
 
     /// Restarts a paused replica (durable state intact, volatile leadership
     /// forgotten).
     pub fn restart(&self, sim: &Sim) {
-        {
-            let mut s = self.inner.borrow_mut();
-            s.paused = false;
-            s.role = Role::Follower { leader: None };
-            s.proposers.clear();
-            s.pending.clear();
+        self.event(sim, |this| {
+            {
+                let mut s = this.inner.borrow_mut();
+                s.paused = false;
+                s.role = Role::Follower { leader: None };
+                s.proposers.clear();
+                s.pending.clear();
+                s.sweep_origin = sim.now();
+            }
+            this.arm_election(sim);
+        });
+    }
+
+    // ---- Events -------------------------------------------------------------
+
+    /// Runs `f` as one event of this replica: the computed learns that
+    /// arrived by now are settled first, and afterwards the replica's
+    /// timers and streams are brought in line with its new state.
+    fn event(&self, sim: &Sim, f: impl FnOnce(&Self)) {
+        let up = self.up();
+        self.settle_in(sim, up);
+        f(self);
+        self.sync(sim, self.up());
+    }
+
+    fn up(&self) -> bool {
+        self.rpc.network().is_up(self.rpc.addr())
+    }
+
+    /// Brings timers and streams in line with the replica's state (this
+    /// node `up` or not):
+    ///
+    /// - a leader's computed streams that are no longer steady end, and
+    ///   its ticks run while any peer's learns are simulated;
+    /// - a replica that does not lead (or is paused) has no ticks, no
+    ///   session sweeps and no outgoing streams;
+    /// - a computed learn that must be handled as an event gets one at
+    ///   its arrival;
+    /// - the election timer is pending at the deadline, unless a computed
+    ///   stream moves the deadline before it is reached.
+    fn sync(&self, sim: &Sim, up: bool) {
+        self.sync_leader(sim);
+        self.sync_follower(sim, up);
+    }
+
+    fn sync_leader(&self, sim: &Sim) {
+        let (leading, n) = {
+            let s = self.inner.borrow();
+            (!s.paused && matches!(s.role, Role::Leader), s.peers.len())
+        };
+        if !leading {
+            let (tick, sweeper) = {
+                let mut s = self.inner.borrow_mut();
+                (s.tick.take(), s.sweeper.take())
+            };
+            for id in tick.into_iter().chain(sweeper) {
+                sim.cancel(id);
+            }
+            for pid in 0..n {
+                self.end_out(sim, pid);
+            }
+            return;
         }
-        self.arm_election_timer(sim);
-        self.arm_session_sweeper(sim);
+        let mut ticking = false;
+        for pid in 0..n {
+            let streamed = self.inner.borrow().out[pid].stream.is_some();
+            if streamed && !self.steady(pid) {
+                self.end_out(sim, pid);
+            }
+            let s = self.inner.borrow();
+            ticking |= pid as u32 != s.id && s.out[pid].stream.is_none();
+        }
+        let at = {
+            let s = self.inner.borrow();
+            (ticking && s.tick.is_none())
+                .then(|| S::next_on_grid(s.term_start, s.config.heartbeat_interval, sim.now()))
+        };
+        if let Some(at) = at {
+            self.arm_tick(sim, at);
+        }
+    }
+
+    fn sync_follower(&self, sim: &Sim, up: bool) {
+        let mut wakes = Vec::new();
+        let (wanted, timer) = {
+            let mut guard = self.inner.borrow_mut();
+            let s = &mut *guard;
+            let mut kept = false;
+            for i in 0..s.inbound.len() {
+                let st = &s.inbound[i];
+                let effect = st.pending().then(|| s.effect(st, up));
+                let at = (effect == Some(Effect::Handle)).then(|| st.next_arrival());
+                if effect == Some(Effect::Deadline)
+                    && st.last.is_none()
+                    && s.deadline.is_some_and(|d| d > st.next_arrival())
+                {
+                    kept = true;
+                }
+                let st = &mut s.inbound[i];
+                if st.wake.map(|(t, _)| t) != at {
+                    if let Some((_, id)) = st.wake.take() {
+                        sim.cancel(id);
+                    }
+                    if let Some(at) = at {
+                        wakes.push((st.leader, at));
+                    }
+                }
+            }
+            let wanted = if kept { None } else { s.deadline };
+            (wanted, s.timer)
+        };
+        for (leader, at) in wakes {
+            let this = self.clone();
+            let id = sim.schedule_at(at, move |sim| {
+                this.event(sim, |this| {
+                    let mut s = this.inner.borrow_mut();
+                    if let Some(st) = s.inbound.iter_mut().find(|st| st.leader == leader) {
+                        st.wake = None;
+                    }
+                });
+            });
+            let mut s = self.inner.borrow_mut();
+            if let Some(st) = s.inbound.iter_mut().find(|st| st.leader == leader) {
+                st.wake = Some((at, id));
+            }
+        }
+        match (wanted, timer) {
+            (None, Some((_, id))) => {
+                sim.cancel(id);
+                self.inner.borrow_mut().timer = None;
+            }
+            (Some(w), t) if t.is_none_or(|(at, _)| at > w) => {
+                if let Some((_, id)) = t {
+                    sim.cancel(id);
+                }
+                let this = self.clone();
+                let id = sim.schedule_at(w, move |sim| {
+                    this.event(sim, |this| this.on_election_timer(sim));
+                });
+                self.inner.borrow_mut().timer = Some((w, id));
+            }
+            _ => {}
+        }
     }
 
     // ---- Timers ---------------------------------------------------------
 
-    fn arm_election_timer(&self, sim: &Sim) {
-        let (gen, delay) = {
-            let mut s = self.inner.borrow_mut();
-            s.timer_gen += 1;
-            let min = s.config.election_timeout_min.as_nanos() as u64;
-            let max = s.config.election_timeout_max.as_nanos() as u64;
-            let d = sim.with_rng(|r| r.range_u64(min, max.max(min + 1)));
-            (s.timer_gen, Duration::from_nanos(d))
-        };
-        let this = self.clone();
-        sim.schedule_in(delay, move |sim| {
-            let expired = {
-                let s = this.inner.borrow();
-                !s.paused && s.timer_gen == gen && !matches!(s.role, Role::Leader)
-            };
-            if expired {
-                this.start_election(sim);
-            }
-        });
+    /// Moves the election deadline to one timeout from now. The pending
+    /// timer stays where it is; when it fires before the deadline it
+    /// re-arms itself there.
+    fn arm_election(&self, sim: &Sim) {
+        let mut s = self.inner.borrow_mut();
+        let d = s.election_timeout();
+        s.deadline = Some(sim.now() + d);
     }
 
-    fn arm_session_sweeper(&self, sim: &Sim) {
-        let this = self.clone();
-        let interval = self.inner.borrow().config.session_sweep_interval;
-        sim.schedule_in(interval, move |sim| {
-            {
-                let s = this.inner.borrow();
-                if s.paused {
-                    return; // resumed by restart()
-                }
+    fn on_election_timer(&self, sim: &Sim) {
+        let expired = {
+            let mut s = self.inner.borrow_mut();
+            s.timer = None;
+            let due = s.deadline.is_some_and(|d| d <= sim.now());
+            if due {
+                s.deadline = None;
             }
-            this.sweep_sessions(sim);
-            this.arm_session_sweeper(sim);
+            due && !s.paused && !matches!(s.role, Role::Leader)
+        };
+        if expired {
+            self.start_election(sim);
+        }
+    }
+
+    /// Arms the session sweeper at the next point of this replica's sweep
+    /// grid, so a leader sweeps when every replica sweeping would.
+    fn arm_sweeper(&self, sim: &Sim) {
+        let at = {
+            let s = self.inner.borrow();
+            S::next_on_grid(s.sweep_origin, s.config.session_sweep_interval, sim.now())
+        };
+        let this = self.clone();
+        let id = sim.schedule_at(at, move |sim| {
+            this.event(sim, |this| {
+                this.inner.borrow_mut().sweeper = None;
+                let leading = {
+                    let s = this.inner.borrow();
+                    !s.paused && matches!(s.role, Role::Leader)
+                };
+                if leading {
+                    this.sweep_sessions(sim);
+                    this.arm_sweeper(sim);
+                }
+            });
         });
+        if let Some(old) = self.inner.borrow_mut().sweeper.replace(id) {
+            sim.cancel(old);
+        }
     }
 
     fn sweep_sessions(&self, sim: &Sim) {
         let expired: Vec<SessionId> = {
             let s = self.inner.borrow();
-            if !matches!(s.role, Role::Leader) {
-                return;
-            }
             let deadline = s.config.session_timeout;
             s.store
                 .session_ids()
@@ -475,7 +820,7 @@ impl CoordServer {
         );
         let req = PrepareReq { ballot, from_slot };
         let timeout = self.inner.borrow().config.rpc_timeout;
-        for (pid, addr) in peers.iter().enumerate() {
+        for addr in &peers {
             let this = self.clone();
             self.rpc.call::<PrepareResp>(
                 sim,
@@ -485,15 +830,14 @@ impl CoordServer {
                 128,
                 timeout,
                 move |sim, resp| {
-                    let _ = pid;
                     if let Ok(r) = resp {
-                        this.on_prepare_resp(sim, ballot, (*r).clone());
+                        this.event(sim, |this| this.on_prepare_resp(sim, ballot, (*r).clone()));
                     }
                 },
             );
         }
         // If the election stalls, the timer fires again with a higher ballot.
-        self.arm_election_timer(sim);
+        self.arm_election(sim);
     }
 
     fn on_prepare_resp(&self, sim: &Sim, ballot: Ballot, resp: PrepareResp) {
@@ -547,7 +891,7 @@ impl CoordServer {
                 }
             }
             s.role = Role::Leader;
-            s.timer_gen += 1; // stop follower timer
+            s.deadline = None; // stop follower timer
             let max_seen = best_accepted
                 .keys()
                 .last()
@@ -573,6 +917,11 @@ impl CoordServer {
                 s.session_last_heard.insert(id, now);
             }
             s.peer_have.clear();
+            // A new term: its learns are numbered from 1 on a fresh grid.
+            s.term_start = now;
+            for out in &mut s.out {
+                *out = Out::default();
+            }
             todo
         };
         self.metrics.leader_changes.inc();
@@ -582,60 +931,357 @@ impl CoordServer {
             format!("{} became leader at {ballot}", self.id()),
         );
         for (slot, cmd) in reproposals {
-            self.send_accepts(sim, ballot, slot, cmd, None);
+            self.send_accepts(sim, ballot, slot, cmd);
         }
         self.apply_ready(sim);
-        self.arm_heartbeat(sim);
+        let first = sim.now() + self.inner.borrow().config.heartbeat_interval;
+        self.arm_tick(sim, first);
+        self.arm_sweeper(sim);
     }
 
-    fn arm_heartbeat(&self, sim: &Sim) {
-        let interval = self.inner.borrow().config.heartbeat_interval;
+    // ---- Learns (leader side) -------------------------------------------
+
+    /// Arms the leader's tick at `at`. Ticks are early events: a learn
+    /// due at `t` is sent before anything else happens at `t`, which is
+    /// also how a computed stream counts it.
+    fn arm_tick(&self, sim: &Sim, at: SimTime) {
         let this = self.clone();
-        sim.schedule_in(interval, move |sim| {
-            let go = {
-                let s = this.inner.borrow();
-                !s.paused && matches!(s.role, Role::Leader)
-            };
-            if go {
-                this.broadcast_learn(sim);
-                this.arm_heartbeat(sim);
-            }
+        let id = sim.schedule_early_at(at, move |sim| {
+            this.event(sim, |this| this.on_tick(sim, at));
         });
+        if let Some(old) = self.inner.borrow_mut().tick.replace(id) {
+            sim.cancel(old);
+        }
     }
 
+    /// One heartbeat: a simulated learn to every peer whose learns are
+    /// not computed; each of those flows that is now steady opens a
+    /// computed stream. Ticks stop once every flow is computed.
+    fn on_tick(&self, sim: &Sim, at: SimTime) {
+        let (leading, interval, n) = {
+            let mut s = self.inner.borrow_mut();
+            s.tick = None;
+            (
+                !s.paused && matches!(s.role, Role::Leader),
+                s.config.heartbeat_interval,
+                s.peers.len(),
+            )
+        };
+        if !leading {
+            return;
+        }
+        self.broadcast_learn(sim);
+        let mut ticking = false;
+        for pid in 0..n {
+            let (me, streamed) = {
+                let s = self.inner.borrow();
+                (pid as u32 == s.id, s.out[pid].stream.is_some())
+            };
+            if me || streamed {
+                continue;
+            }
+            if self.steady(pid) {
+                self.open_out(sim, pid, at + interval);
+            } else {
+                ticking = true;
+            }
+        }
+        if ticking {
+            self.arm_tick(sim, at + interval);
+        }
+    }
+
+    /// Whether the learns to peer `pid` can be computed: this replica
+    /// leads, is live and its node is up; the peer has the whole
+    /// committed log and no accept is in flight, so every learn repeats
+    /// an empty one; the path has no sender-side drop rule; and the
+    /// flow's latencies are short enough that arrivals keep order and a
+    /// live stream can never let the peer's election timeout fire.
+    fn steady(&self, pid: usize) -> bool {
+        let s = self.inner.borrow();
+        let flow = &s.flows[pid];
+        let interval = s.config.heartbeat_interval;
+        !s.simulated
+            && !s.paused
+            && matches!(s.role, Role::Leader)
+            && s.proposers.is_empty()
+            && s.peer_have(pid as u32) == s.commit_upto()
+            && flow.max_latency() < interval
+            && interval + flow.max_latency() < s.config.election_timeout_min
+            && self
+                .rpc
+                .network()
+                .path_clear(self.rpc.addr(), &s.peers[pid])
+    }
+
+    /// Opens the computed stream to `pid`, its first learn sent at
+    /// `phase`, and tells the peer how to compute it.
+    fn open_out(&self, sim: &Sim, pid: usize, phase: SimTime) {
+        let (to, open) = {
+            let mut s = self.inner.borrow_mut();
+            let clock = BeatClock {
+                first: s.out[pid].sent + 1,
+                phase,
+                interval: s.config.heartbeat_interval,
+            };
+            s.out[pid].stream = Some(clock);
+            let open = LearnsOpen {
+                ballot: s.ballot,
+                leader: s.id,
+                belief: s.commit_upto(),
+                clock,
+                flow: s.flows[pid],
+            };
+            (s.peers[pid].clone(), open)
+        };
+        self.rpc
+            .network()
+            .notify(sim, self.rpc.addr(), &to, Arc::new(open));
+    }
+
+    /// Counts the computed learns sent by now.
+    fn settle_out(&self, sim: &Sim) {
+        let mut sent = 0;
+        {
+            let mut s = self.inner.borrow_mut();
+            for out in &mut s.out {
+                let Some(n) = out.stream.and_then(|c| c.last_sent_by(sim.now())) else {
+                    continue;
+                };
+                if n > out.sent {
+                    sent += n - out.sent;
+                    out.sent = n;
+                }
+            }
+        }
+        if sent > 0 {
+            self.rpc.network().count_computed(sent, 0, 0);
+        }
+    }
+
+    /// Ends the computed stream to `pid`, if any: its learns up to now
+    /// were sent, and the peer hears where the stream stopped one base
+    /// latency later, before the next learn could arrive.
+    fn end_out(&self, sim: &Sim, pid: usize) {
+        if self.inner.borrow().out[pid].stream.is_none() {
+            return;
+        }
+        self.settle_out(sim);
+        let (to, end) = {
+            let mut s = self.inner.borrow_mut();
+            s.out[pid].stream = None;
+            let end = LearnsEnd {
+                leader: s.id,
+                last: s.out[pid].sent,
+            };
+            (s.peers[pid].clone(), end)
+        };
+        self.rpc
+            .network()
+            .notify(sim, self.rpc.addr(), &to, Arc::new(end));
+    }
+
+    /// Casts a learn to every peer whose learns are simulated.
     fn broadcast_learn(&self, sim: &Sim) {
         let (ballot, me, peers, mut per_peer) = {
             let s = self.inner.borrow();
             (s.ballot, s.id, s.peers.clone(), s.learn_entries())
         };
-        let timeout = self.inner.borrow().config.rpc_timeout;
         for (pid, addr) in peers.iter().enumerate() {
             if pid as u32 == me {
                 continue;
             }
+            let (n, belief, flow) = {
+                let mut s = self.inner.borrow_mut();
+                if s.out[pid].stream.is_some() {
+                    continue;
+                }
+                s.out[pid].sent += 1;
+                (s.out[pid].sent, s.peer_have(pid as u32), s.flows[pid])
+            };
             let req = LearnReq {
                 ballot,
                 leader: me,
                 entries: std::mem::take(&mut per_peer[pid]),
+                belief,
             };
-            let this = self.clone();
-            let pid = pid as u32;
-            self.rpc.call::<LearnResp>(
+            self.rpc.cast_keyed(
                 sim,
                 addr,
                 "paxos.learn",
                 Arc::new(req),
-                256,
-                timeout,
-                move |_sim, resp| {
-                    if let Ok(r) = resp {
-                        let mut s = this.inner.borrow_mut();
-                        let e = s.peer_have.entry(pid).or_insert(0);
-                        *e = (*e).max(r.have_upto);
-                    }
-                },
+                LEARN_BYTES,
+                &flow,
+                n,
             );
         }
+    }
+
+    fn on_learned(&self, msg: &Learned) {
+        let mut s = self.inner.borrow_mut();
+        let e = s.peer_have.entry(msg.from).or_insert(0);
+        *e = (*e).max(msg.have_upto);
+    }
+
+    // ---- Learns (follower side) -------------------------------------------
+
+    /// What a learn does at this replica, simulated or computed: a learn
+    /// at this replica's ballot or above makes it a follower of `leader`
+    /// and moves its election deadline; the reply goes out only when the
+    /// leader's belief of what this replica has is wrong.
+    fn apply_learn(&self, sim: &Sim, req: &LearnReq) {
+        let stale = {
+            let mut s = self.inner.borrow_mut();
+            if s.paused {
+                return;
+            }
+            let stale = req.ballot < s.ballot;
+            if !stale {
+                s.ballot = req.ballot;
+                if req.leader != s.id {
+                    s.role = Role::Follower {
+                        leader: Some(req.leader),
+                    };
+                }
+                for (slot, cmd) in &req.entries {
+                    s.chosen.entry(*slot).or_insert_with(|| cmd.clone());
+                }
+            }
+            stale
+        };
+        if !stale {
+            self.arm_election(sim);
+            self.apply_ready(sim);
+        }
+        let (have, me, to) = {
+            let s = self.inner.borrow();
+            (s.commit_upto(), s.id, s.peers[req.leader as usize].clone())
+        };
+        if have != req.belief {
+            let msg = Learned {
+                from: me,
+                have_upto: have,
+            };
+            self.rpc.cast(sim, &to, "paxos.learned", Arc::new(msg), 64);
+        }
+    }
+
+    /// Settles the computed learns that arrived by now, this node being
+    /// `up` or not since the last settle: the network counts them as
+    /// delivered or dropped, and each does what [`S::effect`] says.
+    fn settle_in(&self, sim: &Sim, up: bool) {
+        let now = sim.now();
+        let mut arrived = 0;
+        let mut i = 0;
+        loop {
+            let handle = {
+                let mut guard = self.inner.borrow_mut();
+                let s = &mut *guard;
+                let Some(st) = s.inbound.get(i) else {
+                    break;
+                };
+                let n = st
+                    .clock
+                    .last_arrived_by(now, &st.flow)
+                    .map(|n| st.last.map_or(n, |l| n.min(l)));
+                let Some(n) = n.filter(|&n| n >= st.next) else {
+                    if !st.pending() {
+                        drop_inbound(sim, &mut s.inbound, i);
+                    } else {
+                        i += 1;
+                    }
+                    continue;
+                };
+                let effect = s.effect(st, up);
+                if effect == Effect::Handle {
+                    let m = st.next;
+                    debug_assert_eq!(st.clock.arrival(m, &st.flow), now, "handled late");
+                    let req = LearnReq {
+                        ballot: st.ballot,
+                        leader: st.leader,
+                        entries: Vec::new(),
+                        belief: st.belief,
+                    };
+                    s.inbound[i].next = m + 1;
+                    arrived += 1;
+                    Some(req)
+                } else {
+                    if effect == Effect::Deadline {
+                        let d = s.election_timeout();
+                        s.deadline = Some(st.clock.arrival(n, &st.flow) + d);
+                    }
+                    let st = &mut s.inbound[i];
+                    arrived += n + 1 - st.next;
+                    st.next = n + 1;
+                    None
+                }
+            };
+            if let Some(req) = handle {
+                self.apply_learn(sim, &req);
+            }
+        }
+        if arrived > 0 {
+            let net = self.rpc.network();
+            if up {
+                net.count_computed(0, arrived, 0);
+            } else {
+                net.count_computed(0, 0, arrived);
+            }
+        }
+    }
+
+    fn on_notice(&self, sim: &Sim, notice: &Payload) {
+        if let Some(open) = notice.downcast_ref::<LearnsOpen>() {
+            let mut s = self.inner.borrow_mut();
+            if let Some(i) = s.inbound.iter().position(|st| st.leader == open.leader) {
+                drop_inbound(sim, &mut s.inbound, i);
+            }
+            s.inbound.push(Inbound {
+                leader: open.leader,
+                ballot: open.ballot,
+                belief: open.belief,
+                clock: open.clock,
+                flow: open.flow,
+                next: open.clock.first,
+                last: None,
+                wake: None,
+            });
+        } else if let Some(end) = notice.downcast_ref::<LearnsEnd>() {
+            let mut s = self.inner.borrow_mut();
+            if let Some(i) = s.inbound.iter().position(|st| st.leader == end.leader) {
+                s.inbound[i].last = Some(end.last);
+                if !s.inbound[i].pending() {
+                    drop_inbound(sim, &mut s.inbound, i);
+                }
+            }
+        }
+    }
+
+    /// A drop rule is about to change: streams out of this replica whose
+    /// path it touches end now, and a change to this replica's own node
+    /// settles what arrived under the old rule before it applies.
+    fn on_rule_change(&self, sim: &Sim, change: &RuleChange) {
+        let n = self.inner.borrow().peers.len();
+        for pid in 0..n {
+            let touched = {
+                let s = self.inner.borrow();
+                s.out[pid].stream.is_some() && change.touches(self.rpc.addr(), &s.peers[pid])
+            };
+            if touched {
+                self.end_out(sim, pid);
+            }
+        }
+        let me = self.rpc.addr();
+        let up_after = match change {
+            RuleChange::Down(a) if a == me => false,
+            RuleChange::Up(a) if a == me => true,
+            _ => {
+                self.sync_leader(sim);
+                return;
+            }
+        };
+        self.settle_in(sim, self.up());
+        self.sync(sim, up_after);
     }
 
     // ---- Proposing --------------------------------------------------------
@@ -662,10 +1308,12 @@ impl CoordServer {
         if let Some(r) = responder {
             self.inner.borrow_mut().pending.insert(slot, r);
         }
-        self.send_accepts(sim, ballot, slot, cmd, None);
+        self.send_accepts(sim, ballot, slot, cmd);
+        // An accept in flight: no learn flow is steady.
+        self.sync_leader(sim);
     }
 
-    fn send_accepts(&self, sim: &Sim, ballot: Ballot, slot: u64, cmd: Command, _: Option<()>) {
+    fn send_accepts(&self, sim: &Sim, ballot: Ballot, slot: u64, cmd: Command) {
         {
             let mut s = self.inner.borrow_mut();
             let quorum = s.quorum();
@@ -690,7 +1338,9 @@ impl CoordServer {
                 timeout,
                 move |sim, resp| {
                     if let Ok(r) = resp {
-                        this.on_accept_resp(sim, ballot, slot, (*r).clone());
+                        this.event(sim, |this| {
+                            this.on_accept_resp(sim, ballot, slot, (*r).clone())
+                        });
                     }
                 },
             );
@@ -709,7 +1359,7 @@ impl CoordServer {
                 s.proposers.clear();
                 drop(s);
                 self.fail_pending(sim);
-                self.arm_election_timer(sim);
+                self.arm_election(sim);
                 return;
             }
             let Some(p) = s.proposers.get_mut(&slot) else {
@@ -813,33 +1463,39 @@ impl CoordServer {
         let this = self.clone();
         self.rpc.serve("paxos.prepare", move |sim, req, responder| {
             let req: &PrepareReq = req.downcast_ref().expect("PrepareReq");
-            let resp = this.handle_prepare(sim, req);
-            if let Some(resp) = resp {
-                responder.reply(sim, Arc::new(resp), 256);
-            }
+            this.event(sim, |this| {
+                if let Some(resp) = this.handle_prepare(req) {
+                    responder.reply(sim, Arc::new(resp), 256);
+                }
+            });
         });
         let this = self.clone();
         self.rpc.serve("paxos.accept", move |sim, req, responder| {
             let req: &AcceptReq = req.downcast_ref().expect("AcceptReq");
-            if let Some(resp) = this.handle_accept(sim, req) {
-                responder.reply(sim, Arc::new(resp), 64);
-            }
+            this.event(sim, |this| {
+                if let Some(resp) = this.handle_accept(sim, req) {
+                    responder.reply(sim, Arc::new(resp), 64);
+                }
+            });
         });
         let this = self.clone();
-        self.rpc.serve("paxos.learn", move |sim, req, responder| {
+        self.rpc.serve_cast("paxos.learn", move |sim, req| {
             let req: &LearnReq = req.downcast_ref().expect("LearnReq");
-            if let Some(resp) = this.handle_learn(sim, req) {
-                responder.reply(sim, Arc::new(resp), 64);
-            }
+            this.event(sim, |this| this.apply_learn(sim, req));
+        });
+        let this = self.clone();
+        self.rpc.serve_cast("paxos.learned", move |sim, msg| {
+            let msg: &Learned = msg.downcast_ref().expect("Learned");
+            this.event(sim, |this| this.on_learned(msg));
         });
         let this = self.clone();
         self.rpc.serve("coord.request", move |sim, req, responder| {
             let req: &ClientReq = req.downcast_ref().expect("ClientReq");
-            this.handle_client(sim, req.clone(), responder);
+            this.event(sim, |this| this.handle_client(sim, req.clone(), responder));
         });
     }
 
-    fn handle_prepare(&self, _sim: &Sim, req: &PrepareReq) -> Option<PrepareResp> {
+    fn handle_prepare(&self, req: &PrepareReq) -> Option<PrepareResp> {
         let mut s = self.inner.borrow_mut();
         if s.paused {
             return None;
@@ -904,9 +1560,8 @@ impl CoordServer {
             s.role = Role::Follower {
                 leader: Some(req.ballot.node),
             };
-            s.timer_gen += 1;
             drop(s);
-            self.arm_election_timer(sim);
+            self.arm_election(sim);
             s = self.inner.borrow_mut();
         }
         let reply = s
@@ -917,35 +1572,6 @@ impl CoordServer {
         Some(AcceptResp {
             from: me,
             ok: matches!(reply, AcceptReply::Accepted { .. }),
-        })
-    }
-
-    fn handle_learn(&self, sim: &Sim, req: &LearnReq) -> Option<LearnResp> {
-        {
-            let mut s = self.inner.borrow_mut();
-            if s.paused {
-                return None;
-            }
-            if req.ballot < s.ballot {
-                let have = s.commit_upto();
-                return Some(LearnResp { have_upto: have });
-            }
-            s.ballot = req.ballot;
-            if req.leader != s.id {
-                s.role = Role::Follower {
-                    leader: Some(req.leader),
-                };
-                s.timer_gen += 1;
-            }
-            for (slot, cmd) in &req.entries {
-                s.chosen.entry(*slot).or_insert_with(|| cmd.clone());
-            }
-        }
-        self.arm_election_timer(sim);
-        self.apply_ready(sim);
-        let s = self.inner.borrow();
-        Some(LearnResp {
-            have_upto: s.commit_upto(),
         })
     }
 
@@ -1021,7 +1647,6 @@ impl CoordServer {
 mod tests {
     use super::*;
     use crate::store::CreateMode;
-    use std::cell::Cell;
     use ustore_net::NetConfig;
 
     fn cluster(sim: &Sim, n: usize) -> (Network, Vec<CoordServer>) {
@@ -1133,7 +1758,7 @@ mod tests {
         );
         sim.run_until(SimTime::from_secs(3));
         // Crash the leader (process + network).
-        old.pause();
+        old.pause(&sim);
         net.set_down(&sim, &old.addr());
         sim.run_until(SimTime::from_secs(6));
         let survivors: Vec<&CoordServer> = servers.iter().filter(|s| s.id() != old.id()).collect();
@@ -1183,7 +1808,7 @@ mod tests {
             .find(|s| !s.is_leader())
             .expect("follower")
             .clone();
-        bystander.pause();
+        bystander.pause(&sim);
         propose_ok(&sim, &l, Command::CreateSession { id: 3 });
         propose_ok(
             &sim,
@@ -1211,31 +1836,33 @@ mod tests {
         let (net, servers) = cluster(&sim, 5);
         sim.run_until(SimTime::from_secs(2));
         let l = leader(&servers).expect("leader").clone();
-        // Partition the leader with just one peer (minority of 2).
-        let mut kept = 0;
-        for s in &servers {
-            if s.id() != l.id() {
-                if kept < 1 {
-                    kept += 1;
-                    continue;
-                }
-                net.partition(&sim, &l.addr(), &s.addr());
+        // Split the cluster: the leader and one peer (a minority of 2)
+        // against the other three.
+        let kept = servers
+            .iter()
+            .find(|s| s.id() != l.id())
+            .expect("peer")
+            .id();
+        let minority = |s: &CoordServer| s.id() == l.id() || s.id() == kept;
+        for a in servers.iter().filter(|s| minority(s)) {
+            for b in servers.iter().filter(|s| !minority(s)) {
+                net.partition(&sim, &a.addr(), &b.addr());
             }
         }
         // Give the majority side time to elect; then the old leader proposes.
         sim.run_until(SimTime::from_secs(4));
-        let done = Rc::new(Cell::new(false));
         propose_ok(&sim, &l, Command::CreateSession { id: 99 });
-        let _ = done;
         sim.run_until(SimTime::from_secs(6));
+        assert!(
+            servers.iter().any(|s| !minority(s) && s.is_leader()),
+            "the majority side elected a leader"
+        );
         // The command must not be applied on the majority side.
-        for s in &servers {
-            if s.id() != l.id() && s.is_leader() {
-                assert!(
-                    s.with_store(|st| !st.has_session(99)),
-                    "minority proposal must not commit on majority"
-                );
-            }
+        for s in servers.iter().filter(|s| !minority(s)) {
+            assert!(
+                s.with_store(|st| !st.has_session(99)),
+                "minority proposal must not commit on majority"
+            );
         }
     }
 
@@ -1266,5 +1893,221 @@ mod tests {
             entries.iter().all(Vec::is_empty),
             "heartbeats carry no entries"
         );
+    }
+
+    /// Events an idle 5-replica cluster executes per simulated minute once
+    /// its learn flows are computed: the leader's session sweep every
+    /// 500 ms (120 a minute), plus one where the window's edge splits a
+    /// sweep interval. Learns, their replies and election timers cost
+    /// none.
+    const IDLE_EVENTS_PER_MINUTE: u64 = 121;
+
+    #[test]
+    fn an_idle_cluster_costs_only_its_session_sweeps() {
+        for seed in [11, 12, 13] {
+            let sim = Sim::new(seed);
+            let (net, servers) = cluster(&sim, 5);
+            sim.run_until(SimTime::from_secs(5));
+            let l = leader(&servers).expect("leader").id();
+            let before = sim.events_processed();
+            sim.run_until(SimTime::from_secs(65));
+            let events = sim.events_processed() - before;
+            assert!(
+                events <= IDLE_EVENTS_PER_MINUTE,
+                "seed {seed}: an idle minute took {events} events"
+            );
+            // The learns still happened, as far as anyone can tell.
+            sim.settle();
+            let (sent, delivered, dropped) = net.stats();
+            assert!(sent > 4 * 60 * 19, "seed {seed}: {sent} messages sent");
+            assert_eq!((delivered, dropped), (sent, 0));
+            assert_eq!(leader(&servers).expect("leader").id(), l, "no election");
+        }
+    }
+
+    /// What an observer sees of a 5-replica cluster running `scenario`
+    /// until `end` ms: every 100 ms each replica's ballot, role and
+    /// applied length, and the network's counts; then the applied logs
+    /// and the trace log (elections and leaders, with their instants).
+    /// Also the engine's event count, which may differ.
+    fn observe(
+        seed: u64,
+        end: u64,
+        scenario: impl Fn(&Sim, &Network, &[CoordServer]),
+    ) -> (String, u64) {
+        let sim = Sim::new(seed);
+        let (net, servers) = cluster(&sim, 5);
+        scenario(&sim, &net, &servers);
+        let mut seen = String::new();
+        let mut t = 0;
+        while t < end {
+            t += 100;
+            sim.run_until(SimTime::from_millis(t));
+            sim.settle();
+            let row: Vec<_> = servers
+                .iter()
+                .map(|s| {
+                    (
+                        s.ballot(),
+                        s.is_leader(),
+                        s.believed_leader(),
+                        s.applied_len(),
+                    )
+                })
+                .collect();
+            seen += &format!("{t} {row:?} {:?}\n", net.stats());
+        }
+        for s in &servers {
+            seen += &format!("{:?}\n", s.applied_log());
+        }
+        sim.with_trace(|tr| {
+            for e in tr.events() {
+                seen += &format!("{e:?}\n");
+            }
+        });
+        (seen, sim.events_processed())
+    }
+
+    /// Runs `scenario` with learns computed and with every learn
+    /// simulated: both must look the same, and computing must save
+    /// events.
+    fn assert_learns_match(
+        name: &str,
+        end: u64,
+        scenario: impl Fn(&Sim, &Network, &[CoordServer]) + Copy,
+    ) {
+        for seed in [21, 22] {
+            let run = |on| ustore_net::with_simulated_streams(on, || observe(seed, end, scenario));
+            let ((a, ea), (b, eb)) = (run(false), run(true));
+            if let Some(i) = a.lines().zip(b.lines()).position(|(x, y)| x != y) {
+                panic!(
+                    "{name}, seed {seed}: computed and simulated learns differ at line {i}:\n  computed:  {:?}\n  simulated: {:?}",
+                    a.lines().nth(i),
+                    b.lines().nth(i)
+                );
+            }
+            assert_eq!(a, b, "{name}, seed {seed}");
+            assert!(
+                ea < eb,
+                "{name}: computed learns should save events ({ea} vs {eb})"
+            );
+        }
+    }
+
+    /// Schedules `f` at `at` ms on the replica that leads then.
+    fn on_leader(
+        sim: &Sim,
+        servers: &[CoordServer],
+        at: u64,
+        f: impl Fn(&Sim, &CoordServer) + 'static,
+    ) {
+        let servers = servers.to_vec();
+        sim.schedule_at(SimTime::from_millis(at), move |sim| {
+            if let Some(l) = servers.iter().find(|s| s.is_leader()) {
+                f(sim, l);
+            }
+        });
+    }
+
+    /// Schedules `f` at `at` ms on the first replica that does not lead
+    /// then.
+    fn on_follower(
+        sim: &Sim,
+        servers: &[CoordServer],
+        at: u64,
+        f: impl Fn(&Sim, &CoordServer) + 'static,
+    ) {
+        let servers = servers.to_vec();
+        sim.schedule_at(SimTime::from_millis(at), move |sim| {
+            if let Some(s) = servers.iter().find(|s| !s.is_leader()) {
+                f(sim, s);
+            }
+        });
+    }
+
+    fn kill(sim: &Sim, s: &CoordServer) {
+        s.pause(sim);
+        s.rpc.network().set_down(sim, &s.addr());
+    }
+
+    fn revive(sim: &Sim, s: &CoordServer) {
+        s.rpc.network().set_up(sim, &s.addr());
+        s.restart(sim);
+    }
+
+    #[test]
+    fn a_leader_kill_matches_with_every_learn_simulated() {
+        assert_learns_match("leader kill", 8_000, |sim, _, servers| {
+            on_leader(sim, servers, 3_000, kill);
+        });
+    }
+
+    #[test]
+    fn a_follower_kill_and_restart_matches_with_every_learn_simulated() {
+        // The follower misses a whole election, so on its return it must
+        // adopt the new leader's ballot from a computed learn.
+        assert_learns_match("follower kill and restart", 10_000, |sim, _, servers| {
+            let all = servers.to_vec();
+            on_follower(sim, servers, 3_000, move |sim, f| {
+                kill(sim, f);
+                let all = all.clone();
+                sim.schedule_in(Duration::from_millis(500), move |sim| {
+                    if let Some(l) = all.iter().find(|s| s.is_leader()) {
+                        kill(sim, l);
+                    }
+                });
+                let f = f.clone();
+                sim.schedule_in(Duration::from_secs(3), move |sim| revive(sim, &f));
+            });
+        });
+    }
+
+    #[test]
+    fn a_competing_candidate_matches_with_every_learn_simulated() {
+        assert_learns_match("competing candidate", 6_000, |sim, _, servers| {
+            on_follower(sim, servers, 3_000, |sim, f| {
+                f.event(sim, |f| f.start_election(sim));
+            });
+        });
+    }
+
+    #[test]
+    fn a_partition_and_heal_matches_with_every_learn_simulated() {
+        assert_learns_match("partition and heal", 9_000, |sim, net, servers| {
+            let (net, all) = (net.clone(), servers.to_vec());
+            on_leader(sim, servers, 3_000, move |sim, l| {
+                for s in all.iter().filter(|s| s.id() != l.id()) {
+                    net.partition(sim, &l.addr(), &s.addr());
+                }
+                let net = net.clone();
+                sim.schedule_in(Duration::from_secs(2), move |sim| net.heal(sim));
+            });
+        });
+    }
+
+    #[test]
+    fn a_paused_follower_catching_up_matches_with_every_learn_simulated() {
+        assert_learns_match("paused follower", 8_000, |sim, _, servers| {
+            on_follower(sim, servers, 3_000, |sim, f| {
+                f.pause(sim);
+                let f = f.clone();
+                sim.schedule_in(Duration::from_secs(2), move |sim| f.restart(sim));
+            });
+            on_leader(sim, servers, 3_500, |sim, l| {
+                propose_ok(sim, l, Command::CreateSession { id: 5 });
+                propose_ok(sim, l, Command::CreateSession { id: 6 });
+            });
+        });
+    }
+
+    #[test]
+    fn a_proposal_mid_stream_matches_with_every_learn_simulated() {
+        assert_learns_match("proposal mid-stream", 6_000, |sim, _, servers| {
+            for (k, at) in [3_000, 3_020, 4_000].into_iter().enumerate() {
+                on_leader(sim, servers, at, move |sim, l| {
+                    propose_ok(sim, l, Command::CreateSession { id: k as u64 });
+                });
+            }
+        });
     }
 }

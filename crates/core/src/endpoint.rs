@@ -17,13 +17,13 @@ use std::time::Duration;
 use ustore_disk::PowerStateKind;
 use ustore_fabric::{DiskId, FabricIoError, FabricRuntime, HostId};
 use ustore_net::{
-    Addr, BlockDevice, BlockError, IscsiServer, KeyedFlow, ReadCb, Replicas, RpcNode, RuleChange,
-    WriteCb,
+    Addr, BeatClock, BlockDevice, BlockError, IscsiServer, KeyedFlow, ReadCb, Replicas, RpcNode,
+    RuleChange, WriteCb,
 };
 use ustore_sim::{CounterHandle, Sim, SimTime, TraceLevel};
 use ustore_usb::{DeviceKind, DeviceState, UsbEvent};
 
-use crate::beats::{self, BeatClock, BeatsEnd, BeatsOpen};
+use crate::beats::{BeatsEnd, BeatsOpen};
 use crate::ids::{SpaceName, UnitId};
 use crate::messages::{ActiveMaster, DiskPowerReq, EndpointAck, ExposeReq, Heartbeat, UnexposeReq};
 
@@ -83,7 +83,7 @@ struct Ep {
     /// two chains running.
     gen: u64,
     /// Simulate every beat as events, never computing a stream (the
-    /// differential oracle; see [`beats::with_simulated_beats`]).
+    /// differential oracle; see [`ustore_net::with_simulated_streams`]).
     simulated_beats: bool,
     /// The computed beat stream, while the heartbeat is steady.
     steady: Option<Steady>,
@@ -156,7 +156,7 @@ impl Endpoint {
                 seq: 0,
                 paused: false,
                 gen: 0,
-                simulated_beats: beats::simulated_beats(),
+                simulated_beats: ustore_net::simulated_streams(),
                 steady: None,
                 ready_cache: (u64::MAX, Arc::from([])),
                 flow: None,

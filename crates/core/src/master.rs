@@ -32,13 +32,13 @@ use ustore_consensus::{
 };
 use ustore_fabric::{DiskId, HostId};
 use ustore_net::{
-    Addr, KeyedFlow, Network, Payload, Replicas, RetryPolicy, RpcError, RpcNode, RuleChange,
-    Verdict,
+    Addr, BeatClock, KeyedFlow, Network, Payload, Replicas, RetryPolicy, RpcError, RpcNode,
+    RuleChange, Verdict,
 };
 use ustore_sim::{CounterHandle, FastMap, FastSet, Sim, SimTime, SpanId, TraceLevel};
 
 use crate::alloc::{Allocator, Extent};
-use crate::beats::{BeatClock, BeatsEnd, BeatsOpen};
+use crate::beats::{BeatsEnd, BeatsOpen};
 use crate::ids::{SpaceName, UnitId};
 use crate::messages::ExposeReq;
 use crate::messages::{
@@ -150,7 +150,7 @@ struct Stream {
 
 impl Stream {
     fn arrival(&self, n: u64) -> SimTime {
-        self.clock.sent_at(n) + self.flow.latency(n)
+        self.clock.arrival(n, &self.flow)
     }
 }
 
@@ -264,10 +264,15 @@ impl Master {
         // Beats arriving while this process's node is down are dropped:
         // settle the streams under the old rule before it changes.
         let m = master.clone();
-        net.on_rule_change(move |sim, change| {
-            if matches!(change, RuleChange::Down(a) | RuleChange::Up(a) if *a == addr) {
+        net.on_rule_change(move |sim, change| match change {
+            RuleChange::Down(a) if *a == addr => m.settle(sim, None),
+            // Beats dropped while down may have let a sweep mark hosts
+            // dead; the first beat to arrive once up brings them back.
+            RuleChange::Up(a) if *a == addr => {
                 m.settle(sim, None);
+                m.wake(sim, None);
             }
+            _ => {}
         });
         let m = master.clone();
         sim.on_settle(move |sim| m.settle(sim, None));
@@ -641,6 +646,7 @@ impl Master {
         };
         let timeout = self.inner.borrow().config.rpc_timeout;
         for (addr, req) in pushes {
+            self.trace_push(sim, req.name, &addr);
             self.rpc.call::<EndpointAck>(
                 sim,
                 &addr,
@@ -652,6 +658,16 @@ impl Master {
             );
         }
         changed
+    }
+
+    /// Records an exposure push, at debug level: when pushes happen is
+    /// what the computed-beat oracle checks of the wake rule.
+    fn trace_push(&self, sim: &Sim, name: SpaceName, to: &Addr) {
+        sim.trace(
+            TraceLevel::Debug,
+            "master",
+            format!("{} pushes {name} to {to}", self.rpc.addr()),
+        );
     }
 
     /// Marks every stream of `unit` as no longer [clean](Stream::clean).
@@ -874,6 +890,7 @@ impl Master {
                         .borrow_mut()
                         .exposures_pushed
                         .insert((name, host));
+                    this.trace_push(sim, name, &addr);
                     this.rpc.call::<EndpointAck>(
                         sim,
                         &addr,

@@ -32,7 +32,6 @@ use ustore_sim::{
     TrafficMatrix, TrafficSnapshot, WorldBuilder,
 };
 
-use crate::beats;
 use crate::clientlib::UStoreClient;
 use crate::ids::UnitId;
 use crate::master::Master;
@@ -270,9 +269,10 @@ struct WorldSpec {
     lookahead: Arc<LookaheadMatrix>,
     traffic: Option<Arc<TrafficMatrix>>,
     tracer: RequestTracer,
-    /// Simulate every heartbeat (see [`beats::with_simulated_beats`]),
-    /// carried to the thread that builds the world.
-    simulated_beats: bool,
+    /// Simulate every message of a periodic flow (see
+    /// [`ustore_net::with_simulated_streams`]), carried to the thread
+    /// that builds the world.
+    simulated_streams: bool,
     /// Host failures to inject, as `(instant, unit, host)`; the world
     /// hosting the unit schedules its own.
     kills: Vec<(SimTime, UnitId, HostId)>,
@@ -284,6 +284,10 @@ impl WorldSpec {
     /// metadata-partition replica groups placed in it, its units'
     /// hardware, and its own telemetry pipeline.
     fn build(self) -> PodWorld {
+        ustore_net::with_simulated_streams(self.simulated_streams, || self.build_world())
+    }
+
+    fn build_world(self) -> PodWorld {
         let sys = &self.cfg.system;
         let id = self.id;
         let sim = Sim::new(world_seed(self.seed, id));
@@ -311,9 +315,7 @@ impl WorldSpec {
         } else {
             (Vec::new(), Vec::new())
         };
-        let hw = beats::with_simulated_beats(self.simulated_beats, || {
-            unit_hardware(&sim, &net, sys, self.units.clone())
-        });
+        let hw = unit_hardware(&sim, &net, sys, self.units.clone());
         for &(at, unit, host) in &self.kills {
             if !self.units.contains(&unit.0) {
                 continue;
@@ -467,7 +469,7 @@ impl ShardedPod {
             lookahead: matrix.clone(),
             traffic: traffic.clone(),
             tracer: tracer.clone(),
-            simulated_beats: beats::simulated_beats(),
+            simulated_streams: ustore_net::simulated_streams(),
             kills: kills.clone(),
         };
         let control = spec(0).build();

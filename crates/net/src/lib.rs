@@ -6,7 +6,7 @@
 //! service's [`Replicas`], the [`BlockDevice`]
 //! abstraction UStore exports (§IV-D), and the iSCSI-style protocol
 //! ([`IscsiServer`] / [`IscsiSession`]) EndPoints use to expose disks
-//! (§IV-B).
+//! (§IV-B), and the clock of computed periodic streams ([`BeatClock`]).
 //!
 //! ## Example
 //!
@@ -36,9 +36,11 @@ pub mod iscsi;
 pub mod network;
 pub mod replicas;
 pub mod rpc;
+pub mod stream;
 
 pub use blockdev::{BlockDevice, BlockError, MemDevice, Partition, ReadCb, WriteCb};
 pub use iscsi::{IscsiError, IscsiServer, IscsiSession};
 pub use network::{Addr, Envelope, KeyedFlow, NetConfig, Network, Payload, RuleChange};
 pub use replicas::{Replicas, RetryPolicy, Verdict};
 pub use rpc::{Responder, RpcError, RpcNode};
+pub use stream::{simulated_streams, with_simulated_streams, BeatClock};

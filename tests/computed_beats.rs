@@ -1,19 +1,22 @@
-//! Differential oracle for computed heartbeats (DESIGN §17).
+//! Differential oracle for computed heartbeats and Paxos learns
+//! (DESIGN §17).
 //!
-//! A steady EndPoint's beats are computed, not simulated. Each test here
-//! runs a scenario twice, once as shipped and once with every beat
-//! simulated as events under the same model
-//! ([`ustore::beats::with_simulated_beats`]), and requires identical
-//! report rows, spans, scraped series and metrics, apart from the
-//! engine's own event and queue figures.
+//! A steady EndPoint's beats and a steady coordination leader's learns
+//! are computed, not simulated. Each test here runs a scenario twice,
+//! once as shipped and once with every beat and learn simulated as
+//! events under the same model ([`ustore_net::with_simulated_streams`]),
+//! and requires identical report rows, spans, scraped series and
+//! metrics, apart from the engine's own event and queue figures.
 
 use std::cell::RefCell;
 use std::rc::Rc;
+use std::sync::Arc;
 use std::time::Duration;
 
-use ustore::beats::with_simulated_beats;
+use ustore::messages::ActiveMaster;
 use ustore::{
-    ShardedPod, ShardedPodConfig, SystemConfig, TelemetryPlan, UStoreSystem, UnitId, WorldTelemetry,
+    ShardedPod, ShardedPodConfig, SpaceName, SystemConfig, TelemetryPlan, UStoreSystem, UnitId,
+    WorldTelemetry,
 };
 use ustore_bench::fuzz::{faults_section, run_fuzz, FuzzOptions};
 use ustore_bench::podscale::{run_podscale, PodConfig, RunOpts};
@@ -21,7 +24,8 @@ use ustore_bench::{
     ablation, degraded, failover, fig5, fig6, hdfs, megapod, power, table2, Report,
 };
 use ustore_fabric::HostId;
-use ustore_net::BlockDevice;
+use ustore_net::with_simulated_streams;
+use ustore_net::{Addr, BlockDevice, RpcNode};
 use ustore_sim::{Json, ScraperConfig, Sim, SimTime, TraceLevel};
 
 /// Keys that count engine work rather than simulated behaviour (the
@@ -119,8 +123,8 @@ fn assert_same(what: &str, a: &str, b: &str) {
 }
 
 fn both<T>(run: impl Fn() -> T) -> (T, T) {
-    let computed = with_simulated_beats(false, &run);
-    let simulated = with_simulated_beats(true, &run);
+    let computed = with_simulated_streams(false, &run);
+    let simulated = with_simulated_streams(true, &run);
     (computed, simulated)
 }
 
@@ -189,6 +193,20 @@ fn pods_match_with_every_beat_simulated() {
         });
         assert_same(
             &format!("tiny pod {opts:?}"),
+            &format!("{a:?}"),
+            &format!("{b:?}"),
+        );
+    }
+    // Partitioned metadata puts a replica group in every unit-group
+    // world, so their learns are computed there too.
+    let partitioned = tiny.partitioned();
+    for shards in [1, 2, 4] {
+        let (a, b) = both(|| {
+            let t = run_podscale(7, &partitioned, &RunOpts::sharded(shards));
+            (rows(&[t.report]), strip(&t.telemetry).to_string())
+        });
+        assert_same(
+            &format!("partitioned leased tiny pod --shards {shards}"),
             &format!("{a:?}"),
             &format!("{b:?}"),
         );
@@ -348,4 +366,130 @@ fn sharded_pod_with_a_host_kill_matches() {
             assert_same(&what, &format!("{x:?}"), &format!("{y:?}"));
         }
     }
+}
+
+/// A one-unit system traced down to debug level (so every exposure push
+/// is logged with its instant), a 1 GiB space allocated, and `act` run
+/// at 20 s with the system and the space. The trace log up to `end`.
+fn wake_run(
+    end: SimTime,
+    act: impl Fn(&Rc<UStoreSystem>, SpaceName) + Clone + 'static,
+) -> Vec<(SimTime, String)> {
+    let s = Rc::new(UStoreSystem::build(Sim::new(78), SystemConfig::default()));
+    s.sim.with_trace(|t| t.set_min_level(TraceLevel::Debug));
+    s.settle();
+    let space = Rc::new(RefCell::new(None));
+    let sp = space.clone();
+    s.client("app-0")
+        .allocate(&s.sim, "svc", 1 << 30, move |_, r| {
+            *sp.borrow_mut() = Some(r.expect("allocate").name);
+        });
+    s.sim.run_until(SimTime::from_secs(20));
+    let name = space.borrow().expect("allocated");
+    act(&s, name);
+    s.sim.run_until(end);
+    s.sim.with_trace(|t| {
+        t.events()
+            .iter()
+            .filter(|e| e.level != TraceLevel::Debug || e.component == "master")
+            .map(|e| (e.at, format!("{e:?}")))
+            .collect()
+    })
+}
+
+/// Runs `act` both ways: the same log, in which the lines after 20 s
+/// contain each of `expect`, in order.
+fn assert_wake_matches(
+    name: &str,
+    end: SimTime,
+    expect: &[&str],
+    act: impl Fn(&Rc<UStoreSystem>, SpaceName) + Clone + 'static,
+) {
+    let (a, b) = both(|| wake_run(end, act.clone()));
+    let text = |v: &[(SimTime, String)]| {
+        v.iter()
+            .map(|(_, l)| l.as_str())
+            .collect::<Vec<_>>()
+            .join("\n")
+    };
+    assert_same(&format!("{name} trace log"), &text(&a), &text(&b));
+    let mut lines = a
+        .iter()
+        .filter(|(at, _)| *at > SimTime::from_secs(20))
+        .map(|(_, l)| l);
+    for want in expect {
+        assert!(
+            lines.any(|l| l.contains(want)),
+            "{name}: no {want:?} after 20 s, in order"
+        );
+    }
+}
+
+/// A reroute commit clears `exposures_pushed` for the disks it moved
+/// after the new host's stream already lists them: the next computed
+/// beat from that host must push the space again, at its arrival. The
+/// Controller's first answer is lost (its link to the Master is blocked
+/// for 50 ms around it), so the commit waits for the retry 40 s later,
+/// long after the disks enumerated on the new host.
+#[test]
+fn a_reroute_commit_pushes_at_the_next_computed_beat() {
+    let expect = [
+        "pushes /0/0/0 to host-3",
+        "reroute of unit0 disk0 complete",
+        "pushes /0/0/0 to host-3",
+    ];
+    let end = SimTime::from_secs(70);
+    assert_wake_matches("reroute commit", end, &expect, |s, space| {
+        let master = s.active_master().expect("active").clone();
+        master.recover_disk(&s.sim, space.unit, space.disk, |_, ok| assert!(ok));
+        let (net, m) = (s.net.clone(), master.addr());
+        let ctl = ustore::system::unit_host_addr(UnitId(0), HostId(0));
+        s.sim.schedule_at(SimTime::from_millis(23_000), move |sim| {
+            net.block(sim, &ctl, &m);
+            let net = net.clone();
+            sim.schedule_in(Duration::from_millis(50), move |sim| net.heal(sim));
+        });
+    });
+}
+
+/// A standby activates with a persisted allocation while every host's
+/// steady stream already points at it (the hosts heard a stale
+/// announcement naming it just as the active Master died): the first
+/// computed beat after activation must push the space, at its arrival.
+#[test]
+fn a_standby_activating_under_steady_streams_pushes_at_the_next_computed_beat() {
+    let expect = ["master-1 active", "master-1 pushes /0/0/0"];
+    let end = SimTime::from_secs(45);
+    assert_wake_matches("standby activation", end, &expect, |s, _| {
+        let active = s
+            .masters
+            .iter()
+            .position(|m| m.is_active())
+            .expect("active");
+        let standby = s.masters[1 - active].addr();
+        s.kill_master(active);
+        let announcer = RpcNode::new(&s.net, Addr::new("stale-announcer"));
+        for ep in &s.endpoints {
+            let msg = ActiveMaster {
+                addr: standby.clone(),
+            };
+            announcer.cast(&s.sim, &ep.addr(), "ep.active_master", Arc::new(msg), 32);
+        }
+    });
+}
+
+/// The active Master's node goes down for 1.5 s while its process runs:
+/// its sweeps mark every host dead, and once the node is up the first
+/// computed beat of each host must bring it back, at its arrival.
+#[test]
+fn a_master_node_back_up_hears_steady_streams_at_their_arrivals() {
+    let expect = ["missed heartbeats", "is back"];
+    let end = SimTime::from_secs(45);
+    assert_wake_matches("master node down and up", end, &expect, |s, _| {
+        let m = s.active_master().expect("active").addr();
+        s.net.set_down(&s.sim, &m);
+        let net = s.net.clone();
+        s.sim
+            .schedule_in(Duration::from_millis(1_530), move |sim| net.set_up(sim, &m));
+    });
 }

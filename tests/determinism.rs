@@ -57,17 +57,17 @@ fn degraded_telemetry_varies_with_seed() {
 /// fnv1a of `run_degraded_traced(20150707)`'s Prometheus, Chrome-trace and
 /// CSV artifacts.
 const GOLDEN_DEGRADED_ARTIFACTS: [u64; 3] = [
-    0xcc3b_a96c_e8ff_5f3b,
-    0xd56e_76cf_fb27_509e,
-    0xa047_297c_0fc7_cf9a,
+    0xa894_24c0_4381_3bf4,
+    0x2da5_7dc9_9208_823e,
+    0xf8ae_bf24_623b_ac25,
 ];
 
 /// `run_failover_traced(20150707, u32::MAX)`: fnv1a of its span tree and
 /// its detection, reconfiguration, restore and total durations in ns. Its
 /// metrics are deliberately not pinned (they count USB detaches).
 const GOLDEN_FAILOVER: (u64, [u128; 4]) = (
-    0x6b66_310d_44b8_eb03,
-    [1_000_000_000, 510_441_987, 4_101_987_345, 5_612_429_332],
+    0x24b1_f9b0_1d6a_bb30,
+    [1_000_000_000, 510_434_092, 4_101_940_391, 5_612_374_483],
 );
 
 #[test]
@@ -94,15 +94,15 @@ fn failover_spans_and_phases_are_pinned() {
 /// classic engine, the sharded engine (any shard count) and the sharded
 /// partitioned + leased pod. Re-golden one line only for a deliberate
 /// change to what the pod simulates or exports.
-const GOLDEN_TINY_CLASSIC: (u64, u64) = (0x0ea5_7fab_a2f5_e687, 14_845);
-const GOLDEN_TINY_SHARDED: (u64, u64) = (0xdda0_f4e2_f20a_742f, 15_331);
-const GOLDEN_TINY_PARTITIONED_LEASED: (u64, u64) = (0xd8e0_603e_e5bc_a1ff, 53_861);
+const GOLDEN_TINY_CLASSIC: (u64, u64) = (0x3d3d_33cb_1978_b818, 2_748);
+const GOLDEN_TINY_SHARDED: (u64, u64) = (0x46fb_4568_9305_4405, 3_277);
+const GOLDEN_TINY_PARTITIONED_LEASED: (u64, u64) = (0x29ac_863a_e2cb_2c8c, 5_792);
 
 /// Pinned sharded-engine counters `(epochs, sync_rounds, cross_messages)`
 /// of the same two sharded runs: the scheduler's decisions, which must
 /// not drift when the engine loop is restructured (any shard count).
-const GOLDEN_TINY_SHARDED_ENGINE: (u64, u64, u64) = (1_322, 6_366, 522);
-const GOLDEN_TINY_PARTITIONED_LEASED_ENGINE: (u64, u64, u64) = (1_612, 21_544, 1_710);
+const GOLDEN_TINY_SHARDED_ENGINE: (u64, u64, u64) = (345, 1_066, 522);
+const GOLDEN_TINY_PARTITIONED_LEASED_ENGINE: (u64, u64, u64) = (435, 1_503, 1_662);
 
 fn assert_golden(run: &PodscaleRun, golden: (u64, u64), name: &str) {
     assert_eq!(

@@ -128,7 +128,7 @@ fn allocate_fails_cleanly_when_metadata_store_is_down() {
     s.settle();
     // Take down a majority of the coordination cluster.
     for c in s.coord.iter().take(3) {
-        c.pause();
+        c.pause(&s.sim);
         s.net.set_down(&s.sim, &c.addr());
     }
     run_for(&s, 5);
