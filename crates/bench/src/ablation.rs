@@ -139,11 +139,12 @@ pub fn allocation_ablation(seed: u64) -> Report {
         let attachments: BTreeMap<(UnitId, DiskId), HostId> = (0..16u32)
             .map(|d| ((UnitId(0), DiskId(d)), HostId(d / 4)))
             .collect();
+        let attached_to = |k: &(UnitId, DiskId)| attachments.get(k).copied();
         for svc in 0..SERVICES {
             for _ in 0..SPACES_PER_SERVICE {
                 if policy_paper {
                     alloc
-                        .allocate(&format!("svc{svc}"), GB, &attachments, None)
+                        .allocate(&format!("svc{svc}"), GB, attached_to, None)
                         .expect("allocate");
                 } else {
                     // Random placement: pick any disk with room by hand.
@@ -158,7 +159,7 @@ pub fn allocation_ablation(seed: u64) -> Report {
                                 .allocate(
                                     &unique,
                                     GB,
-                                    &attachments,
+                                    attached_to,
                                     Some((UnitId(0), HostId(d.0 / 4))),
                                 )
                                 .expect("allocate");

@@ -89,6 +89,38 @@ pub struct Allocation {
     pub extent: Extent,
 }
 
+/// A disk that can take an allocation, as placement ranks it.
+#[derive(Debug, Clone, Copy)]
+struct Candidate {
+    key: (UnitId, DiskId),
+    /// 2 if the disk serves the service, plus 1 if it is attached to the
+    /// preferred host.
+    score: i64,
+    free: u64,
+    /// Offset of the first gap that fits.
+    gap: u64,
+}
+
+impl Candidate {
+    /// Placement order, best first: highest score; among service-affine
+    /// disks the fullest (least free) to keep a service's data on few
+    /// spindles, otherwise the emptiest for balance; then by key. A total
+    /// order, so the best candidate is unique.
+    fn rank(&self, other: &Candidate) -> std::cmp::Ordering {
+        other
+            .score
+            .cmp(&self.score)
+            .then_with(|| {
+                if self.score >= 2 {
+                    self.free.cmp(&other.free) // pack
+                } else {
+                    other.free.cmp(&self.free) // balance
+                }
+            })
+            .then_with(|| self.key.cmp(&other.key))
+    }
+}
+
 /// The allocator over every registered disk.
 #[derive(Debug, Clone, Default)]
 pub struct Allocator {
@@ -114,7 +146,8 @@ impl Allocator {
     ///
     /// Placement preference (§IV-A): disks already serving this service
     /// first, then disks attached to `preferred_host` (a host of one
-    /// unit), then most free space.
+    /// unit; `attached_to` names the host a disk is attached to), then
+    /// most free space.
     ///
     /// # Errors
     ///
@@ -123,13 +156,13 @@ impl Allocator {
         &mut self,
         service: &str,
         size: u64,
-        attachments: &BTreeMap<(UnitId, DiskId), HostId>,
+        attached_to: impl Fn(&(UnitId, DiskId)) -> Option<HostId>,
         preferred_host: Option<(UnitId, HostId)>,
     ) -> Result<Allocation, AllocError> {
         if size == 0 {
             return Err(AllocError::ZeroSize);
         }
-        let mut candidates: Vec<((UnitId, DiskId), i64, u64, u64)> = Vec::new();
+        let mut best: Option<Candidate> = None;
         for (key, ds) in &self.disks {
             let Some(gap) = ds.find_gap(size) else {
                 continue;
@@ -138,28 +171,26 @@ impl Allocator {
             if ds.serves(service) {
                 score += 2;
             }
-            if let (Some((unit, pref)), Some(host)) = (preferred_host, attachments.get(key)) {
-                if key.0 == unit && *host == pref {
+            if let Some((unit, pref)) = preferred_host {
+                if key.0 == unit && attached_to(key) == Some(pref) {
                     score += 1;
                 }
             }
-            candidates.push((*key, score, ds.free(), gap));
+            let c = Candidate {
+                key: *key,
+                score,
+                free: ds.free(),
+                gap,
+            };
+            if best.as_ref().is_none_or(|b| c.rank(b).is_lt()) {
+                best = Some(c);
+            }
         }
-        // Highest score first; among service-affine disks pack the fullest
-        // (least free) to keep a service's data on few spindles; otherwise
-        // prefer the emptiest for balance.
-        candidates.sort_by(|a, b| {
-            b.1.cmp(&a.1)
-                .then_with(|| {
-                    if a.1 >= 2 {
-                        a.2.cmp(&b.2) // pack
-                    } else {
-                        b.2.cmp(&a.2) // balance
-                    }
-                })
-                .then_with(|| a.0.cmp(&b.0))
-        });
-        let ((unit, disk), _, _, offset) = *candidates.first().ok_or(AllocError::NoSpace)?;
+        let Candidate {
+            key: (unit, disk),
+            gap: offset,
+            ..
+        } = best.ok_or(AllocError::NoSpace)?;
         let ds = self.disks.get_mut(&(unit, disk)).expect("candidate exists");
         let space = ds.next_space;
         ds.next_space += 1;
@@ -265,14 +296,14 @@ mod tests {
         a
     }
 
-    fn no_attach() -> BTreeMap<(UnitId, DiskId), HostId> {
-        BTreeMap::new()
+    fn no_attach(_: &(UnitId, DiskId)) -> Option<HostId> {
+        None
     }
 
     #[test]
     fn allocates_and_looks_up() {
         let mut a = allocator(4, 10 * GB);
-        let got = a.allocate("svc", GB, &no_attach(), None).expect("alloc");
+        let got = a.allocate("svc", GB, no_attach, None).expect("alloc");
         assert_eq!(got.extent.len, GB);
         assert_eq!(a.lookup(got.name).expect("lookup").service, "svc");
         assert_eq!(a.free_on(UnitId(0), got.name.disk), Some(9 * GB));
@@ -281,11 +312,11 @@ mod tests {
     #[test]
     fn same_service_packs_on_same_disk() {
         let mut a = allocator(4, 10 * GB);
-        let first = a.allocate("svc", GB, &no_attach(), None).expect("alloc");
-        let second = a.allocate("svc", GB, &no_attach(), None).expect("alloc");
+        let first = a.allocate("svc", GB, no_attach, None).expect("alloc");
+        let second = a.allocate("svc", GB, no_attach, None).expect("alloc");
         assert_eq!(first.name.disk, second.name.disk, "service affinity");
         // A different service lands elsewhere (balance rule).
-        let other = a.allocate("other", GB, &no_attach(), None).expect("alloc");
+        let other = a.allocate("other", GB, no_attach, None).expect("alloc");
         assert_ne!(other.name.disk, first.name.disk);
     }
 
@@ -297,7 +328,12 @@ mod tests {
             attach.insert((UnitId(0), DiskId(d)), HostId(d / 2));
         }
         let got = a
-            .allocate("svc", GB, &attach, Some((UnitId(0), HostId(1))))
+            .allocate(
+                "svc",
+                GB,
+                |k| attach.get(k).copied(),
+                Some((UnitId(0), HostId(1))),
+            )
             .expect("alloc");
         assert_eq!(attach[&(UnitId(0), got.name.disk)], HostId(1));
     }
@@ -305,15 +341,15 @@ mod tests {
     #[test]
     fn release_and_reuse_gap() {
         let mut a = allocator(1, 3 * GB);
-        let x = a.allocate("s", GB, &no_attach(), None).expect("x");
-        let _y = a.allocate("s", GB, &no_attach(), None).expect("y");
-        let _z = a.allocate("s", GB, &no_attach(), None).expect("z");
+        let x = a.allocate("s", GB, no_attach, None).expect("x");
+        let _y = a.allocate("s", GB, no_attach, None).expect("y");
+        let _z = a.allocate("s", GB, no_attach, None).expect("z");
         assert_eq!(
-            a.allocate("s", GB, &no_attach(), None).unwrap_err(),
+            a.allocate("s", GB, no_attach, None).unwrap_err(),
             AllocError::NoSpace
         );
         a.release(x.name).expect("release");
-        let again = a.allocate("s", GB, &no_attach(), None).expect("reuse");
+        let again = a.allocate("s", GB, no_attach, None).expect("reuse");
         assert_eq!(again.extent.offset, 0, "first-fit reuses the gap");
         assert_ne!(again.name.space, x.name.space, "space ids are not recycled");
     }
@@ -321,15 +357,15 @@ mod tests {
     #[test]
     fn fragmentation_respects_contiguity() {
         let mut a = allocator(1, 4 * GB);
-        let x = a.allocate("s", GB, &no_attach(), None).expect("x");
-        let _y = a.allocate("s", GB, &no_attach(), None).expect("y");
-        let z = a.allocate("s", GB, &no_attach(), None).expect("z");
+        let x = a.allocate("s", GB, no_attach, None).expect("x");
+        let _y = a.allocate("s", GB, no_attach, None).expect("y");
+        let z = a.allocate("s", GB, no_attach, None).expect("z");
         a.release(x.name).expect("rel x");
         a.release(z.name).expect("rel z");
         // 3 GB free but max contiguous gap is 2 GB (tail) — the paper's
         // spaces are contiguous extents.
-        assert!(a.allocate("s", GB * 5 / 2, &no_attach(), None).is_err());
-        a.allocate("s", 2 * GB, &no_attach(), None)
+        assert!(a.allocate("s", GB * 5 / 2, no_attach, None).is_err());
+        a.allocate("s", 2 * GB, no_attach, None)
             .expect("tail gap fits");
     }
 
@@ -337,7 +373,7 @@ mod tests {
     fn errors() {
         let mut a = allocator(1, GB);
         assert_eq!(
-            a.allocate("s", 0, &no_attach(), None).unwrap_err(),
+            a.allocate("s", 0, no_attach, None).unwrap_err(),
             AllocError::ZeroSize
         );
         assert_eq!(
@@ -355,7 +391,7 @@ mod tests {
     #[test]
     fn restore_rebuilds_state() {
         let mut a = allocator(2, 10 * GB);
-        let x = a.allocate("svc", GB, &no_attach(), None).expect("x");
+        let x = a.allocate("svc", GB, no_attach, None).expect("x");
         // A new master restores from persisted metadata.
         let mut b = Allocator::new();
         b.register_disk(UnitId(0), DiskId(0), 10 * GB);
@@ -363,7 +399,7 @@ mod tests {
         b.restore(x.name, x.extent.clone());
         assert_eq!(b.lookup(x.name), Some(&x.extent));
         // Next allocation on that disk does not collide.
-        let y = b.allocate("svc", GB, &no_attach(), None).expect("y");
+        let y = b.allocate("svc", GB, no_attach, None).expect("y");
         assert_eq!(y.name.disk, x.name.disk, "affinity survives restore");
         assert_ne!(y.name.space, x.name.space);
         assert_ne!(y.extent.offset, x.extent.offset);
@@ -372,8 +408,8 @@ mod tests {
     #[test]
     fn spaces_on_and_service_scope() {
         let mut a = allocator(2, 10 * GB);
-        let x = a.allocate("svc", GB, &no_attach(), None).expect("x");
-        a.allocate("svc", GB, &no_attach(), None).expect("y");
+        let x = a.allocate("svc", GB, no_attach, None).expect("x");
+        a.allocate("svc", GB, no_attach, None).expect("y");
         assert_eq!(a.spaces_on(UnitId(0), x.name.disk).len(), 2);
         assert_eq!(a.disks_of_service("svc"), vec![(UnitId(0), x.name.disk)]);
         assert!(a.disks_of_service("nope").is_empty());

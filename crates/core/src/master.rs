@@ -104,12 +104,18 @@ struct M {
     active: bool,
     units: BTreeMap<UnitId, UnitConf>,
     // SysStat — memory only (§IV-A), rebuilt from heartbeats.
+    /// When each host was last heard. A heard stream's arrivals are not
+    /// written here but derived when read ([`M::host_last`]).
     host_last_hb: FastMap<(UnitId, HostId), SimTime>,
     host_alive: FastMap<(UnitId, HostId), bool>,
     host_addr: FastMap<(UnitId, HostId), Addr>,
+    /// `host_addr` inverted, for the allocation locality hint.
+    addr_host: FastMap<Addr, (UnitId, HostId)>,
     /// When this process last told each host that it is the active Master.
     announced: FastMap<(UnitId, HostId), SimTime>,
     disk_host: FastMap<(UnitId, DiskId), HostId>,
+    /// When each disk was last listed ready, like `host_last_hb`
+    /// ([`M::disk_last`]).
     disk_last_seen: FastMap<(UnitId, DiskId), SimTime>,
     failover_in_progress: BTreeSet<(UnitId, HostId)>,
     disk_recovery_attempted: FastMap<(UnitId, DiskId), SimTime>,
@@ -128,6 +134,42 @@ struct M {
     activated_at: Option<SimTime>,
     /// Computed heartbeat streams pointed at this process, by host.
     streams: BTreeMap<(UnitId, HostId), Stream>,
+    /// Whether SysStat takes in the streams' arrivals: this process is
+    /// active and its node is up.
+    hearing: bool,
+    /// Streams that are not [clean](Stream::clean), by the arrival of
+    /// the next beat to apply in full (kept only while hearing).
+    dirty: BTreeSet<(SimTime, UnitId, HostId)>,
+    /// Streams whose end notice arrived before their last beat.
+    ended: BTreeSet<(UnitId, HostId)>,
+    /// Heard streams by the instant they start to [cover](Stream::covers).
+    cover_from: BTreeSet<(SimTime, UnitId, HostId)>,
+    /// What covering streams vouch for, for every unit of `units`.
+    cover: BTreeMap<UnitId, UnitCover>,
+    /// Covering streams listing each configured disk ready.
+    disk_cover: FastMap<(UnitId, DiskId), u32>,
+}
+
+/// How many of a unit's configured hosts and disks covering streams
+/// vouch for, per check.
+#[derive(Debug, Clone, Copy, Default)]
+struct UnitCover {
+    /// Hosts the dead check skips.
+    dead: usize,
+    /// Hosts `announce` skips.
+    announce: usize,
+    /// Disks the missing-disk sweep skips.
+    disks: usize,
+}
+
+/// The checks a covering stream vouches for (see [`Stream::covers`]).
+#[derive(Debug, Clone, Copy)]
+struct Covers {
+    dead: bool,
+    announce: bool,
+    disks: bool,
+    /// The host is configured in its unit, so the unit's tally counts it.
+    known: bool,
 }
 
 /// A computed heartbeat stream as the Master sees it.
@@ -138,19 +180,222 @@ struct Stream {
     flow: KeyedFlow,
     /// The stream's last beat, once its end notice arrived.
     last: Option<u64>,
-    /// The first beat not yet settled.
-    next: u64,
+    /// The first beat not yet counted as delivered or dropped.
+    counted: u64,
+    /// The first beat SysStat takes in (arrived while hearing); `None`
+    /// while not hearing. From its arrival on, the host's and its ready
+    /// disks' timestamps are this stream's latest arrival.
+    heard_from: Option<u64>,
     /// Arrival instant of a settle already scheduled for this stream.
     wake: Option<SimTime>,
     /// SysStat already holds what this stream's beats say, so the next
     /// one only moves its timestamps. Cleared by every change to the
     /// unit's SysStat.
     clean: bool,
+    /// This stream's key in [`M::dirty`].
+    due: Option<SimTime>,
+    /// Largest gap between two consecutive arrivals: the interval plus
+    /// the flow's jitter span.
+    gap: Duration,
+    /// Set while the stream covers: it is heard, not ended, and one of
+    /// its heard beats has arrived. Then every check whose threshold
+    /// exceeds `gap` would find the host (and its ready disks) heard
+    /// less than `gap` ago, so it cannot select them.
+    covers: Option<Covers>,
 }
 
 impl Stream {
     fn arrival(&self, n: u64) -> SimTime {
         self.clock.arrival(n, &self.flow)
+    }
+
+    /// The latest beat arrived by `now`, if any.
+    fn arrived_by(&self, now: SimTime) -> Option<u64> {
+        let n = self.clock.last_arrived_by(now, &self.flow)?;
+        let n = self.last.map_or(n, |l| n.min(l));
+        (n >= self.clock.first).then_some(n)
+    }
+
+    /// The latest beat SysStat took in by `now`, if any.
+    fn heard_by(&self, now: SimTime) -> Option<u64> {
+        let from = self.heard_from?;
+        self.arrived_by(now).filter(|&n| n >= from)
+    }
+
+    /// The first beat to arrive after `now`, unless the stream ended
+    /// before it.
+    fn next_after(&self, now: SimTime) -> Option<u64> {
+        let n = self.arrived_by(now).map_or(self.clock.first, |n| n + 1);
+        self.last.is_none_or(|l| n <= l).then_some(n)
+    }
+
+    /// What this stream's beat `n` says.
+    fn beat(&self, n: u64) -> Heartbeat {
+        let mut hb = self.beat.clone();
+        hb.seq = n;
+        hb
+    }
+}
+
+/// A beat a settle applies in full.
+struct Due {
+    at: SimTime,
+    key: (UnitId, HostId),
+    beat: Heartbeat,
+    /// The stream was removed: the beat's timestamps go to the maps.
+    last: bool,
+}
+
+/// Keeps the later of `at` and the recorded instant.
+fn record<K: std::hash::Hash + Eq>(map: &mut FastMap<K, SimTime>, key: K, at: SimTime) {
+    let t = map.entry(key).or_insert(at);
+    *t = (*t).max(at);
+}
+
+impl M {
+    /// When `key` was last heard, as of `now`.
+    fn host_last(&self, key: (UnitId, HostId), now: SimTime) -> Option<SimTime> {
+        let heard = self
+            .streams
+            .get(&key)
+            .and_then(|st| Some(st.arrival(st.heard_by(now)?)));
+        self.host_last_hb.get(&key).copied().max(heard)
+    }
+
+    /// When `key` was last listed ready, as of `now`.
+    fn disk_last(&self, key: (UnitId, DiskId), now: SimTime) -> Option<SimTime> {
+        let heard = self
+            .streams
+            .range(stream_keys(Some(key.0)))
+            .filter(|(_, st)| st.beat.ready_disks.contains(&key.1))
+            .filter_map(|(_, st)| Some(st.arrival(st.heard_by(now)?)))
+            .max();
+        self.disk_last_seen.get(&key).copied().max(heard)
+    }
+
+    /// Whether a covering stream of `key` vouches for the check `pick`
+    /// selects.
+    fn vouched(&self, key: (UnitId, HostId), pick: impl Fn(&Covers) -> bool) -> bool {
+        self.streams
+            .get(&key)
+            .and_then(|st| st.covers.as_ref())
+            .is_some_and(pick)
+    }
+
+    /// Counts `key` in the cover tallies.
+    fn start_cover(&mut self, key: (UnitId, HostId)) {
+        let (timeout, disk_timeout) = (self.config.heartbeat_timeout, self.config.disk_timeout);
+        let Some(conf) = self.units.get(&key.0) else {
+            return;
+        };
+        let known = conf.hosts.iter().any(|(h, _)| *h == key.1);
+        let Some(st) = self.streams.get_mut(&key) else {
+            return;
+        };
+        let c = Covers {
+            dead: st.gap < timeout,
+            announce: st.gap < timeout / 2,
+            disks: st.gap < disk_timeout,
+            known,
+        };
+        st.covers = Some(c);
+        let tally = self.cover.get_mut(&key.0).expect("configured unit");
+        tally.dead += usize::from(c.known && c.dead);
+        tally.announce += usize::from(c.known && c.announce);
+        if c.disks {
+            for d in st.beat.ready_disks.iter() {
+                if let Some(n) = self.disk_cover.get_mut(&(key.0, *d)) {
+                    *n += 1;
+                    tally.disks += usize::from(*n == 1);
+                }
+            }
+        }
+    }
+
+    /// Takes `key` out of the cover tallies (and out of `cover_from`).
+    fn stop_cover(&mut self, key: (UnitId, HostId)) {
+        let Some(st) = self.streams.get_mut(&key) else {
+            return;
+        };
+        if let Some(f) = st.heard_from.filter(|_| st.covers.is_none()) {
+            self.cover_from.remove(&(st.arrival(f), key.0, key.1));
+        }
+        let Some(c) = st.covers.take() else {
+            return;
+        };
+        let tally = self.cover.get_mut(&key.0).expect("configured unit");
+        tally.dead -= usize::from(c.known && c.dead);
+        tally.announce -= usize::from(c.known && c.announce);
+        if c.disks {
+            for d in st.beat.ready_disks.iter() {
+                if let Some(n) = self.disk_cover.get_mut(&(key.0, *d)) {
+                    *n -= 1;
+                    tally.disks -= usize::from(*n == 0);
+                }
+            }
+        }
+    }
+
+    /// Starts covering every heard stream whose first heard beat has
+    /// arrived by `now`.
+    fn promote(&mut self, now: SimTime) {
+        while let Some(&(at, unit, host)) = self.cover_from.first() {
+            if at > now {
+                break;
+            }
+            self.cover_from.pop_first();
+            self.start_cover((unit, host));
+        }
+    }
+
+    /// Starts hearing `key` from beat `from` on (not for an ended stream).
+    fn hear(&mut self, key: (UnitId, HostId), from: Option<u64>) {
+        let Some(st) = self.streams.get_mut(&key) else {
+            return;
+        };
+        st.heard_from = from;
+        if let (Some(f), None) = (from, st.last) {
+            self.cover_from.insert((st.arrival(f), key.0, key.1));
+        }
+    }
+
+    /// Queues `key` to apply its beat arriving at `at` in full.
+    fn set_due(&mut self, key: (UnitId, HostId), at: Option<SimTime>) {
+        let Some(st) = self.streams.get_mut(&key) else {
+            return;
+        };
+        if let Some(t) = std::mem::replace(&mut st.due, at) {
+            self.dirty.remove(&(t, key.0, key.1));
+        }
+        if let Some(t) = at {
+            self.dirty.insert((t, key.0, key.1));
+        }
+    }
+
+    /// Removes the ended stream `key`, every beat of which arrived, with
+    /// the number of its arrivals not yet counted.
+    fn remove_stream(&mut self, key: (UnitId, HostId)) -> Option<(Stream, u64)> {
+        self.stop_cover(key);
+        self.set_due(key, None);
+        self.ended.remove(&key);
+        let st = self.streams.remove(&key)?;
+        let uncounted = st.last.map_or(0, |l| (l + 1).saturating_sub(st.counted));
+        Some((st, uncounted))
+    }
+
+    /// Writes what `key`'s heard arrivals say into the timestamp maps.
+    fn record_heard(&mut self, key: (UnitId, HostId), now: SimTime) {
+        let Some(st) = self.streams.get(&key) else {
+            return;
+        };
+        let Some(n) = st.heard_by(now) else {
+            return;
+        };
+        let at = st.arrival(n);
+        record(&mut self.host_last_hb, key, at);
+        for d in st.beat.ready_disks.iter() {
+            record(&mut self.disk_last_seen, (key.0, *d), at);
+        }
     }
 }
 
@@ -227,11 +472,14 @@ impl Master {
             })
             .collect();
         let mut alloc = Allocator::new();
+        let mut disk_cover = FastMap::default();
         for u in &units {
             for (d, cap) in &u.disks {
                 alloc.register_disk(u.unit, *d, *cap);
+                disk_cover.insert((u.unit, *d), 0);
             }
         }
+        let units: BTreeMap<UnitId, UnitConf> = units.into_iter().map(|u| (u.unit, u)).collect();
         let master = Master {
             rpc,
             coord: coord.clone(),
@@ -240,10 +488,12 @@ impl Master {
             inner: Rc::new(RefCell::new(M {
                 config,
                 active: false,
-                units: units.into_iter().map(|u| (u.unit, u)).collect(),
+                cover: units.keys().map(|u| (*u, UnitCover::default())).collect(),
+                units,
                 host_last_hb: FastMap::default(),
                 host_alive: FastMap::default(),
                 host_addr: FastMap::default(),
+                addr_host: FastMap::default(),
                 announced: FastMap::default(),
                 disk_host: FastMap::default(),
                 disk_last_seen: FastMap::default(),
@@ -255,6 +505,11 @@ impl Master {
                 hb_counter: None,
                 activated_at: None,
                 streams: BTreeMap::new(),
+                hearing: false,
+                dirty: BTreeSet::new(),
+                ended: BTreeSet::new(),
+                cover_from: BTreeSet::new(),
+                disk_cover,
             })),
             election: Rc::new(RefCell::new(None)),
         };
@@ -265,17 +520,22 @@ impl Master {
         // settle the streams under the old rule before it changes.
         let m = master.clone();
         net.on_rule_change(move |sim, change| match change {
-            RuleChange::Down(a) if *a == addr => m.settle(sim, None),
+            RuleChange::Down(a) if *a == addr => {
+                m.settle_all(sim);
+                m.set_hearing(sim, false);
+            }
             // Beats dropped while down may have let a sweep mark hosts
             // dead; the first beat to arrive once up brings them back.
             RuleChange::Up(a) if *a == addr => {
-                m.settle(sim, None);
+                m.settle_all(sim);
+                let active = m.inner.borrow().active;
+                m.set_hearing(sim, active);
                 m.wake(sim, None);
             }
             _ => {}
         });
         let m = master.clone();
-        sim.on_settle(move |sim| m.settle(sim, None));
+        sim.on_settle(move |sim| m.settle_all(sim));
         // The election's `on_change` closure captures this Master, and the
         // Master holds the election handle back — drop it (weakly) at
         // teardown so the pair can be collected.
@@ -356,7 +616,8 @@ impl Master {
     /// Simulates a process crash: stops answering and lets the session
     /// (and election candidacy) lapse.
     pub fn pause(&self, sim: &Sim) {
-        self.settle(sim, None);
+        self.settle_all(sim);
+        self.set_hearing(sim, false);
         self.inner.borrow_mut().active = false;
         self.coord.stop_pinging();
         for c in self.part_coords.iter() {
@@ -490,12 +751,13 @@ impl Master {
     }
 
     fn finish_activation(&self, sim: &Sim) {
-        self.settle(sim, None);
+        self.settle_all(sim);
         {
             let mut m = self.inner.borrow_mut();
             m.active = true;
             m.activated_at = Some(sim.now());
         }
+        self.set_hearing(sim, self.rpc.network().is_up(self.rpc.addr()));
         sim.trace(
             TraceLevel::Info,
             "master",
@@ -523,13 +785,20 @@ impl Master {
             }
             let quiet = m.config.heartbeat_timeout / 2;
             let now = sim.now();
-            let since = |t: Option<&SimTime>| t.map(|t| now.saturating_duration_since(*t));
+            m.promote(now);
+            let since = |t: Option<SimTime>| t.map(|t| now.saturating_duration_since(t));
             let mut out = Vec::new();
-            for (unit, conf) in &m.units {
+            for ((unit, conf), cover) in m.units.iter().zip(m.cover.values()) {
+                if cover.announce == conf.hosts.len() {
+                    continue;
+                }
                 for (host, addr) in &conf.hosts {
                     let key = (*unit, *host);
-                    let silent = since(m.host_last_hb.get(&key)).is_none_or(|d| d > quiet);
-                    let due = since(m.announced.get(&key)).is_none_or(|d| d >= quiet);
+                    if m.vouched(key, |c| c.announce) {
+                        continue;
+                    }
+                    let silent = since(m.host_last(key, now)).is_none_or(|d| d > quiet);
+                    let due = since(m.announced.get(&key).copied()).is_none_or(|d| d >= quiet);
                     if silent && due {
                         m.announced.insert(key, now);
                         out.push(addr.clone());
@@ -542,6 +811,13 @@ impl Master {
             addr: self.rpc.addr().clone(),
         });
         for addr in hosts {
+            // At debug level: when announcements go out is what the
+            // computed-beat oracle checks of the coverage rule.
+            sim.trace(
+                TraceLevel::Debug,
+                "master",
+                format!("{} announces itself to {addr}", self.rpc.addr()),
+            );
             self.rpc
                 .cast(sim, &addr, "ep.active_master", Arc::clone(&msg), 32);
         }
@@ -588,8 +864,8 @@ impl Master {
             return;
         }
         self.count_heartbeats(sim, 1);
-        if self.apply_beat(sim, hb, sim.now()) {
-            self.soil(hb.unit);
+        if self.apply_beat(sim, hb, sim.now(), true) {
+            self.soil(sim, hb.unit, None);
         }
     }
 
@@ -603,13 +879,16 @@ impl Master {
     /// What an active Master does with a beat that arrived at `at`:
     /// SysStat learns the host and its ready disks, and every persisted
     /// allocation on those disks not yet pushed to the host is exposed.
-    /// Returns whether anything but the timestamps changed.
-    fn apply_beat(&self, sim: &Sim, hb: &Heartbeat, at: SimTime) -> bool {
+    /// The timestamps are written only if `stamp` (a live stream's are
+    /// derived). Returns whether anything but the timestamps changed.
+    fn apply_beat(&self, sim: &Sim, hb: &Heartbeat, at: SimTime, stamp: bool) -> bool {
         let (pushes, changed) = {
             let mut guard = self.inner.borrow_mut();
             let m = &mut *guard;
             let key = (hb.unit, hb.host);
-            m.host_last_hb.insert(key, at);
+            if stamp {
+                record(&mut m.host_last_hb, key, at);
+            }
             let was_alive = m.host_alive.insert(key, true);
             if was_alive == Some(false) {
                 sim.trace(
@@ -618,12 +897,23 @@ impl Master {
                     format!("{} {} is back", hb.unit, hb.host),
                 );
             }
-            let mut changed = was_alive != Some(true)
-                || m.host_addr.insert(key, hb.addr.clone()).as_ref() != Some(&hb.addr);
+            let mut changed = was_alive != Some(true) || {
+                let old = m.host_addr.insert(key, hb.addr.clone());
+                let moved = old.as_ref() != Some(&hb.addr);
+                if moved {
+                    if let Some(a) = old.filter(|a| m.addr_host.get(a) == Some(&key)) {
+                        m.addr_host.remove(&a);
+                    }
+                    m.addr_host.insert(hb.addr.clone(), key);
+                }
+                moved
+            };
             let mut pushes = Vec::new();
             for d in hb.ready_disks.iter() {
                 changed |= m.disk_host.insert((hb.unit, *d), hb.host) != Some(hb.host);
-                m.disk_last_seen.insert((hb.unit, *d), at);
+                if stamp {
+                    record(&mut m.disk_last_seen, (hb.unit, *d), at);
+                }
                 // Ensure every allocation on this disk is exposed there.
                 for (name, extent) in m.alloc.extents_on(hb.unit, *d) {
                     if m.pending_persist.contains(&name) {
@@ -670,120 +960,249 @@ impl Master {
         );
     }
 
-    /// Marks every stream of `unit` as no longer [clean](Stream::clean).
-    fn soil(&self, unit: UnitId) {
-        let mut m = self.inner.borrow_mut();
-        for (_, st) in m.streams.range_mut(stream_keys(Some(unit))) {
+    /// Marks every stream of `unit` as no longer [clean](Stream::clean):
+    /// each applies its next heard beat in full. Inside a settle, `after`
+    /// is the beat just applied; a stream whose latest heard beat comes
+    /// after it in the settle's order is returned instead, for the same
+    /// settle to apply in full.
+    fn soil(
+        &self,
+        sim: &Sim,
+        unit: UnitId,
+        after: Option<(SimTime, (UnitId, HostId))>,
+    ) -> Vec<Due> {
+        let now = sim.now();
+        let mut guard = self.inner.borrow_mut();
+        let m = &mut *guard;
+        let (mut again, mut next) = (Vec::new(), Vec::new());
+        for (key, st) in m.streams.range_mut(stream_keys(Some(unit))) {
+            if !st.clean {
+                continue;
+            }
             st.clean = false;
+            let latest = st.heard_by(now).map(|n| (st.arrival(n), n));
+            match (latest, after) {
+                (Some((at, n)), Some(cur)) if (at, *key) > cur => again.push(Due {
+                    at,
+                    key: *key,
+                    beat: st.beat(n),
+                    last: false,
+                }),
+                _ => next.push((*key, st.next_after(now).map(|n| st.arrival(n)))),
+            }
         }
+        if m.hearing {
+            for (key, at) in next {
+                m.set_due(key, at);
+            }
+        }
+        again
     }
 
     /// A stream notice from an EndPoint (see [`crate::beats`]).
     fn on_notice(&self, sim: &Sim, notice: Payload) {
+        let now = sim.now();
         if let Some(open) = notice.downcast_ref::<BeatsOpen>() {
             let key = (open.beat.unit, open.beat.host);
             // The previous stream's beats have all arrived by now.
             self.settle(sim, Some(key.0));
+            let first = open.clock.first;
             let stream = Stream {
                 beat: open.beat.clone(),
                 clock: open.clock,
                 flow: open.flow,
                 last: None,
-                next: open.clock.first,
+                counted: first,
+                heard_from: None,
                 wake: None,
                 clean: false,
+                due: None,
+                gap: open.clock.interval + open.flow.jitter_span(),
+                covers: None,
             };
-            let old = self.inner.borrow_mut().streams.insert(key, stream);
+            let at = stream.arrival(first);
+            let mut m = self.inner.borrow_mut();
+            let old = m.streams.insert(key, stream);
             debug_assert!(old.is_none(), "{key:?}: stream opened over an open one");
+            if m.hearing {
+                m.hear(key, Some(first));
+                m.set_due(key, Some(at));
+            }
         } else if let Some(end) = notice.downcast_ref::<BeatsEnd>() {
             self.settle(sim, Some(end.unit));
-            let mut m = self.inner.borrow_mut();
             let key = (end.unit, end.host);
-            if let Some(st) = m.streams.get_mut(&key) {
+            let uncounted = {
+                let mut guard = self.inner.borrow_mut();
+                let m = &mut *guard;
+                m.stop_cover(key);
+                let Some(st) = m.streams.get_mut(&key) else {
+                    return;
+                };
                 st.last = Some(end.last);
-                if st.next > end.last {
-                    m.streams.remove(&key);
+                if st.next_after(now).is_some() {
+                    // Beat `last` is still to arrive, so it exists.
+                    let last_at = st.arrival(end.last);
+                    if st.due.is_some_and(|t| t > last_at) {
+                        m.set_due(key, None);
+                    }
+                    m.ended.insert(key);
+                    return;
                 }
+                // Every beat arrived and was settled: what was heard
+                // goes to the maps.
+                m.record_heard(key, now);
+                m.remove_stream(key).map_or(0, |(_, n)| n)
+            };
+            self.count_arrivals(sim, uncounted);
+        }
+    }
+
+    /// Counts `n` computed beats arrived now: delivered, and heard if
+    /// active, while this node is up; dropped while it is down.
+    fn count_arrivals(&self, sim: &Sim, n: u64) {
+        if n == 0 {
+            return;
+        }
+        let net = self.rpc.network();
+        if net.is_up(self.rpc.addr()) {
+            net.count_computed(0, n, 0);
+            if self.inner.borrow().active {
+                self.count_heartbeats(sim, n);
+            }
+        } else {
+            net.count_computed(0, 0, n);
+        }
+    }
+
+    /// Counts every stream's arrivals up to now, then settles every unit:
+    /// what a reader of the counters ([`Sim::settle`]) needs, and what
+    /// must hold before this process starts or stops hearing.
+    fn settle_all(&self, sim: &Sim) {
+        let now = sim.now();
+        let arrived: u64 = {
+            let mut m = self.inner.borrow_mut();
+            m.streams
+                .values_mut()
+                .map(|st| {
+                    let Some(n) = st.arrived_by(now) else {
+                        return 0;
+                    };
+                    let k = (n + 1).saturating_sub(st.counted);
+                    st.counted = st.counted.max(n + 1);
+                    k
+                })
+                .sum()
+        };
+        self.count_arrivals(sim, arrived);
+        self.settle(sim, None);
+    }
+
+    /// Starts or stops SysStat taking in the streams' arrivals (this
+    /// process turned active or standby, or its node is going up or
+    /// down). Stopping writes what was heard into the maps; starting
+    /// hears each stream from its next arrival on.
+    fn set_hearing(&self, sim: &Sim, on: bool) {
+        let now = sim.now();
+        let mut guard = self.inner.borrow_mut();
+        let m = &mut *guard;
+        if m.hearing == on {
+            return;
+        }
+        m.hearing = on;
+        let keys: Vec<(UnitId, HostId)> = m.streams.keys().copied().collect();
+        for key in keys {
+            if on {
+                let from = m.streams[&key].next_after(now);
+                m.hear(key, from);
+            } else {
+                m.record_heard(key, now);
+                m.stop_cover(key);
+                m.set_due(key, None);
+                m.hear(key, None);
             }
         }
     }
 
     /// Brings the computed streams of `unit` (of every unit for `None`)
-    /// up to now: the beats that arrived since the last settle are
-    /// counted as delivered (dropped while this node is down), and, if
-    /// this process is active, the latest of each stream is applied,
-    /// oldest first. Earlier beats of a stream said the same, and every
-    /// SysStat change that could make a beat act differently settles
-    /// before it and [wakes](Self::wake) the streams after it, so
-    /// applying only the latest is what applying all of them would do.
-    /// A [clean](Stream::clean) stream's beat only moves timestamps.
+    /// up to now. While this process hears them, each stream that is not
+    /// [clean](Stream::clean) and has a beat arrived since its last
+    /// application has its latest beat applied in full, and each ended
+    /// stream whose last beat arrived leaves with that beat applied in
+    /// full, oldest first. Earlier beats of a stream said the same, and
+    /// every SysStat change that could make a beat act differently
+    /// settles before it and [wakes](Self::wake) the streams after it,
+    /// so applying only the latest is what applying all of them would
+    /// do. A clean stream's beats only move timestamps, which are
+    /// derived from its clock when read, so a settle leaves it alone;
+    /// its arrivals are counted by [`Self::settle_all`].
     fn settle(&self, sim: &Sim, unit: Option<UnitId>) {
         let now = sim.now();
-        let net = self.rpc.network();
-        let up = net.is_up(self.rpc.addr());
-        let (arrived, mut due, active) = {
-            let mut m = self.inner.borrow_mut();
-            if m.streams.is_empty() {
-                return;
-            }
-            let active = m.active;
-            let mut arrived = 0;
-            let mut due = Vec::new();
-            let mut ended = Vec::new();
-            for (key, st) in m.streams.range_mut(stream_keys(unit)) {
-                let Some(n) = st.clock.last_arrived_by(now, &st.flow) else {
+        let (mut batch, uncounted) = {
+            let mut guard = self.inner.borrow_mut();
+            let m = &mut *guard;
+            let mut batch = Vec::new();
+            let mut uncounted = 0;
+            let gone: Vec<(UnitId, HostId)> = m
+                .ended
+                .range(stream_keys(unit))
+                .filter(|k| {
+                    m.streams
+                        .get(k)
+                        .is_none_or(|st| st.next_after(now).is_none())
+                })
+                .copied()
+                .collect();
+            for key in gone {
+                let Some((st, n)) = m.remove_stream(key) else {
                     continue;
                 };
-                let n = st.last.map_or(n, |l| n.min(l));
-                if n >= st.next {
-                    arrived += n + 1 - st.next;
-                    st.next = n + 1;
-                    if up && active {
-                        let mut hb = st.beat.clone();
-                        hb.seq = n;
-                        due.push((st.arrival(n), hb));
-                    }
-                }
-                if st.last.is_some_and(|l| st.next > l) {
-                    ended.push(*key);
+                uncounted += n;
+                if let Some(l) = st.heard_by(now) {
+                    batch.push(Due {
+                        at: st.arrival(l),
+                        key,
+                        beat: st.beat(l),
+                        last: true,
+                    });
                 }
             }
-            for key in ended {
-                m.streams.remove(&key);
+            let top = (now, UnitId(u32::MAX), HostId(u32::MAX));
+            let woken: Vec<(UnitId, HostId)> = m
+                .dirty
+                .range(..=top)
+                .map(|&(_, u, h)| (u, h))
+                .filter(|(u, _)| unit.is_none_or(|x| x == *u))
+                .collect();
+            for key in woken {
+                m.set_due(key, None);
+                let st = &m.streams[&key];
+                if let Some(n) = st.heard_by(now) {
+                    batch.push(Due {
+                        at: st.arrival(n),
+                        key,
+                        beat: st.beat(n),
+                        last: false,
+                    });
+                }
             }
-            (arrived, due, active)
+            (batch, uncounted)
         };
-        if arrived == 0 {
-            return;
-        }
-        if up {
-            net.count_computed(0, arrived, 0);
-        } else {
-            net.count_computed(0, 0, arrived);
-        }
-        if up && active {
-            self.count_heartbeats(sim, arrived);
-        }
-        due.sort_by_key(|(at, _)| *at);
-        for (at, hb) in due {
-            let key = (hb.unit, hb.host);
-            {
-                let mut guard = self.inner.borrow_mut();
-                let m = &mut *guard;
-                if m.streams.get(&key).is_some_and(|st| st.clean) {
-                    m.host_last_hb.insert(key, at);
-                    for d in hb.ready_disks.iter() {
-                        m.disk_last_seen.insert((hb.unit, *d), at);
-                    }
-                    continue;
+        self.count_arrivals(sim, uncounted);
+        batch.sort_by_key(|d| (d.at, d.key));
+        let mut i = 0;
+        while i < batch.len() {
+            let (at, key, last) = (batch[i].at, batch[i].key, batch[i].last);
+            if self.apply_beat(sim, &batch[i].beat, at, last) {
+                for d in self.soil(sim, key.0, Some((at, key))) {
+                    let pos =
+                        i + 1 + batch[i + 1..].partition_point(|x| (x.at, x.key) < (d.at, d.key));
+                    batch.insert(pos, d);
                 }
-            }
-            if self.apply_beat(sim, &hb, at) {
-                self.soil(hb.unit);
             }
             if let Some(st) = self.inner.borrow_mut().streams.get_mut(&key) {
                 st.clean = true;
             }
+            i += 1;
         }
     }
 
@@ -792,18 +1211,27 @@ impl Master {
     /// that the next beat may act on (a push, an "is back"), so the
     /// action runs when that beat arrives.
     fn wake(&self, sim: &Sim, unit: Option<UnitId>) {
+        let now = sim.now();
         let mut at: Vec<SimTime> = Vec::new();
         {
-            let mut m = self.inner.borrow_mut();
-            for st in m.streams.range_mut(stream_keys(unit)).map(|(_, st)| st) {
+            let mut guard = self.inner.borrow_mut();
+            let m = &mut *guard;
+            let mut due = Vec::new();
+            for (key, st) in m.streams.range_mut(stream_keys(unit)) {
                 st.clean = false;
-                if st.last.is_some_and(|l| st.next > l) {
+                let Some(next) = st.next_after(now) else {
                     continue;
-                }
-                let next = st.arrival(st.next);
+                };
+                let next = st.arrival(next);
+                due.push((*key, next));
                 if st.wake != Some(next) {
                     st.wake = Some(next);
                     at.push(next);
+                }
+            }
+            if m.hearing {
+                for (key, t) in due {
+                    m.set_due(key, Some(t));
                 }
             }
         }
@@ -818,7 +1246,8 @@ impl Master {
     fn on_allocate(&self, sim: &Sim, req: AllocateReq, responder: ustore_net::Responder) {
         self.settle(sim, None);
         let allocation = {
-            let mut m = self.inner.borrow_mut();
+            let mut guard = self.inner.borrow_mut();
+            let m = &mut *guard;
             if !m.active {
                 responder.reply(
                     sim,
@@ -829,21 +1258,19 @@ impl Master {
             }
             // Locality: map the client's hinted address to a host of a
             // unit.
-            let preferred = req.near.as_ref().and_then(|near| {
-                m.host_addr
-                    .iter()
-                    .find(|(_, a)| *a == near)
-                    .map(|(key, _)| *key)
-            });
-            let attachments: BTreeMap<(UnitId, DiskId), HostId> =
-                m.disk_host.iter().map(|(k, v)| (*k, *v)).collect();
+            let preferred = req
+                .near
+                .as_ref()
+                .and_then(|near| m.addr_host.get(near).copied());
+            let disk_host = &m.disk_host;
+            let attached_to = |key: &(UnitId, DiskId)| disk_host.get(key).copied();
             match m
                 .alloc
-                .allocate(&req.service, req.size, &attachments, preferred)
+                .allocate(&req.service, req.size, attached_to, preferred)
             {
                 Ok(a) => a,
                 Err(e) => {
-                    drop(m);
+                    drop(guard);
                     responder.reply(
                         sim,
                         Arc::new(Err(MasterError::Alloc(e)) as AllocateResp),
@@ -1066,19 +1493,25 @@ impl Master {
             let Some(activated_at) = m.activated_at else {
                 return;
             };
+            m.promote(now);
             // Sweep every configured host, not just those we have heard
             // from: a host that died before this master activated never
-            // sends a heartbeat at all.
+            // sends a heartbeat at all. A host a covering stream vouches
+            // for was heard too recently to be selected.
             let mut newly_dead: Vec<(UnitId, HostId)> = Vec::new();
-            for (unit, conf) in &m.units {
+            for ((unit, conf), cover) in m.units.iter().zip(m.cover.values()) {
+                if cover.dead == conf.hosts.len() {
+                    continue;
+                }
                 for (host, _) in &conf.hosts {
                     let key = (*unit, *host);
-                    if m.failover_in_progress.contains(&key)
+                    if m.vouched(key, |c| c.dead)
+                        || m.failover_in_progress.contains(&key)
                         || m.host_alive.get(&key) == Some(&false)
                     {
                         continue;
                     }
-                    let last = m.host_last_hb.get(&key).copied().unwrap_or(activated_at);
+                    let last = m.host_last(key, now).unwrap_or(activated_at);
                     if now.saturating_duration_since(last) > timeout {
                         newly_dead.push(key);
                     }
@@ -1134,11 +1567,16 @@ impl Master {
             };
             let timeout = m.config.disk_timeout;
             let retry = m.config.disk_retry;
+            m.promote(now);
             let mut out = Vec::new();
             // Read every unit's configuration in place: only a disk that
             // is actually missing takes a copy of its targets and
-            // controllers.
-            for (&unit, conf) in &m.units {
+            // controllers. A disk a covering stream lists was seen too
+            // recently to be selected.
+            for ((&unit, conf), cover) in m.units.iter().zip(m.cover.values()) {
+                if cover.disks == conf.disks.len() {
+                    continue;
+                }
                 // Skip while a host failover is running in this unit.
                 if m.failover_in_progress.iter().any(|(u, _)| *u == unit) {
                     continue;
@@ -1149,6 +1587,9 @@ impl Master {
                 }
                 for (d, _) in &conf.disks {
                     let key = (unit, *d);
+                    if m.disk_cover.get(&key).is_some_and(|n| *n > 0) {
+                        continue;
+                    }
                     // Only disks whose mapped host is alive: dead hosts are
                     // the host-failover path's job.
                     if let Some(h) = m.disk_host.get(&key) {
@@ -1156,7 +1597,7 @@ impl Master {
                             continue;
                         }
                     }
-                    let last = m.disk_last_seen.get(&key).copied().unwrap_or(activated_at);
+                    let last = m.disk_last(key, now).unwrap_or(activated_at);
                     if now.saturating_duration_since(last) <= timeout {
                         continue;
                     }

@@ -132,7 +132,12 @@ impl KeyedFlow {
 
     /// An upper bound on [`KeyedFlow::latency`].
     pub fn max_latency(&self) -> Duration {
-        self.fixed + Duration::from_nanos(self.jitter_ns as u64)
+        self.fixed + self.jitter_span()
+    }
+
+    /// An upper bound on how far two latencies of the flow differ.
+    pub fn jitter_span(&self) -> Duration {
+        Duration::from_nanos(self.jitter_ns as u64)
     }
 }
 

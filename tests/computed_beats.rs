@@ -15,15 +15,15 @@ use std::time::Duration;
 
 use ustore::messages::ActiveMaster;
 use ustore::{
-    ShardedPod, ShardedPodConfig, SpaceName, SystemConfig, TelemetryPlan, UStoreSystem, UnitId,
-    WorldTelemetry,
+    MasterConfig, ShardedPod, ShardedPodConfig, SpaceName, SystemConfig, TelemetryPlan,
+    UStoreSystem, UnitId, WorldTelemetry,
 };
 use ustore_bench::fuzz::{faults_section, run_fuzz, FuzzOptions};
 use ustore_bench::podscale::{run_podscale, PodConfig, RunOpts};
 use ustore_bench::{
     ablation, degraded, failover, fig5, fig6, hdfs, megapod, power, table2, Report,
 };
-use ustore_fabric::HostId;
+use ustore_fabric::{HostId, HubId};
 use ustore_net::with_simulated_streams;
 use ustore_net::{Addr, BlockDevice, RpcNode};
 use ustore_sim::{Json, ScraperConfig, Sim, SimTime, TraceLevel};
@@ -368,14 +368,16 @@ fn sharded_pod_with_a_host_kill_matches() {
     }
 }
 
-/// A one-unit system traced down to debug level (so every exposure push
-/// is logged with its instant), a 1 GiB space allocated, and `act` run
-/// at 20 s with the system and the space. The trace log up to `end`.
-fn wake_run(
+/// A one-unit system built from `config`, traced down to debug level (so
+/// every exposure push and announcement is logged with its instant), a
+/// 1 GiB space allocated, and `act` run at 20 s with the system and the
+/// space. The trace log up to `end`.
+fn traced_run(
+    config: SystemConfig,
     end: SimTime,
     act: impl Fn(&Rc<UStoreSystem>, SpaceName) + Clone + 'static,
 ) -> Vec<(SimTime, String)> {
-    let s = Rc::new(UStoreSystem::build(Sim::new(78), SystemConfig::default()));
+    let s = Rc::new(UStoreSystem::build(Sim::new(78), config));
     s.sim.with_trace(|t| t.set_min_level(TraceLevel::Debug));
     s.settle();
     let space = Rc::new(RefCell::new(None));
@@ -397,15 +399,26 @@ fn wake_run(
     })
 }
 
-/// Runs `act` both ways: the same log, in which the lines after 20 s
-/// contain each of `expect`, in order.
+/// Runs `act` both ways on the default system: the same log, in which
+/// the lines after 20 s contain each of `expect`, in order.
 fn assert_wake_matches(
     name: &str,
     end: SimTime,
     expect: &[&str],
     act: impl Fn(&Rc<UStoreSystem>, SpaceName) + Clone + 'static,
 ) {
-    let (a, b) = both(|| wake_run(end, act.clone()));
+    assert_log_matches(name, SystemConfig::default(), end, expect, act);
+}
+
+/// [`assert_wake_matches`] on a system built from `config`.
+fn assert_log_matches(
+    name: &str,
+    config: SystemConfig,
+    end: SimTime,
+    expect: &[&str],
+    act: impl Fn(&Rc<UStoreSystem>, SpaceName) + Clone + 'static,
+) {
+    let (a, b) = both(|| traced_run(config.clone(), end, act.clone()));
     let text = |v: &[(SimTime, String)]| {
         v.iter()
             .map(|(_, l)| l.as_str())
@@ -492,4 +505,69 @@ fn a_master_node_back_up_hears_steady_streams_at_their_arrivals() {
         s.sim
             .schedule_in(Duration::from_millis(1_530), move |sim| net.set_up(sim, &m));
     });
+}
+
+/// Host 0's root hub fails while host 0 beats steadily: its four disks
+/// vanish from every ready set, the host's stream ends and reopens
+/// without them, and the missing-disk sweep (which skips every disk a
+/// covering stream lists) must find and reroute exactly those disks, at
+/// the instants the fully simulated run does. The four reroutes race for
+/// the Controller; one of them completes.
+#[test]
+fn a_hub_failure_under_a_steady_host_reroutes_its_disks_at_the_same_instants() {
+    let expect = [
+        "unit0 disk0 vanished from all USB trees; rerouting",
+        "unit0 disk3 vanished from all USB trees; rerouting",
+        "reroute of unit0 disk",
+        " complete",
+    ];
+    let end = SimTime::from_secs(45);
+    assert_wake_matches("hub failure", end, &expect, |s, _| {
+        s.runtime.hub_failed(&s.sim, HubId(0));
+    });
+}
+
+/// The prototype unit with a 500 ms heartbeat timeout: `announce` looks
+/// for hosts silent for more than 250 ms, shorter than the 300 ms beat
+/// interval, so no stream covers it and every sweep scans every host.
+/// Each announcement must go out at the instant the fully simulated run
+/// sends it.
+#[test]
+fn announcements_under_a_short_heartbeat_timeout_match() {
+    let config = SystemConfig {
+        master: MasterConfig {
+            heartbeat_timeout: Duration::from_millis(500),
+            ..MasterConfig::default()
+        },
+        ..SystemConfig::default()
+    };
+    let expect = ["announces itself to host-0", "announces itself to host-3"];
+    let end = SimTime::from_secs(30);
+    assert_log_matches("500 ms timeout", config, end, &expect, |_, _| {});
+}
+
+/// A host of unit 2 (world 3 of the tiny pod) is killed at 20 s while
+/// its stream is steady; a sweep of the Master (world 0) must declare it
+/// dead at the same instant as with every beat simulated, at every shard
+/// count.
+#[test]
+fn a_host_killed_under_a_steady_stream_is_detected_at_the_same_sweep() {
+    let kill = (SimTime::from_secs(20), UnitId(2), HostId(1));
+    for shards in [1, 2, 4] {
+        let (a, b) = both(|| {
+            let mut pod = ShardedPod::build_with_kills(5, &tiny_pod(shards), vec![kill]);
+            pod.run_until(SimTime::from_secs(30));
+            let m = pod.active_master().expect("active").clone();
+            assert!(!m.host_alive(kill.1, kill.2), "victim declared dead");
+            pod.finalize().iter().map(world_outputs).collect::<Vec<_>>()
+        });
+        assert!(
+            a[0].1.contains("failover.detection"),
+            "--shards {shards}: no detection span"
+        );
+        for (w, (x, y)) in a.iter().zip(&b).enumerate() {
+            let what = format!("host kill --shards {shards} world {w}");
+            assert_same(&what, &format!("{x:?}"), &format!("{y:?}"));
+        }
+    }
 }

@@ -7,7 +7,8 @@
 //! - Every host's USB tree holds exactly the hubs and disks the fabric
 //!   routes to it, through reconfigurations, failures, repairs and relay
 //!   changes.
-//! - The allocator never hands out overlapping extents.
+//! - The allocator never hands out overlapping extents, and each
+//!   placement is the first of every candidate sorted by its comparator.
 //! - Paxos acceptors never decide two different values.
 //! - The znode store is a deterministic state machine.
 //! - `MetricsRegistry::diff`/`merge` round-trip on counters.
@@ -16,10 +17,10 @@
 //! Each property runs a fixed number of seeded cases; on failure the case
 //! seed is in the panic message so the exact input can be replayed.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::time::Duration;
 
-use ustore::{Allocator, UnitId};
+use ustore::{Allocator, Extent, SpaceName, UnitId};
 use ustore_consensus::{AcceptReply, Acceptor, Ballot, Command, PrepareReply, ZnodeStore};
 use ustore_fabric::{DiskId, FabricRuntime, FabricState, HostId, HubId, Topology, UpRef};
 use ustore_sim::{export, Histogram, MetricsRegistry, Sim, SimRng};
@@ -208,6 +209,148 @@ fn usb_trees_follow_the_fabric() {
     }
 }
 
+/// Where a reference placement would put `size` bytes for `service`:
+/// every disk with a fitting first-fit gap, scored as §IV-A says (2 for
+/// serving the service, 1 for sitting on the preferred host), sorted by
+/// score, then (service-affine) least or (otherwise) most free, then key;
+/// the first one's key and gap.
+fn reference_placement(
+    a: &Allocator,
+    disks: &BTreeSet<(UnitId, DiskId)>,
+    service: &str,
+    size: u64,
+    attached_to: impl Fn(&(UnitId, DiskId)) -> Option<HostId>,
+    preferred: Option<(UnitId, HostId)>,
+) -> Option<((UnitId, DiskId), u64)> {
+    let mut candidates: Vec<((UnitId, DiskId), i64, u64, u64)> = Vec::new();
+    for &(unit, disk) in disks {
+        let spaces: Vec<Extent> = a
+            .spaces_on(unit, disk)
+            .into_iter()
+            .map(|(_, e)| e)
+            .collect();
+        let free = a.free_on(unit, disk).expect("registered");
+        let capacity = free + spaces.iter().map(|e| e.len).sum::<u64>();
+        let mut spans: Vec<(u64, u64)> = spaces.iter().map(|e| (e.offset, e.len)).collect();
+        spans.sort_unstable();
+        let mut cursor = 0u64;
+        let mut gap = None;
+        for (off, len) in spans {
+            if off.saturating_sub(cursor) >= size {
+                gap = Some(cursor);
+                break;
+            }
+            cursor = cursor.max(off + len);
+        }
+        let Some(gap) = gap.or((capacity.saturating_sub(cursor) >= size).then_some(cursor)) else {
+            continue;
+        };
+        let mut score = 0i64;
+        if spaces.iter().any(|e| e.service == service) {
+            score += 2;
+        }
+        if let Some((u, h)) = preferred {
+            if u == unit && attached_to(&(unit, disk)) == Some(h) {
+                score += 1;
+            }
+        }
+        candidates.push(((unit, disk), score, free, gap));
+    }
+    candidates.sort_by(|a, b| {
+        b.1.cmp(&a.1)
+            .then_with(|| {
+                if a.1 >= 2 {
+                    a.2.cmp(&b.2)
+                } else {
+                    b.2.cmp(&a.2)
+                }
+            })
+            .then_with(|| a.0.cmp(&b.0))
+    });
+    candidates.first().map(|c| (c.0, c.3))
+}
+
+/// Every placement `Allocator::allocate` makes equals the reference's,
+/// through random allocate, release and restore sequences over three
+/// units of four disks (capacities chosen so equal-free ties occur),
+/// four services and random locality hints. A restore either rebuilds
+/// the allocator from the live spaces (a new Master) or places a space
+/// on a disk that was never registered.
+#[test]
+fn allocator_places_where_sorting_every_candidate_does() {
+    const UNITS: u32 = 3;
+    const DISKS: u32 = 4;
+    let attached_to = |k: &(UnitId, DiskId)| (k.1 .0 < 3).then_some(HostId(k.1 .0 % 2));
+    for case in 0..CASES {
+        let mut rng = SimRng::seed_from(0xA11C_A7E0 + case);
+        let capacities: Vec<((UnitId, DiskId), u64)> = (0..UNITS)
+            .flat_map(|u| (0..DISKS).map(move |d| (UnitId(u), DiskId(d))))
+            .map(|k| (k, 1000 * (1 + rng.u64_below(3))))
+            .collect();
+        let fresh = |capacities: &[((UnitId, DiskId), u64)]| {
+            let mut a = Allocator::new();
+            for ((u, d), cap) in capacities {
+                a.register_disk(*u, *d, *cap);
+            }
+            a
+        };
+        let mut a = fresh(&capacities);
+        let mut disks: BTreeSet<(UnitId, DiskId)> = capacities.iter().map(|(k, _)| *k).collect();
+        let mut live: Vec<(SpaceName, Extent)> = Vec::new();
+        for step in 0..80 {
+            match rng.usize_below(10) {
+                0..=5 => {
+                    let service = format!("svc{}", rng.usize_below(4));
+                    let size = rng.range_u64(1, 800);
+                    let preferred = rng.chance(0.5).then(|| {
+                        (
+                            UnitId(rng.u64_below(UNITS as u64) as u32),
+                            HostId(rng.u64_below(2) as u32),
+                        )
+                    });
+                    let want =
+                        reference_placement(&a, &disks, &service, size, attached_to, preferred);
+                    let got = a.allocate(&service, size, attached_to, preferred).ok();
+                    assert_eq!(
+                        got.as_ref()
+                            .map(|g| ((g.name.unit, g.name.disk), g.extent.offset)),
+                        want,
+                        "case {case} step {step}: {size} bytes for {service} near {preferred:?}"
+                    );
+                    live.extend(got.map(|g| (g.name, g.extent)));
+                }
+                6 | 7 if !live.is_empty() => {
+                    let (name, _) = live.swap_remove(rng.usize_below(live.len()));
+                    a.release(name).expect("release live");
+                }
+                8 => {
+                    a = fresh(&capacities);
+                    disks = capacities.iter().map(|(k, _)| *k).collect();
+                    for (name, extent) in &live {
+                        a.restore(*name, extent.clone());
+                        disks.insert((name.unit, name.disk));
+                    }
+                }
+                _ => {
+                    let unit = UnitId(rng.u64_below(UNITS as u64) as u32);
+                    let disk = DiskId(DISKS + rng.u64_below(2) as u32);
+                    let name = SpaceName::new(unit, disk, rng.u64_below(4) as u32);
+                    if a.lookup(name).is_none() {
+                        let extent = Extent {
+                            offset: rng.u64_below(4) * 1000,
+                            len: 1 + rng.u64_below(999),
+                            service: format!("svc{}", rng.usize_below(4)),
+                        };
+                        a.restore(name, extent.clone());
+                        disks.insert((unit, disk));
+                        live.push((name, extent));
+                    }
+                }
+            }
+        }
+    }
+}
+
 /// The allocator never double-books bytes on a disk.
 #[test]
 fn allocator_extents_never_overlap() {
@@ -218,11 +361,10 @@ fn allocator_extents_never_overlap() {
             a.register_disk(UnitId(0), ustore_fabric::DiskId(d), 4096);
         }
         let mut live = Vec::new();
-        let empty = BTreeMap::new();
         let n = 1 + rng.usize_below(39);
         for _ in 0..n {
             let size = rng.range_u64(1, 1001);
-            if let Ok(got) = a.allocate("svc", size, &empty, None) {
+            if let Ok(got) = a.allocate("svc", size, |_| None, None) {
                 live.push(got.name);
             }
             if rng.chance(0.4) && !live.is_empty() {
