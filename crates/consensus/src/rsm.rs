@@ -934,8 +934,10 @@ impl CoordServer {
             self.send_accepts(sim, ballot, slot, cmd);
         }
         self.apply_ready(sim);
-        let first = sim.now() + self.inner.borrow().config.heartbeat_interval;
-        self.arm_tick(sim, first);
+        // The first learn goes out now, at the origin of the term's grid:
+        // a follower whose election deadline falls within the first
+        // interval would otherwise campaign against this leader.
+        self.on_tick(sim, sim.now());
         self.arm_sweeper(sim);
     }
 
@@ -1922,6 +1924,27 @@ mod tests {
             assert!(sent > 4 * 60 * 19, "seed {seed}: {sent} messages sent");
             assert_eq!((delivered, dropped), (sent, 0));
             assert_eq!(leader(&servers).expect("leader").id(), l, "no election");
+        }
+    }
+
+    /// A new leader's first learn goes out when it wins, so no follower's
+    /// start-up election deadline passes before it hears the leader: an
+    /// idle cluster elects exactly one leader.
+    #[test]
+    fn an_idle_cluster_elects_one_leader_at_start_up() {
+        for seed in [11, 12, 13] {
+            let sim = Sim::new(seed);
+            let (_net, servers) = cluster(&sim, 5);
+            sim.run_until(SimTime::from_secs(5));
+            let wins: Vec<String> = sim.with_trace(|t| {
+                t.events()
+                    .iter()
+                    .filter(|e| e.message.contains("became leader"))
+                    .map(|e| format!("{:?} {}", e.at, e.message))
+                    .collect()
+            });
+            assert_eq!(wins.len(), 1, "seed {seed}: {wins:?}");
+            assert!(leader(&servers).is_some(), "seed {seed}: no leader");
         }
     }
 

@@ -57,17 +57,17 @@ fn degraded_telemetry_varies_with_seed() {
 /// fnv1a of `run_degraded_traced(20150707)`'s Prometheus, Chrome-trace and
 /// CSV artifacts.
 const GOLDEN_DEGRADED_ARTIFACTS: [u64; 3] = [
-    0xa894_24c0_4381_3bf4,
-    0x2da5_7dc9_9208_823e,
-    0xf8ae_bf24_623b_ac25,
+    0xeaef_c940_ba3f_1d41,
+    0x89b2_ed71_95ee_b2cc,
+    0x5752_41ca_3b9e_865c,
 ];
 
 /// `run_failover_traced(20150707, u32::MAX)`: fnv1a of its span tree and
 /// its detection, reconfiguration, restore and total durations in ns. Its
 /// metrics are deliberately not pinned (they count USB detaches).
 const GOLDEN_FAILOVER: (u64, [u128; 4]) = (
-    0x24b1_f9b0_1d6a_bb30,
-    [1_000_000_000, 510_434_092, 4_101_940_391, 5_612_374_483],
+    0xcb87_1190_0974_d74a,
+    [1_000_000_000, 510_452_016, 4_101_954_084, 5_612_406_100],
 );
 
 #[test]
@@ -94,15 +94,15 @@ fn failover_spans_and_phases_are_pinned() {
 /// classic engine, the sharded engine (any shard count) and the sharded
 /// partitioned + leased pod. Re-golden one line only for a deliberate
 /// change to what the pod simulates or exports.
-const GOLDEN_TINY_CLASSIC: (u64, u64) = (0x3d3d_33cb_1978_b818, 2_748);
-const GOLDEN_TINY_SHARDED: (u64, u64) = (0x46fb_4568_9305_4405, 3_277);
-const GOLDEN_TINY_PARTITIONED_LEASED: (u64, u64) = (0x29ac_863a_e2cb_2c8c, 5_792);
+const GOLDEN_TINY_CLASSIC: (u64, u64) = (0xc9a7_edaf_2b1d_723a, 2_747);
+const GOLDEN_TINY_SHARDED: (u64, u64) = (0x823c_6198_71cf_bc88, 3_232);
+const GOLDEN_TINY_PARTITIONED_LEASED: (u64, u64) = (0xce43_6add_e6a0_2d54, 5_613);
 
 /// Pinned sharded-engine counters `(epochs, sync_rounds, cross_messages)`
 /// of the same two sharded runs: the scheduler's decisions, which must
 /// not drift when the engine loop is restructured (any shard count).
-const GOLDEN_TINY_SHARDED_ENGINE: (u64, u64, u64) = (345, 1_066, 522);
-const GOLDEN_TINY_PARTITIONED_LEASED_ENGINE: (u64, u64, u64) = (435, 1_503, 1_662);
+const GOLDEN_TINY_SHARDED_ENGINE: (u64, u64, u64) = (387, 1_057, 522);
+const GOLDEN_TINY_PARTITIONED_LEASED_ENGINE: (u64, u64, u64) = (387, 1_203, 1_662);
 
 fn assert_golden(run: &PodscaleRun, golden: (u64, u64), name: &str) {
     assert_eq!(
