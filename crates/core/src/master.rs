@@ -243,7 +243,7 @@ struct Due {
     key: (UnitId, HostId),
     beat: Heartbeat,
     /// The stream was removed: the beat's timestamps go to the maps.
-    last: bool,
+    removed: bool,
 }
 
 /// Keeps the later of `at` and the recorded instant.
@@ -986,7 +986,7 @@ impl Master {
                     at,
                     key: *key,
                     beat: st.beat(n),
-                    last: false,
+                    removed: false,
                 }),
                 _ => next.push((*key, st.next_after(now).map(|n| st.arrival(n)))),
             }
@@ -1162,7 +1162,7 @@ impl Master {
                         at: st.arrival(l),
                         key,
                         beat: st.beat(l),
-                        last: true,
+                        removed: true,
                     });
                 }
             }
@@ -1181,7 +1181,7 @@ impl Master {
                         at: st.arrival(n),
                         key,
                         beat: st.beat(n),
-                        last: false,
+                        removed: false,
                     });
                 }
             }
@@ -1191,8 +1191,8 @@ impl Master {
         batch.sort_by_key(|d| (d.at, d.key));
         let mut i = 0;
         while i < batch.len() {
-            let (at, key, last) = (batch[i].at, batch[i].key, batch[i].last);
-            if self.apply_beat(sim, &batch[i].beat, at, last) {
+            let (at, key, removed) = (batch[i].at, batch[i].key, batch[i].removed);
+            if self.apply_beat(sim, &batch[i].beat, at, removed) {
                 for d in self.soil(sim, key.0, Some((at, key))) {
                     let pos =
                         i + 1 + batch[i + 1..].partition_point(|x| (x.at, x.key) < (d.at, d.key));
