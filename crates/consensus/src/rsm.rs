@@ -25,10 +25,11 @@
 //! learn is a keyed flow (`Network::keyed_flow`), numbered per follower
 //! within the leader's term, so its latency is a pure function both ends
 //! can evaluate. While a leader→follower flow is steady (see
-//! `CoordServer::steady`) its learns are computed rather than simulated
-//! (DESIGN §17 "Computed learns"): the leader stops ticking and sends a
-//! `LearnsOpen` notice, and each side settles what the learns would have
-//! done before anything reads or changes its state.
+//! `S::steady`) its learns are computed rather than simulated (DESIGN §17
+//! "Computed streams"), over the stream primitive of
+//! [`ustore_net::stream`]: the leader stops ticking, and the follower
+//! takes in what the learns would have done before anything reads or
+//! changes its state.
 
 use std::cell::RefCell;
 use std::collections::{BTreeMap, HashMap};
@@ -37,7 +38,9 @@ use std::rc::Rc;
 use std::sync::Arc;
 use std::time::Duration;
 
-use ustore_net::{Addr, BeatClock, KeyedFlow, Network, Payload, Responder, RpcNode, RuleChange};
+use ustore_net::{
+    Addr, End, Network, Open, Payload, Receiver, Responder, RpcNode, RuleChange, Sender,
+};
 use ustore_sim::faultgen::mix_seed;
 use ustore_sim::{CounterHandle, EventId, Sim, SimTime, TraceLevel};
 
@@ -106,7 +109,8 @@ pub(crate) struct AcceptResp {
     pub ok: bool,
 }
 
-/// Leader → follower, one way (`paxos.learn`).
+/// Leader → follower, one way (`paxos.learn`). Every learn of a
+/// computed stream is an empty one.
 #[derive(Clone)]
 pub(crate) struct LearnReq {
     pub ballot: Ballot,
@@ -129,23 +133,6 @@ pub(crate) struct Learned {
 
 /// Bytes of a learn body on the wire.
 const LEARN_BYTES: u64 = 256;
-
-/// Leader → follower notice: the learns from `clock.first` on repeat an
-/// empty learn at `ballot` with `belief`, over `flow`, until a
-/// [`LearnsEnd`].
-struct LearnsOpen {
-    ballot: Ballot,
-    leader: u32,
-    belief: u64,
-    clock: BeatClock,
-    flow: KeyedFlow,
-}
-
-/// Leader → follower notice: `leader`'s stream ends with learn `last`.
-struct LearnsEnd {
-    leader: u32,
-    last: u64,
-}
 
 // ---- Client-facing messages --------------------------------------------
 
@@ -218,47 +205,6 @@ struct WatchEntry {
     client: Addr,
 }
 
-/// The learns to one peer in the leader's term.
-#[derive(Default)]
-struct Out {
-    /// Number of the last learn sent, simulated or computed.
-    sent: u64,
-    /// The computed stream, while the flow is steady.
-    stream: Option<BeatClock>,
-}
-
-/// A computed learn stream as its follower sees it.
-struct Inbound {
-    leader: u32,
-    ballot: Ballot,
-    belief: u64,
-    clock: BeatClock,
-    flow: KeyedFlow,
-    /// The first learn not yet settled.
-    next: u64,
-    /// The stream's last learn, once its end notice arrived.
-    last: Option<u64>,
-    /// A settle scheduled at the next learn's arrival.
-    wake: Option<(SimTime, EventId)>,
-}
-
-impl Inbound {
-    fn pending(&self) -> bool {
-        self.last.is_none_or(|l| self.next <= l)
-    }
-
-    fn next_arrival(&self) -> SimTime {
-        self.clock.arrival(self.next, &self.flow)
-    }
-}
-
-/// Forgets inbound stream `i`, cancelling its pending wake.
-fn drop_inbound(sim: &Sim, inbound: &mut Vec<Inbound>, i: usize) {
-    if let Some((_, id)) = inbound.remove(i).wake {
-        sim.cancel(id);
-    }
-}
-
 /// What one computed learn does at its follower.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Effect {
@@ -278,9 +224,6 @@ struct S {
     peers: Vec<Addr>,
     config: CoordConfig,
     paused: bool,
-    /// Simulate every learn (the differential oracle; see
-    /// [`ustore_net::with_simulated_streams`]).
-    simulated: bool,
 
     // Timers.
     /// Key of this server's election-timeout stream.
@@ -312,14 +255,12 @@ struct S {
     proposers: HashMap<u64, Proposer<Command>>,
     pending: HashMap<u64, Responder>,
     peer_have: HashMap<u32, u64>,
-    /// Learns to each peer, indexed by replica id.
-    out: Vec<Out>,
-    /// The keyed learn flow to each peer.
-    flows: Vec<KeyedFlow>,
+    /// Learns to each peer in the leader's term, indexed by replica id.
+    out: Vec<Sender<u32, LearnReq>>,
 
     // Follower state.
     /// Computed learn streams pointed at this replica, by leader.
-    inbound: Vec<Inbound>,
+    inbound: Receiver<u32, LearnReq>,
 
     // Service state (leader-owned).
     session_last_heard: HashMap<SessionId, SimTime>,
@@ -381,8 +322,23 @@ impl S {
         origin + Duration::from_nanos(k * step)
     }
 
-    /// What the next learn of `st` does here, with this node `up` or not.
-    fn effect(&self, st: &Inbound, up: bool) -> Effect {
+    /// The leader's part of whether the learns to peer `pid` can be
+    /// computed: it leads and is live; the peer has the whole committed log
+    /// and no accept is in flight (every learn repeats an empty one); and a
+    /// live stream can never let the peer's election timeout fire.
+    fn steady(&mut self, pid: usize) -> bool {
+        let flow = self.out[pid].flow(&self.peers[pid]);
+        !self.paused
+            && matches!(self.role, Role::Leader)
+            && self.proposers.is_empty()
+            && self.peer_have(pid as u32) == self.commit_upto()
+            && self.config.heartbeat_interval + flow.max_latency()
+                < self.config.election_timeout_min
+    }
+
+    /// What the next learn of a stream, `st`, does here, with this node
+    /// `up` or not.
+    fn effect(&self, st: &LearnReq, up: bool) -> Effect {
         if self.paused || !up {
             return Effect::Nothing;
         }
@@ -460,22 +416,23 @@ impl CoordServer {
             redirects: sim.counter(&label, "consensus.redirects"),
             proposals: sim.counter(&label, "consensus.proposals"),
         };
-        let bytes = RpcNode::cast_wire_bytes(LEARN_BYTES);
-        let flows = peers
+        let cast = ("paxos.learn", LEARN_BYTES);
+        let interval = config.heartbeat_interval;
+        let out = peers
             .iter()
-            .map(|p| net.keyed_flow(rpc.addr(), p, bytes))
+            .map(|_| Sender::new(&rpc, id, cast, interval, None))
             .collect();
+        let inbound = Receiver::new(net, rpc.addr().clone());
         let server = CoordServer {
             rpc,
             metrics,
             inner: Rc::new(RefCell::new(S {
                 id,
-                out: peers.iter().map(|_| Out::default()).collect(),
-                flows,
+                out,
+                inbound,
                 peers,
                 config,
                 paused: false,
-                simulated: ustore_net::simulated_streams(),
                 election_key: sim.with_rng(|r| r.next_u64()),
                 deadline: None,
                 timer: None,
@@ -493,7 +450,6 @@ impl CoordServer {
                 proposers: HashMap::new(),
                 pending: HashMap::new(),
                 peer_have: HashMap::new(),
-                inbound: Vec::new(),
                 session_last_heard: HashMap::new(),
                 data_watches: HashMap::new(),
                 child_watches: HashMap::new(),
@@ -506,8 +462,6 @@ impl CoordServer {
         });
         let this = server.clone();
         net.on_rule_change(move |sim, change| this.on_rule_change(sim, change));
-        let this = server.clone();
-        sim.on_settle(move |sim| this.event(sim, |this| this.settle_out(sim)));
         server.event(sim, |this| this.arm_election(sim));
         server
     }
@@ -625,86 +579,54 @@ impl CoordServer {
     }
 
     fn sync_leader(&self, sim: &Sim) {
-        let (leading, n) = {
-            let s = self.inner.borrow();
-            (!s.paused && matches!(s.role, Role::Leader), s.peers.len())
-        };
+        let mut guard = self.inner.borrow_mut();
+        let s = &mut *guard;
+        let leading = !s.paused && matches!(s.role, Role::Leader);
         if !leading {
-            let (tick, sweeper) = {
-                let mut s = self.inner.borrow_mut();
-                (s.tick.take(), s.sweeper.take())
-            };
-            for id in tick.into_iter().chain(sweeper) {
+            for id in s.tick.take().into_iter().chain(s.sweeper.take()) {
                 sim.cancel(id);
             }
-            for pid in 0..n {
-                self.end_out(sim, pid);
-            }
-            return;
         }
         let mut ticking = false;
-        for pid in 0..n {
-            let streamed = self.inner.borrow().out[pid].stream.is_some();
-            if streamed && !self.steady(pid) {
-                self.end_out(sim, pid);
+        for pid in 0..s.peers.len() {
+            // (A drop rule touching the path ended the stream already.)
+            if !leading || !s.steady(pid) {
+                s.out[pid].end(sim);
             }
-            let s = self.inner.borrow();
-            ticking |= pid as u32 != s.id && s.out[pid].stream.is_none();
+            ticking |= leading && pid as u32 != s.id && s.out[pid].streaming().is_none();
         }
-        let at = {
-            let s = self.inner.borrow();
-            (ticking && s.tick.is_none())
-                .then(|| S::next_on_grid(s.term_start, s.config.heartbeat_interval, sim.now()))
-        };
-        if let Some(at) = at {
+        if ticking && s.tick.is_none() {
+            let at = S::next_on_grid(s.term_start, s.config.heartbeat_interval, sim.now());
+            drop(guard);
             self.arm_tick(sim, at);
         }
     }
 
     fn sync_follower(&self, sim: &Sim, up: bool) {
-        let mut wakes = Vec::new();
         let (wanted, timer) = {
             let mut guard = self.inner.borrow_mut();
             let s = &mut *guard;
             let mut kept = false;
-            for i in 0..s.inbound.len() {
-                let st = &s.inbound[i];
-                let effect = st.pending().then(|| s.effect(st, up));
-                let at = (effect == Some(Effect::Handle)).then(|| st.next_arrival());
+            let mut wakes = Vec::new();
+            for (&leader, st) in s.inbound.iter() {
+                let effect = st.pending().then(|| s.effect(&st.state, up));
+                let next = st.arrival(st.next);
                 if effect == Some(Effect::Deadline)
-                    && st.last.is_none()
-                    && s.deadline.is_some_and(|d| d > st.next_arrival())
+                    && !st.is_ended()
+                    && s.deadline.is_some_and(|d| d > next)
                 {
                     kept = true;
                 }
-                let st = &mut s.inbound[i];
-                if st.wake.map(|(t, _)| t) != at {
-                    if let Some((_, id)) = st.wake.take() {
-                        sim.cancel(id);
-                    }
-                    if let Some(at) = at {
-                        wakes.push((st.leader, at));
-                    }
-                }
+                wakes.push((leader, (effect == Some(Effect::Handle)).then_some(next)));
+            }
+            for (leader, at) in wakes {
+                let this = self.clone();
+                s.inbound
+                    .wake(sim, &leader, at, move |sim| this.event(sim, |_| {}));
             }
             let wanted = if kept { None } else { s.deadline };
             (wanted, s.timer)
         };
-        for (leader, at) in wakes {
-            let this = self.clone();
-            let id = sim.schedule_at(at, move |sim| {
-                this.event(sim, |this| {
-                    let mut s = this.inner.borrow_mut();
-                    if let Some(st) = s.inbound.iter_mut().find(|st| st.leader == leader) {
-                        st.wake = None;
-                    }
-                });
-            });
-            let mut s = self.inner.borrow_mut();
-            if let Some(st) = s.inbound.iter_mut().find(|st| st.leader == leader) {
-                st.wake = Some((at, id));
-            }
-        }
         match (wanted, timer) {
             (None, Some((_, id))) => {
                 sim.cancel(id);
@@ -920,7 +842,7 @@ impl CoordServer {
             // A new term: its learns are numbered from 1 on a fresh grid.
             s.term_start = now;
             for out in &mut s.out {
-                *out = Out::default();
+                out.restart();
             }
             todo
         };
@@ -957,166 +879,48 @@ impl CoordServer {
     }
 
     /// One heartbeat: a simulated learn to every peer whose learns are
-    /// not computed; each of those flows that is now steady opens a
+    /// not computed, each of those flows that is now steady opening a
     /// computed stream. Ticks stop once every flow is computed.
     fn on_tick(&self, sim: &Sim, at: SimTime) {
-        let (leading, interval, n) = {
+        let (leading, interval) = {
             let mut s = self.inner.borrow_mut();
             s.tick = None;
-            (
-                !s.paused && matches!(s.role, Role::Leader),
-                s.config.heartbeat_interval,
-                s.peers.len(),
-            )
+            let leading = !s.paused && matches!(s.role, Role::Leader);
+            (leading, s.config.heartbeat_interval)
         };
-        if !leading {
-            return;
-        }
-        self.broadcast_learn(sim);
-        let mut ticking = false;
-        for pid in 0..n {
-            let (me, streamed) = {
-                let s = self.inner.borrow();
-                (pid as u32 == s.id, s.out[pid].stream.is_some())
-            };
-            if me || streamed {
-                continue;
-            }
-            if self.steady(pid) {
-                self.open_out(sim, pid, at + interval);
-            } else {
-                ticking = true;
-            }
-        }
-        if ticking {
+        if leading && self.broadcast_learn(sim, true) {
             self.arm_tick(sim, at + interval);
         }
     }
 
-    /// Whether the learns to peer `pid` can be computed: this replica
-    /// leads, is live and its node is up; the peer has the whole
-    /// committed log and no accept is in flight, so every learn repeats
-    /// an empty one; the path has no sender-side drop rule; and the
-    /// flow's latencies are short enough that arrivals keep order and a
-    /// live stream can never let the peer's election timeout fire.
-    fn steady(&self, pid: usize) -> bool {
-        let s = self.inner.borrow();
-        let flow = &s.flows[pid];
-        let interval = s.config.heartbeat_interval;
-        !s.simulated
-            && !s.paused
-            && matches!(s.role, Role::Leader)
-            && s.proposers.is_empty()
-            && s.peer_have(pid as u32) == s.commit_upto()
-            && flow.max_latency() < interval
-            && interval + flow.max_latency() < s.config.election_timeout_min
-            && self
-                .rpc
-                .network()
-                .path_clear(self.rpc.addr(), &s.peers[pid])
-    }
-
-    /// Opens the computed stream to `pid`, its first learn sent at
-    /// `phase`, and tells the peer how to compute it.
-    fn open_out(&self, sim: &Sim, pid: usize, phase: SimTime) {
-        let (to, open) = {
-            let mut s = self.inner.borrow_mut();
-            let clock = BeatClock {
-                first: s.out[pid].sent + 1,
-                phase,
-                interval: s.config.heartbeat_interval,
-            };
-            s.out[pid].stream = Some(clock);
-            let open = LearnsOpen {
-                ballot: s.ballot,
-                leader: s.id,
-                belief: s.commit_upto(),
-                clock,
-                flow: s.flows[pid],
-            };
-            (s.peers[pid].clone(), open)
-        };
-        self.rpc
-            .network()
-            .notify(sim, self.rpc.addr(), &to, Arc::new(open));
-    }
-
-    /// Counts the computed learns sent by now.
-    fn settle_out(&self, sim: &Sim) {
-        let mut sent = 0;
-        {
-            let mut s = self.inner.borrow_mut();
-            for out in &mut s.out {
-                let Some(n) = out.stream.and_then(|c| c.last_sent_by(sim.now())) else {
-                    continue;
-                };
-                if n > out.sent {
-                    sent += n - out.sent;
-                    out.sent = n;
-                }
-            }
-        }
-        if sent > 0 {
-            self.rpc.network().count_computed(sent, 0, 0);
-        }
-    }
-
-    /// Ends the computed stream to `pid`, if any: its learns up to now
-    /// were sent, and the peer hears where the stream stopped one base
-    /// latency later, before the next learn could arrive.
-    fn end_out(&self, sim: &Sim, pid: usize) {
-        if self.inner.borrow().out[pid].stream.is_none() {
-            return;
-        }
-        self.settle_out(sim);
-        let (to, end) = {
-            let mut s = self.inner.borrow_mut();
-            s.out[pid].stream = None;
-            let end = LearnsEnd {
-                leader: s.id,
-                last: s.out[pid].sent,
-            };
-            (s.peers[pid].clone(), end)
-        };
-        self.rpc
-            .network()
-            .notify(sim, self.rpc.addr(), &to, Arc::new(end));
-    }
-
-    /// Casts a learn to every peer whose learns are simulated.
-    fn broadcast_learn(&self, sim: &Sim) {
-        let (ballot, me, peers, mut per_peer) = {
-            let s = self.inner.borrow();
-            (s.ballot, s.id, s.peers.clone(), s.learn_entries())
-        };
-        for (pid, addr) in peers.iter().enumerate() {
-            if pid as u32 == me {
+    /// Casts a learn to every peer whose learns are simulated; on a tick
+    /// (`open`), each of those flows that is now steady opens a computed
+    /// stream. Returns whether any flow is still simulated.
+    fn broadcast_learn(&self, sim: &Sim, open: bool) -> bool {
+        let mut per_peer = self.inner.borrow().learn_entries();
+        let mut simulated = false;
+        for (pid, entries) in per_peer.iter_mut().enumerate() {
+            let mut guard = self.inner.borrow_mut();
+            let s = &mut *guard;
+            if pid as u32 == s.id || s.out[pid].streaming().is_some() {
                 continue;
             }
-            let (n, belief, flow) = {
-                let mut s = self.inner.borrow_mut();
-                if s.out[pid].stream.is_some() {
-                    continue;
-                }
-                s.out[pid].sent += 1;
-                (s.out[pid].sent, s.peer_have(pid as u32), s.flows[pid])
+            let steady = open && s.steady(pid);
+            let learn = LearnReq {
+                ballot: s.ballot,
+                leader: s.id,
+                entries: Vec::new(),
+                belief: s.commit_upto(),
             };
             let req = LearnReq {
-                ballot,
-                leader: me,
-                entries: std::mem::take(&mut per_peer[pid]),
-                belief,
+                entries: std::mem::take(entries),
+                belief: s.peer_have(pid as u32),
+                ..learn.clone()
             };
-            self.rpc.cast_keyed(
-                sim,
-                addr,
-                "paxos.learn",
-                Arc::new(req),
-                LEARN_BYTES,
-                &flow,
-                n,
-            );
+            let to = Some(&s.peers[pid]);
+            simulated |= !s.out[pid].send(sim, to, |_| Arc::new(req), steady, |_| learn);
         }
+        simulated
     }
 
     fn on_learned(&self, msg: &Learned) {
@@ -1168,93 +972,51 @@ impl CoordServer {
         }
     }
 
-    /// Settles the computed learns that arrived by now, this node being
-    /// `up` or not since the last settle: the network counts them as
-    /// delivered or dropped, and each does what [`S::effect`] says.
+    /// Takes in the computed learns that arrived by now, this node being
+    /// `up` or not since the last time: each does what [`S::effect`]
+    /// says. (The network counts them.)
     fn settle_in(&self, sim: &Sim, up: bool) {
         let now = sim.now();
-        let mut arrived = 0;
-        let mut i = 0;
+        let mut from = 0;
         loop {
-            let handle = {
+            let handled = {
                 let mut guard = self.inner.borrow_mut();
                 let s = &mut *guard;
-                let Some(st) = s.inbound.get(i) else {
+                let Some((&leader, st)) = s.inbound.range(from..).next() else {
                     break;
                 };
-                let n = st
-                    .clock
-                    .last_arrived_by(now, &st.flow)
-                    .map(|n| st.last.map_or(n, |l| n.min(l)));
-                let Some(n) = n.filter(|&n| n >= st.next) else {
+                let Some(n) = st.arrived_by(now).filter(|&n| n >= st.next) else {
                     if !st.pending() {
-                        drop_inbound(sim, &mut s.inbound, i);
-                    } else {
-                        i += 1;
+                        s.inbound.remove(sim, &leader);
                     }
+                    from = leader + 1;
                     continue;
                 };
-                let effect = s.effect(st, up);
-                if effect == Effect::Handle {
-                    let m = st.next;
-                    debug_assert_eq!(st.clock.arrival(m, &st.flow), now, "handled late");
-                    let req = LearnReq {
-                        ballot: st.ballot,
-                        leader: st.leader,
-                        entries: Vec::new(),
-                        belief: st.belief,
-                    };
-                    s.inbound[i].next = m + 1;
-                    arrived += 1;
-                    Some(req)
-                } else {
-                    if effect == Effect::Deadline {
-                        let d = s.election_timeout();
-                        s.deadline = Some(st.clock.arrival(n, &st.flow) + d);
-                    }
-                    let st = &mut s.inbound[i];
-                    arrived += n + 1 - st.next;
-                    st.next = n + 1;
-                    None
+                let (effect, at) = (s.effect(&st.state, up), st.arrival(n));
+                let handle = effect == Effect::Handle;
+                debug_assert!(!handle || st.arrival(st.next) == now, "handled late");
+                let learn = handle.then(|| st.state.clone());
+                if effect == Effect::Deadline {
+                    s.deadline = Some(at + s.election_timeout());
                 }
+                // A handled learn runs as its own event, one at a time.
+                let st = s.inbound.get_mut(&leader).expect("stream");
+                st.next = if handle { st.next + 1 } else { n + 1 };
+                learn
             };
-            if let Some(req) = handle {
+            if let Some(req) = handled {
                 self.apply_learn(sim, &req);
-            }
-        }
-        if arrived > 0 {
-            let net = self.rpc.network();
-            if up {
-                net.count_computed(0, arrived, 0);
-            } else {
-                net.count_computed(0, 0, arrived);
             }
         }
     }
 
     fn on_notice(&self, sim: &Sim, notice: &Payload) {
-        if let Some(open) = notice.downcast_ref::<LearnsOpen>() {
-            let mut s = self.inner.borrow_mut();
-            if let Some(i) = s.inbound.iter().position(|st| st.leader == open.leader) {
-                drop_inbound(sim, &mut s.inbound, i);
-            }
-            s.inbound.push(Inbound {
-                leader: open.leader,
-                ballot: open.ballot,
-                belief: open.belief,
-                clock: open.clock,
-                flow: open.flow,
-                next: open.clock.first,
-                last: None,
-                wake: None,
-            });
-        } else if let Some(end) = notice.downcast_ref::<LearnsEnd>() {
-            let mut s = self.inner.borrow_mut();
-            if let Some(i) = s.inbound.iter().position(|st| st.leader == end.leader) {
-                s.inbound[i].last = Some(end.last);
-                if !s.inbound[i].pending() {
-                    drop_inbound(sim, &mut s.inbound, i);
-                }
+        let mut s = self.inner.borrow_mut();
+        if let Some(open) = notice.downcast_ref::<Open<u32, LearnReq>>() {
+            s.inbound.open(sim, open, open.payload.clone());
+        } else if let Some(end) = notice.downcast_ref::<End<u32>>() {
+            if s.inbound.end(sim, end).is_some_and(|st| !st.pending()) {
+                s.inbound.remove(sim, &end.key);
             }
         }
     }
@@ -1263,15 +1025,8 @@ impl CoordServer {
     /// path it touches end now, and a change to this replica's own node
     /// settles what arrived under the old rule before it applies.
     fn on_rule_change(&self, sim: &Sim, change: &RuleChange) {
-        let n = self.inner.borrow().peers.len();
-        for pid in 0..n {
-            let touched = {
-                let s = self.inner.borrow();
-                s.out[pid].stream.is_some() && change.touches(self.rpc.addr(), &s.peers[pid])
-            };
-            if touched {
-                self.end_out(sim, pid);
-            }
+        for out in &mut self.inner.borrow_mut().out {
+            out.on_rule_change(sim, change);
         }
         let me = self.rpc.addr();
         let up_after = match change {
@@ -1378,7 +1133,7 @@ impl CoordServer {
         };
         if chosen_now {
             self.apply_ready(sim);
-            self.broadcast_learn(sim);
+            self.broadcast_learn(sim, false);
         }
     }
 
@@ -2119,6 +1874,34 @@ mod tests {
             on_leader(sim, servers, 3_500, |sim, l| {
                 propose_ok(sim, l, Command::CreateSession { id: 5 });
                 propose_ok(sim, l, Command::CreateSession { id: 6 });
+            });
+        });
+    }
+
+    /// The leader's link to a follower is blocked exactly on a send
+    /// instant of its learns, the next point of the term's grid after 3 s,
+    /// while the stream to that follower is open. Ticks are early events,
+    /// so that learn counts as sent before the block applies, in both
+    /// runs; the stream ends with it, and the re-armed tick must send the
+    /// next one. An off-by-one in either moves the network's counts.
+    #[test]
+    fn a_stream_ended_on_a_send_instant_matches_with_every_learn_simulated() {
+        assert_learns_match("block on a send instant", 6_000, |sim, net, servers| {
+            let (net, all) = (net.clone(), servers.to_vec());
+            on_leader(sim, servers, 3_000, move |sim, l| {
+                let (at, pid) = {
+                    let s = l.inner.borrow();
+                    let at = S::next_on_grid(s.term_start, s.config.heartbeat_interval, sim.now());
+                    (at, (l.id() as usize + 1) % s.peers.len())
+                };
+                let (net, l, to) = (net.clone(), l.clone(), all[pid].addr());
+                sim.schedule_at(at, move |sim| {
+                    let open = l.inner.borrow().out[pid].streaming().is_some();
+                    assert!(open || ustore_net::simulated_streams(), "no stream open");
+                    net.block(sim, &l.addr(), &to);
+                    let net = net.clone();
+                    sim.schedule_in(Duration::from_secs(1), move |sim| net.heal(sim));
+                });
             });
         });
     }

@@ -17,13 +17,12 @@ use std::time::Duration;
 use ustore_disk::PowerStateKind;
 use ustore_fabric::{DiskId, FabricIoError, FabricRuntime, HostId};
 use ustore_net::{
-    Addr, BeatClock, BlockDevice, BlockError, IscsiServer, KeyedFlow, ReadCb, Replicas, RpcNode,
-    RuleChange, WriteCb,
+    Addr, BlockDevice, BlockError, IscsiServer, ReadCb, Replicas, RpcNode, RuleChange, Sender,
+    WriteCb,
 };
-use ustore_sim::{CounterHandle, Sim, SimTime, TraceLevel};
+use ustore_sim::{Sim, SimTime, TraceLevel};
 use ustore_usb::{DeviceKind, DeviceState, UsbEvent};
 
-use crate::beats::{BeatsEnd, BeatsOpen};
 use crate::ids::{SpaceName, UnitId};
 use crate::messages::{ActiveMaster, DiskPowerReq, EndpointAck, ExposeReq, Heartbeat, UnexposeReq};
 
@@ -75,36 +74,19 @@ struct Ep {
     activity: HashMap<DiskId, Rc<Cell<SimTime>>>,
     spin_ups: HashMap<DiskId, Vec<SimTime>>,
     idle_threshold: HashMap<DiskId, Duration>,
-    /// Number of the last beat sent, simulated or computed.
-    seq: u64,
     paused: bool,
     /// Bumped by `pause` and `resume`: a timer armed under an older
     /// generation stops its chain, so a quick kill/restore never leaves
     /// two chains running.
     gen: u64,
-    /// Simulate every beat as events, never computing a stream (the
-    /// differential oracle; see [`ustore_net::with_simulated_streams`]).
-    simulated_beats: bool,
-    /// The computed beat stream, while the heartbeat is steady.
-    steady: Option<Steady>,
+    /// The heartbeats to the hinted Master, computed while steady.
+    beats: Sender<(UnitId, HostId), Heartbeat>,
     /// Ready-disk list for heartbeats, cached against the USB tree's
     /// topology generation — rebuilding it means snapshotting and sorting
     /// the whole tree, which the steady state never needs.
     ready_cache: (u64, Arc<[DiskId]>),
-    /// The keyed flow to the Master last beaten to.
-    flow: Option<(Addr, KeyedFlow)>,
-    /// Lazily-resolved heartbeat counter handle (avoids re-rendering the
-    /// address label and re-hashing the metric name every beat).
-    hb_counter: Option<CounterHandle>,
     /// Idle checks run so far.
     idle_checks: u64,
-}
-
-/// A computed heartbeat stream: what every beat repeats, and when.
-struct Steady {
-    to: Addr,
-    clock: BeatClock,
-    ready: Arc<[DiskId]>,
 }
 
 /// One EndPoint process. Shares its host's [`RpcNode`] (serving `ep.*`
@@ -140,6 +122,10 @@ impl Endpoint {
         config: EndpointConfig,
     ) -> Endpoint {
         let iscsi = Rc::new(IscsiServer::new(rpc.clone()));
+        let sent = sim.counter(rpc.addr().as_str(), "endpoint.heartbeats_sent");
+        let cast = ("master.heartbeat", HEARTBEAT_BYTES);
+        let interval = config.heartbeat_interval;
+        let beats = Sender::new(&rpc, (unit, host), cast, interval, Some(sent));
         let ep = Endpoint {
             masters: Replicas::new(rpc.clone(), masters),
             rpc,
@@ -153,14 +139,10 @@ impl Endpoint {
                 activity: HashMap::new(),
                 spin_ups: HashMap::new(),
                 idle_threshold: HashMap::new(),
-                seq: 0,
                 paused: false,
                 gen: 0,
-                simulated_beats: ustore_net::simulated_streams(),
-                steady: None,
+                beats,
                 ready_cache: (u64::MAX, Arc::from([])),
-                flow: None,
-                hb_counter: None,
                 idle_checks: 0,
             })),
         };
@@ -177,9 +159,7 @@ impl Endpoint {
         let e2 = ep.clone();
         ep.rpc
             .network()
-            .on_rule_change(move |sim, change| e2.on_rule_change(sim, change));
-        let e2 = ep.clone();
-        sim.on_settle(move |sim| e2.settle_beats(sim));
+            .on_rule_change(move |sim, change| e2.end_stream(sim, Some(change)));
         let interval = ep.inner.borrow().config.heartbeat_interval;
         ep.arm_heartbeat(sim, sim.now() + interval);
         ep.arm_idle_checker(sim);
@@ -208,7 +188,7 @@ impl Endpoint {
             ep.paused = true;
             ep.gen += 1;
         }
-        self.end_stream(sim);
+        self.end_stream(sim, None);
     }
 
     /// Restarts a paused EndPoint. Detach notices were dropped while
@@ -272,7 +252,7 @@ impl Endpoint {
             let before = e.masters.hinted().cloned();
             e.masters.point_at(&msg.addr);
             if e.masters.hinted() != before.as_ref() {
-                e.end_stream(sim);
+                e.end_stream(sim, None);
             }
         });
     }
@@ -434,20 +414,34 @@ impl Endpoint {
 
     /// Arms the simulated beat chain's tick at `at`. Ticks are early
     /// events: a beat due at `t` is sent before anything else happens at
-    /// `t`, which is also how a computed stream counts it.
+    /// `t`, which is also how a computed stream counts it. A tick sends a
+    /// simulated beat to the hinted Master; if the next beats will repeat
+    /// it, they are computed and the chain stops until the stream ends (the
+    /// ready set, the hint or the path changes, or `pause`).
     fn arm_heartbeat(&self, sim: &Sim, at: SimTime) {
         let gen = self.inner.borrow().gen;
         let this = self.clone();
         sim.schedule_early_at(at, move |sim| {
-            let interval = {
-                let ep = this.inner.borrow();
-                if ep.paused || ep.gen != gen {
-                    return;
-                }
-                ep.config.heartbeat_interval
+            if this.inner.borrow().paused || this.inner.borrow().gen != gen {
+                return;
+            }
+            let (ready, to) = (this.ready_disks(), this.masters.hinted().cloned());
+            let mut guard = this.inner.borrow_mut();
+            let ep = &mut *guard;
+            let (unit, host, addr) = (ep.unit, ep.host, this.rpc.addr());
+            let hb = |seq| Heartbeat {
+                unit,
+                host,
+                addr: addr.clone(),
+                ready_disks: Arc::clone(&ready),
+                seq,
             };
-            this.send_heartbeat(sim);
-            if !this.open_stream(sim) {
+            let interval = ep.config.heartbeat_interval;
+            if !ep
+                .beats
+                .send(sim, to.as_ref(), |seq| Arc::new(hb(seq)), true, &hb)
+            {
+                drop(guard);
                 this.arm_heartbeat(sim, at + interval);
             }
         });
@@ -470,138 +464,16 @@ impl Endpoint {
         Arc::clone(&ep.ready_cache.1)
     }
 
-    /// The keyed flow from this host to Master `to`.
-    fn flow_to(&self, to: &Addr) -> KeyedFlow {
-        let mut ep = self.inner.borrow_mut();
-        match &ep.flow {
-            Some((a, f)) if a == to => *f,
-            _ => {
-                let bytes = RpcNode::cast_wire_bytes(HEARTBEAT_BYTES);
-                let f = self.rpc.network().keyed_flow(self.rpc.addr(), to, bytes);
-                ep.flow = Some((to.clone(), f));
-                f
-            }
-        }
-    }
-
-    fn beat(&self, seq: u64, ready_disks: Arc<[DiskId]>) -> Heartbeat {
-        let ep = self.inner.borrow();
-        Heartbeat {
-            unit: ep.unit,
-            host: ep.host,
-            addr: self.rpc.addr().clone(),
-            ready_disks,
-            seq,
-        }
-    }
-
-    fn count_beats(&self, sim: &Sim, n: u64) {
-        let mut ep = self.inner.borrow_mut();
-        ep.hb_counter
-            .get_or_insert_with(|| sim.counter(self.addr().as_str(), "endpoint.heartbeats_sent"))
-            .add(n);
-    }
-
-    fn send_heartbeat(&self, sim: &Sim) {
-        let seq = {
-            let mut ep = self.inner.borrow_mut();
-            ep.seq += 1;
-            ep.seq
+    /// Ends the computed stream, if any (for a drop-rule `change`, if it
+    /// touches the stream's path); simulated beats resume where its next
+    /// beat was due, unless paused.
+    fn end_stream(&self, sim: &Sim, change: Option<&RuleChange>) {
+        let at = match change {
+            Some(c) => self.inner.borrow_mut().beats.on_rule_change(sim, c),
+            None => self.inner.borrow_mut().beats.end(sim),
         };
-        let hb = self.beat(seq, self.ready_disks());
-        self.count_beats(sim, 1);
-        if let Some(to) = self.masters.hinted() {
-            let flow = self.flow_to(to);
-            self.rpc.cast_keyed(
-                sim,
-                to,
-                "master.heartbeat",
-                Arc::new(hb),
-                HEARTBEAT_BYTES,
-                &flow,
-                seq,
-            );
-        }
-    }
-
-    /// Right after a simulated beat: if the next beats will repeat it
-    /// exactly (live, a clear path to the hinted Master, latencies below
-    /// the interval), stop simulating them and tell the Master how to
-    /// compute them. Returns whether the stream opened.
-    fn open_stream(&self, sim: &Sim) -> bool {
-        let (seq, interval, simulated) = {
-            let ep = self.inner.borrow();
-            (ep.seq, ep.config.heartbeat_interval, ep.simulated_beats)
-        };
-        let Some(to) = self.masters.hinted().cloned() else {
-            return false;
-        };
-        let flow = self.flow_to(&to);
-        if simulated
-            || flow.max_latency() >= interval
-            || !self.rpc.network().path_clear(self.rpc.addr(), &to)
-        {
-            return false;
-        }
-        let ready = self.ready_disks();
-        let clock = BeatClock {
-            first: seq + 1,
-            phase: sim.now() + interval,
-            interval,
-        };
-        let open = BeatsOpen {
-            beat: self.beat(seq + 1, Arc::clone(&ready)),
-            clock,
-            flow,
-        };
-        self.rpc
-            .network()
-            .notify(sim, self.rpc.addr(), &to, Arc::new(open));
-        self.inner.borrow_mut().steady = Some(Steady { to, clock, ready });
-        true
-    }
-
-    /// Counts the computed beats sent by now (the settle hook).
-    fn settle_beats(&self, sim: &Sim) {
-        let n = {
-            let mut ep = self.inner.borrow_mut();
-            let Some(sent) = ep
-                .steady
-                .as_ref()
-                .and_then(|st| st.clock.last_sent_by(sim.now()))
-            else {
-                return;
-            };
-            let n = sent.saturating_sub(ep.seq);
-            ep.seq = ep.seq.max(sent);
-            n
-        };
-        if n > 0 {
-            self.count_beats(sim, n);
-            self.rpc.network().count_computed(n, 0, 0);
-        }
-    }
-
-    /// Ends the computed stream, if any: its beats up to now were sent;
-    /// the Master hears where the stream stopped one base latency later,
-    /// before the first beat the change affects can arrive; simulated
-    /// beats resume from the next tick.
-    fn end_stream(&self, sim: &Sim) {
-        self.settle_beats(sim);
-        let (st, last, paused) = {
-            let mut ep = self.inner.borrow_mut();
-            let Some(st) = ep.steady.take() else {
-                return;
-            };
-            (st, ep.seq, ep.paused)
-        };
-        let (unit, host) = (self.unit(), self.host());
-        let end = BeatsEnd { unit, host, last };
-        self.rpc
-            .network()
-            .notify(sim, self.rpc.addr(), &st.to, Arc::new(end));
-        if !paused {
-            self.arm_heartbeat(sim, st.clock.sent_at(last + 1));
+        if let Some(at) = at.filter(|_| !self.inner.borrow().paused) {
+            self.arm_heartbeat(sim, at);
         }
     }
 
@@ -609,23 +481,11 @@ impl Endpoint {
         let streamed = self
             .inner
             .borrow()
-            .steady
-            .as_ref()
-            .map(|st| Arc::clone(&st.ready));
+            .beats
+            .streaming()
+            .map(|hb| Arc::clone(&hb.ready_disks));
         if streamed.is_some_and(|ready| ready != self.ready_disks()) {
-            self.end_stream(sim);
-        }
-    }
-
-    fn on_rule_change(&self, sim: &Sim, change: &RuleChange) {
-        let touched = self
-            .inner
-            .borrow()
-            .steady
-            .as_ref()
-            .is_some_and(|st| change.touches(self.rpc.addr(), &st.to));
-        if touched {
-            self.end_stream(sim);
+            self.end_stream(sim, None);
         }
     }
 

@@ -11,7 +11,7 @@
 //! Heartbeats are one way: nothing answers them. The active Master tells
 //! EndPoints where it is instead — every configured host on activation,
 //! then any host whose heartbeats have gone quiet. A steady EndPoint's
-//! beats are computed, not simulated (see [`crate::beats`]): SysStat
+//! beats are computed, not simulated (see [`ustore_net::stream`]): SysStat
 //! reads settle them first, and every action a beat's arrival triggers
 //! runs at the computed arrival of the first beat that triggers it.
 //!
@@ -32,13 +32,12 @@ use ustore_consensus::{
 };
 use ustore_fabric::{DiskId, HostId};
 use ustore_net::{
-    Addr, BeatClock, KeyedFlow, Network, Payload, Replicas, RetryPolicy, RpcError, RpcNode,
+    Addr, End, Inbound, Network, Open, Payload, Receiver, Replicas, RetryPolicy, RpcError, RpcNode,
     RuleChange, Verdict,
 };
 use ustore_sim::{CounterHandle, FastMap, FastSet, Sim, SimTime, SpanId, TraceLevel};
 
 use crate::alloc::{Allocator, Extent};
-use crate::beats::{BeatsEnd, BeatsOpen};
 use crate::ids::{SpaceName, UnitId};
 use crate::messages::ExposeReq;
 use crate::messages::{
@@ -125,24 +124,17 @@ struct M {
     /// Allocations whose metadata write is still in flight; not exposed
     /// until persisted (§IV-A's synchronous-persistence rule).
     pending_persist: FastSet<SpaceName>,
-    /// Lazily-resolved heartbeat counter handle — the heartbeat path runs
-    /// for every beat from every host, so it must not re-render the
-    /// address label each time.
-    hb_counter: Option<CounterHandle>,
+    /// Heartbeats heard while active.
+    heard: CounterHandle,
     /// When this process became active (baseline for detecting hosts that
     /// died before ever heartbeating to this master).
     activated_at: Option<SimTime>,
     /// Computed heartbeat streams pointed at this process, by host.
-    streams: BTreeMap<(UnitId, HostId), Stream>,
-    /// Whether SysStat takes in the streams' arrivals: this process is
-    /// active and its node is up.
-    hearing: bool,
-    /// Streams that are not [clean](Stream::clean), by the arrival of
+    streams: Receiver<(UnitId, HostId), Beats>,
+    /// Streams that are not [clean](Beats::clean), by the arrival of
     /// the next beat to apply in full (kept only while hearing).
     dirty: BTreeSet<(SimTime, UnitId, HostId)>,
-    /// Streams whose end notice arrived before their last beat.
-    ended: BTreeSet<(UnitId, HostId)>,
-    /// Heard streams by the instant they start to [cover](Stream::covers).
+    /// Heard streams by the instant they start to [cover](Beats::covers).
     cover_from: BTreeSet<(SimTime, UnitId, HostId)>,
     /// What covering streams vouch for, for every unit of `units`.
     cover: BTreeMap<UnitId, UnitCover>,
@@ -162,7 +154,7 @@ struct UnitCover {
     disks: usize,
 }
 
-/// The checks a covering stream vouches for (see [`Stream::covers`]).
+/// The checks a covering stream vouches for (see [`Beats::covers`]).
 #[derive(Debug, Clone, Copy)]
 struct Covers {
     dead: bool,
@@ -172,78 +164,44 @@ struct Covers {
     known: bool,
 }
 
-/// A computed heartbeat stream as the Master sees it.
-struct Stream {
-    /// What every beat of the stream says (`seq` aside).
+/// What the Master keeps of a computed heartbeat stream.
+struct Beats {
+    /// What every beat of the stream says (`seq` aside). From its first
+    /// heard beat on, the host's and its ready disks' timestamps are the
+    /// stream's latest heard arrival.
     beat: Heartbeat,
-    clock: BeatClock,
-    flow: KeyedFlow,
-    /// The stream's last beat, once its end notice arrived.
-    last: Option<u64>,
-    /// The first beat not yet counted as delivered or dropped.
-    counted: u64,
-    /// The first beat SysStat takes in (arrived while hearing); `None`
-    /// while not hearing. From its arrival on, the host's and its ready
-    /// disks' timestamps are this stream's latest arrival.
-    heard_from: Option<u64>,
-    /// Arrival instant of a settle already scheduled for this stream.
-    wake: Option<SimTime>,
     /// SysStat already holds what this stream's beats say, so the next
     /// one only moves its timestamps. Cleared by every change to the
     /// unit's SysStat.
     clean: bool,
     /// This stream's key in [`M::dirty`].
     due: Option<SimTime>,
-    /// Largest gap between two consecutive arrivals: the interval plus
-    /// the flow's jitter span.
-    gap: Duration,
     /// Set while the stream covers: it is heard, not ended, and one of
     /// its heard beats has arrived. Then every check whose threshold
-    /// exceeds `gap` would find the host (and its ready disks) heard
-    /// less than `gap` ago, so it cannot select them.
+    /// exceeds the largest gap between two arrivals (the interval plus
+    /// the flow's jitter span) would find the host (and its ready disks)
+    /// heard less than that gap ago, so it cannot select them.
     covers: Option<Covers>,
 }
 
-impl Stream {
-    fn arrival(&self, n: u64) -> SimTime {
-        self.clock.arrival(n, &self.flow)
-    }
-
-    /// The latest beat arrived by `now`, if any.
-    fn arrived_by(&self, now: SimTime) -> Option<u64> {
-        let n = self.clock.last_arrived_by(now, &self.flow)?;
-        let n = self.last.map_or(n, |l| n.min(l));
-        (n >= self.clock.first).then_some(n)
-    }
-
-    /// The latest beat SysStat took in by `now`, if any.
-    fn heard_by(&self, now: SimTime) -> Option<u64> {
-        let from = self.heard_from?;
-        self.arrived_by(now).filter(|&n| n >= from)
-    }
-
-    /// The first beat to arrive after `now`, unless the stream ended
-    /// before it.
-    fn next_after(&self, now: SimTime) -> Option<u64> {
-        let n = self.arrived_by(now).map_or(self.clock.first, |n| n + 1);
-        self.last.is_none_or(|l| n <= l).then_some(n)
-    }
-
-    /// What this stream's beat `n` says.
-    fn beat(&self, n: u64) -> Heartbeat {
-        let mut hb = self.beat.clone();
-        hb.seq = n;
-        hb
-    }
-}
+type Stream = Inbound<Beats>;
 
 /// A beat a settle applies in full.
 struct Due {
     at: SimTime,
     key: (UnitId, HostId),
     beat: Heartbeat,
-    /// The stream was removed: the beat's timestamps go to the maps.
-    removed: bool,
+}
+
+/// Beat `n` of `key`'s stream `st`, applied in full at its arrival.
+fn due(key: (UnitId, HostId), st: &Stream, n: u64) -> Due {
+    let mut beat = st.state.beat.clone();
+    beat.seq = n;
+    Due {
+        at: st.arrival(n),
+        key,
+        beat,
+    }
 }
 
 /// Keeps the later of `at` and the recorded instant.
@@ -267,7 +225,7 @@ impl M {
         let heard = self
             .streams
             .range(stream_keys(Some(key.0)))
-            .filter(|(_, st)| st.beat.ready_disks.contains(&key.1))
+            .filter(|(_, st)| st.state.beat.ready_disks.contains(&key.1))
             .filter_map(|(_, st)| Some(st.arrival(st.heard_by(now)?)))
             .max();
         self.disk_last_seen.get(&key).copied().max(heard)
@@ -278,7 +236,7 @@ impl M {
     fn vouched(&self, key: (UnitId, HostId), pick: impl Fn(&Covers) -> bool) -> bool {
         self.streams
             .get(&key)
-            .and_then(|st| st.covers.as_ref())
+            .and_then(|st| st.state.covers.as_ref())
             .is_some_and(pick)
     }
 
@@ -292,18 +250,19 @@ impl M {
         let Some(st) = self.streams.get_mut(&key) else {
             return;
         };
+        let gap = st.gap();
         let c = Covers {
-            dead: st.gap < timeout,
-            announce: st.gap < timeout / 2,
-            disks: st.gap < disk_timeout,
+            dead: gap < timeout,
+            announce: gap < timeout / 2,
+            disks: gap < disk_timeout,
             known,
         };
-        st.covers = Some(c);
+        st.state.covers = Some(c);
         let tally = self.cover.get_mut(&key.0).expect("configured unit");
         tally.dead += usize::from(c.known && c.dead);
         tally.announce += usize::from(c.known && c.announce);
         if c.disks {
-            for d in st.beat.ready_disks.iter() {
+            for d in st.state.beat.ready_disks.iter() {
                 if let Some(n) = self.disk_cover.get_mut(&(key.0, *d)) {
                     *n += 1;
                     tally.disks += usize::from(*n == 1);
@@ -317,17 +276,17 @@ impl M {
         let Some(st) = self.streams.get_mut(&key) else {
             return;
         };
-        if let Some(f) = st.heard_from.filter(|_| st.covers.is_none()) {
+        if let Some(f) = st.heard_from().filter(|_| st.state.covers.is_none()) {
             self.cover_from.remove(&(st.arrival(f), key.0, key.1));
         }
-        let Some(c) = st.covers.take() else {
+        let Some(c) = st.state.covers.take() else {
             return;
         };
         let tally = self.cover.get_mut(&key.0).expect("configured unit");
         tally.dead -= usize::from(c.known && c.dead);
         tally.announce -= usize::from(c.known && c.announce);
         if c.disks {
-            for d in st.beat.ready_disks.iter() {
+            for d in st.state.beat.ready_disks.iter() {
                 if let Some(n) = self.disk_cover.get_mut(&(key.0, *d)) {
                     *n -= 1;
                     tally.disks -= usize::from(*n == 0);
@@ -348,13 +307,13 @@ impl M {
         }
     }
 
-    /// Starts hearing `key` from beat `from` on (not for an ended stream).
-    fn hear(&mut self, key: (UnitId, HostId), from: Option<u64>) {
-        let Some(st) = self.streams.get_mut(&key) else {
+    /// Starts covering `key` once its first heard beat arrives (not for
+    /// an ended stream).
+    fn hear(&mut self, key: (UnitId, HostId)) {
+        let Some(st) = self.streams.get(&key) else {
             return;
         };
-        st.heard_from = from;
-        if let (Some(f), None) = (from, st.last) {
+        if let (Some(f), false) = (st.heard_from(), st.is_ended()) {
             self.cover_from.insert((st.arrival(f), key.0, key.1));
         }
     }
@@ -364,7 +323,7 @@ impl M {
         let Some(st) = self.streams.get_mut(&key) else {
             return;
         };
-        if let Some(t) = std::mem::replace(&mut st.due, at) {
+        if let Some(t) = std::mem::replace(&mut st.state.due, at) {
             self.dirty.remove(&(t, key.0, key.1));
         }
         if let Some(t) = at {
@@ -372,15 +331,13 @@ impl M {
         }
     }
 
-    /// Removes the ended stream `key`, every beat of which arrived, with
-    /// the number of its arrivals not yet counted.
-    fn remove_stream(&mut self, key: (UnitId, HostId)) -> Option<(Stream, u64)> {
+    /// Removes the ended stream `key`, every beat of which arrived by
+    /// `sim.now()`; what was heard goes to the maps.
+    fn remove_stream(&mut self, sim: &Sim, key: (UnitId, HostId)) -> Option<Stream> {
+        self.record_heard(key, sim.now());
         self.stop_cover(key);
         self.set_due(key, None);
-        self.ended.remove(&key);
-        let st = self.streams.remove(&key)?;
-        let uncounted = st.last.map_or(0, |l| (l + 1).saturating_sub(st.counted));
-        Some((st, uncounted))
+        self.streams.remove(sim, &key)
     }
 
     /// Writes what `key`'s heard arrivals say into the timestamp maps.
@@ -393,7 +350,7 @@ impl M {
         };
         let at = st.arrival(n);
         record(&mut self.host_last_hb, key, at);
-        for d in st.beat.ready_disks.iter() {
+        for d in st.state.beat.ready_disks.iter() {
             record(&mut self.disk_last_seen, (key.0, *d), at);
         }
     }
@@ -502,12 +459,10 @@ impl Master {
                 alloc,
                 exposures_pushed: FastSet::default(),
                 pending_persist: FastSet::default(),
-                hb_counter: None,
+                heard: sim.counter(addr.as_str(), "master.heartbeats"),
                 activated_at: None,
-                streams: BTreeMap::new(),
-                hearing: false,
+                streams: Receiver::new(net, addr.clone()),
                 dirty: BTreeSet::new(),
-                ended: BTreeSet::new(),
                 cover_from: BTreeSet::new(),
                 disk_cover,
             })),
@@ -521,13 +476,13 @@ impl Master {
         let m = master.clone();
         net.on_rule_change(move |sim, change| match change {
             RuleChange::Down(a) if *a == addr => {
-                m.settle_all(sim);
+                m.settle(sim, None);
                 m.set_hearing(sim, false);
             }
             // Beats dropped while down may have let a sweep mark hosts
             // dead; the first beat to arrive once up brings them back.
             RuleChange::Up(a) if *a == addr => {
-                m.settle_all(sim);
+                m.settle(sim, None);
                 let active = m.inner.borrow().active;
                 m.set_hearing(sim, active);
                 m.wake(sim, None);
@@ -535,7 +490,7 @@ impl Master {
             _ => {}
         });
         let m = master.clone();
-        sim.on_settle(move |sim| m.settle_all(sim));
+        sim.on_settle(move |sim| m.settle(sim, None));
         // The election's `on_change` closure captures this Master, and the
         // Master holds the election handle back — drop it (weakly) at
         // teardown so the pair can be collected.
@@ -616,7 +571,7 @@ impl Master {
     /// Simulates a process crash: stops answering and lets the session
     /// (and election candidacy) lapse.
     pub fn pause(&self, sim: &Sim) {
-        self.settle_all(sim);
+        self.settle(sim, None);
         self.set_hearing(sim, false);
         self.inner.borrow_mut().active = false;
         self.coord.stop_pinging();
@@ -751,7 +706,7 @@ impl Master {
     }
 
     fn finish_activation(&self, sim: &Sim) {
-        self.settle_all(sim);
+        self.settle(sim, None);
         {
             let mut m = self.inner.borrow_mut();
             m.active = true;
@@ -863,17 +818,10 @@ impl Master {
         if !self.inner.borrow().active {
             return;
         }
-        self.count_heartbeats(sim, 1);
+        self.inner.borrow().heard.inc();
         if self.apply_beat(sim, hb, sim.now(), true) {
             self.soil(sim, hb.unit, None);
         }
-    }
-
-    fn count_heartbeats(&self, sim: &Sim, n: u64) {
-        let mut m = self.inner.borrow_mut();
-        m.hb_counter
-            .get_or_insert_with(|| sim.counter(self.rpc.addr().as_str(), "master.heartbeats"))
-            .add(n);
     }
 
     /// What an active Master does with a beat that arrived at `at`:
@@ -960,7 +908,7 @@ impl Master {
         );
     }
 
-    /// Marks every stream of `unit` as no longer [clean](Stream::clean):
+    /// Marks every stream of `unit` as no longer [clean](Beats::clean):
     /// each applies its next heard beat in full. Inside a settle, `after`
     /// is the beat just applied; a stream whose latest heard beat comes
     /// after it in the settle's order is returned instead, for the same
@@ -976,22 +924,17 @@ impl Master {
         let m = &mut *guard;
         let (mut again, mut next) = (Vec::new(), Vec::new());
         for (key, st) in m.streams.range_mut(stream_keys(Some(unit))) {
-            if !st.clean {
+            if !st.state.clean {
                 continue;
             }
-            st.clean = false;
+            st.state.clean = false;
             let latest = st.heard_by(now).map(|n| (st.arrival(n), n));
             match (latest, after) {
-                (Some((at, n)), Some(cur)) if (at, *key) > cur => again.push(Due {
-                    at,
-                    key: *key,
-                    beat: st.beat(n),
-                    removed: false,
-                }),
+                (Some((at, n)), Some(cur)) if (at, *key) > cur => again.push(due(*key, st, n)),
                 _ => next.push((*key, st.next_after(now).map(|n| st.arrival(n)))),
             }
         }
-        if m.hearing {
+        if m.streams.hearing() {
             for (key, at) in next {
                 m.set_due(key, at);
             }
@@ -999,133 +942,73 @@ impl Master {
         again
     }
 
-    /// A stream notice from an EndPoint (see [`crate::beats`]).
+    /// A stream notice from an EndPoint (see [`ustore_net::stream`]).
     fn on_notice(&self, sim: &Sim, notice: Payload) {
         let now = sim.now();
-        if let Some(open) = notice.downcast_ref::<BeatsOpen>() {
-            let key = (open.beat.unit, open.beat.host);
+        if let Some(open) = notice.downcast_ref::<Open<(UnitId, HostId), Heartbeat>>() {
             // The previous stream's beats have all arrived by now.
-            self.settle(sim, Some(key.0));
-            let first = open.clock.first;
-            let stream = Stream {
-                beat: open.beat.clone(),
-                clock: open.clock,
-                flow: open.flow,
-                last: None,
-                counted: first,
-                heard_from: None,
-                wake: None,
+            self.settle(sim, Some(open.key.0));
+            let beats = Beats {
+                beat: open.payload.clone(),
                 clean: false,
                 due: None,
-                gap: open.clock.interval + open.flow.jitter_span(),
                 covers: None,
             };
-            let at = stream.arrival(first);
             let mut m = self.inner.borrow_mut();
-            let old = m.streams.insert(key, stream);
-            debug_assert!(old.is_none(), "{key:?}: stream opened over an open one");
-            if m.hearing {
-                m.hear(key, Some(first));
-                m.set_due(key, Some(at));
+            debug_assert!(!m.streams.contains_key(&open.key), "opened over a stream");
+            m.streams.open(sim, open, beats);
+            if m.streams.hearing() {
+                m.hear(open.key);
+                let first = open.clock.first;
+                m.set_due(open.key, Some(open.clock.arrival(first, &open.flow)));
             }
-        } else if let Some(end) = notice.downcast_ref::<BeatsEnd>() {
-            self.settle(sim, Some(end.unit));
-            let key = (end.unit, end.host);
-            let uncounted = {
-                let mut guard = self.inner.borrow_mut();
-                let m = &mut *guard;
-                m.stop_cover(key);
-                let Some(st) = m.streams.get_mut(&key) else {
-                    return;
-                };
-                st.last = Some(end.last);
-                if st.next_after(now).is_some() {
-                    // Beat `last` is still to arrive, so it exists.
-                    let last_at = st.arrival(end.last);
-                    if st.due.is_some_and(|t| t > last_at) {
-                        m.set_due(key, None);
-                    }
-                    m.ended.insert(key);
-                    return;
-                }
-                // Every beat arrived and was settled: what was heard
-                // goes to the maps.
-                m.record_heard(key, now);
-                m.remove_stream(key).map_or(0, |(_, n)| n)
+        } else if let Some(end) = notice.downcast_ref::<End<(UnitId, HostId)>>() {
+            self.settle(sim, Some(end.key.0));
+            let key = end.key;
+            let mut m = self.inner.borrow_mut();
+            m.stop_cover(key);
+            let Some(st) = m.streams.end(sim, end) else {
+                return;
             };
-            self.count_arrivals(sim, uncounted);
-        }
-    }
-
-    /// Counts `n` computed beats arrived now: delivered, and heard if
-    /// active, while this node is up; dropped while it is down.
-    fn count_arrivals(&self, sim: &Sim, n: u64) {
-        if n == 0 {
-            return;
-        }
-        let net = self.rpc.network();
-        if net.is_up(self.rpc.addr()) {
-            net.count_computed(0, n, 0);
-            if self.inner.borrow().active {
-                self.count_heartbeats(sim, n);
+            if st.next_after(now).is_some() {
+                // Beat `last` is still to arrive, so it exists.
+                if st.state.due.is_some_and(|t| t > st.arrival(end.last)) {
+                    m.set_due(key, None);
+                }
+                return;
             }
-        } else {
-            net.count_computed(0, 0, n);
+            // Every beat arrived and was settled.
+            m.remove_stream(sim, key);
         }
-    }
-
-    /// Counts every stream's arrivals up to now, then settles every unit:
-    /// what a reader of the counters ([`Sim::settle`]) needs, and what
-    /// must hold before this process starts or stops hearing.
-    fn settle_all(&self, sim: &Sim) {
-        let now = sim.now();
-        let arrived: u64 = {
-            let mut m = self.inner.borrow_mut();
-            m.streams
-                .values_mut()
-                .map(|st| {
-                    let Some(n) = st.arrived_by(now) else {
-                        return 0;
-                    };
-                    let k = (n + 1).saturating_sub(st.counted);
-                    st.counted = st.counted.max(n + 1);
-                    k
-                })
-                .sum()
-        };
-        self.count_arrivals(sim, arrived);
-        self.settle(sim, None);
     }
 
     /// Starts or stops SysStat taking in the streams' arrivals (this
     /// process turned active or standby, or its node is going up or
-    /// down). Stopping writes what was heard into the maps; starting
-    /// hears each stream from its next arrival on.
+    /// down), and counting them as heard. Stopping writes what was heard
+    /// into the maps; starting hears each stream from its next arrival
+    /// on.
     fn set_hearing(&self, sim: &Sim, on: bool) {
         let now = sim.now();
         let mut guard = self.inner.borrow_mut();
         let m = &mut *guard;
-        if m.hearing == on {
+        if m.streams.hearing() == on {
             return;
         }
-        m.hearing = on;
         let keys: Vec<(UnitId, HostId)> = m.streams.keys().copied().collect();
-        for key in keys {
-            if on {
-                let from = m.streams[&key].next_after(now);
-                m.hear(key, from);
-            } else {
-                m.record_heard(key, now);
-                m.stop_cover(key);
-                m.set_due(key, None);
-                m.hear(key, None);
-            }
+        for &key in keys.iter().filter(|_| !on) {
+            m.record_heard(key, now);
+            m.stop_cover(key);
+            m.set_due(key, None);
+        }
+        m.streams.count_into(sim, on.then(|| m.heard.clone()));
+        for &key in keys.iter().filter(|_| on) {
+            m.hear(key);
         }
     }
 
     /// Brings the computed streams of `unit` (of every unit for `None`)
     /// up to now. While this process hears them, each stream that is not
-    /// [clean](Stream::clean) and has a beat arrived since its last
+    /// [clean](Beats::clean) and has a beat arrived since its last
     /// application has its latest beat applied in full, and each ended
     /// stream whose last beat arrived leaves with that beat applied in
     /// full, oldest first. Earlier beats of a stream said the same, and
@@ -1134,37 +1017,18 @@ impl Master {
     /// so applying only the latest is what applying all of them would
     /// do. A clean stream's beats only move timestamps, which are
     /// derived from its clock when read, so a settle leaves it alone;
-    /// its arrivals are counted by [`Self::settle_all`].
+    /// the network counts its arrivals.
     fn settle(&self, sim: &Sim, unit: Option<UnitId>) {
         let now = sim.now();
-        let (mut batch, uncounted) = {
+        let mut batch = {
             let mut guard = self.inner.borrow_mut();
             let m = &mut *guard;
             let mut batch = Vec::new();
-            let mut uncounted = 0;
-            let gone: Vec<(UnitId, HostId)> = m
-                .ended
-                .range(stream_keys(unit))
-                .filter(|k| {
-                    m.streams
-                        .get(k)
-                        .is_none_or(|st| st.next_after(now).is_none())
-                })
-                .copied()
-                .collect();
-            for key in gone {
-                let Some((st, n)) = m.remove_stream(key) else {
+            for key in m.streams.ended(now, stream_keys(unit)) {
+                let Some(st) = m.remove_stream(sim, key) else {
                     continue;
                 };
-                uncounted += n;
-                if let Some(l) = st.heard_by(now) {
-                    batch.push(Due {
-                        at: st.arrival(l),
-                        key,
-                        beat: st.beat(l),
-                        removed: true,
-                    });
-                }
+                batch.extend(st.heard_by(now).map(|l| due(key, &st, l)));
             }
             let top = (now, UnitId(u32::MAX), HostId(u32::MAX));
             let woken: Vec<(UnitId, HostId)> = m
@@ -1176,23 +1040,15 @@ impl Master {
             for key in woken {
                 m.set_due(key, None);
                 let st = &m.streams[&key];
-                if let Some(n) = st.heard_by(now) {
-                    batch.push(Due {
-                        at: st.arrival(n),
-                        key,
-                        beat: st.beat(n),
-                        removed: false,
-                    });
-                }
+                batch.extend(st.heard_by(now).map(|n| due(key, st, n)));
             }
-            (batch, uncounted)
+            batch
         };
-        self.count_arrivals(sim, uncounted);
         batch.sort_by_key(|d| (d.at, d.key));
         let mut i = 0;
         while i < batch.len() {
-            let (at, key, removed) = (batch[i].at, batch[i].key, batch[i].removed);
-            if self.apply_beat(sim, &batch[i].beat, at, removed) {
+            let (at, key) = (batch[i].at, batch[i].key);
+            if self.apply_beat(sim, &batch[i].beat, at, false) {
                 for d in self.soil(sim, key.0, Some((at, key))) {
                     let pos =
                         i + 1 + batch[i + 1..].partition_point(|x| (x.at, x.key) < (d.at, d.key));
@@ -1200,7 +1056,7 @@ impl Master {
                 }
             }
             if let Some(st) = self.inner.borrow_mut().streams.get_mut(&key) {
-                st.clean = true;
+                st.state.clean = true;
             }
             i += 1;
         }
@@ -1211,35 +1067,19 @@ impl Master {
     /// that the next beat may act on (a push, an "is back"), so the
     /// action runs when that beat arrives.
     fn wake(&self, sim: &Sim, unit: Option<UnitId>) {
-        let now = sim.now();
-        let mut at: Vec<SimTime> = Vec::new();
-        {
-            let mut guard = self.inner.borrow_mut();
-            let m = &mut *guard;
-            let mut due = Vec::new();
-            for (key, st) in m.streams.range_mut(stream_keys(unit)) {
-                st.clean = false;
-                let Some(next) = st.next_after(now) else {
-                    continue;
-                };
-                let next = st.arrival(next);
-                due.push((*key, next));
-                if st.wake != Some(next) {
-                    st.wake = Some(next);
-                    at.push(next);
-                }
-            }
-            if m.hearing {
-                for (key, t) in due {
-                    m.set_due(key, Some(t));
-                }
-            }
+        let mut guard = self.inner.borrow_mut();
+        let m = &mut *guard;
+        for (_, st) in m.streams.range_mut(stream_keys(unit)) {
+            st.state.clean = false;
         }
-        at.sort_unstable();
-        at.dedup();
-        for t in at {
-            let this = self.clone();
-            sim.schedule_at(t, move |sim| this.settle(sim, unit));
+        let this = self.clone();
+        let due = m
+            .streams
+            .wake_all(sim, stream_keys(unit), move |sim| this.settle(sim, unit));
+        if m.streams.hearing() {
+            for (key, t) in due {
+                m.set_due(key, Some(t));
+            }
         }
     }
 

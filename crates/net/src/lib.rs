@@ -6,7 +6,7 @@
 //! service's [`Replicas`], the [`BlockDevice`]
 //! abstraction UStore exports (§IV-D), and the iSCSI-style protocol
 //! ([`IscsiServer`] / [`IscsiSession`]) EndPoints use to expose disks
-//! (§IV-B), and the clock of computed periodic streams ([`BeatClock`]).
+//! (§IV-B), and computed periodic streams ([`Sender`], [`Receiver`]).
 //!
 //! ## Example
 //!
@@ -43,4 +43,6 @@ pub use iscsi::{IscsiError, IscsiServer, IscsiSession};
 pub use network::{Addr, Envelope, KeyedFlow, NetConfig, Network, Payload, RuleChange};
 pub use replicas::{Replicas, RetryPolicy, Verdict};
 pub use rpc::{Responder, RpcError, RpcNode};
-pub use stream::{simulated_streams, with_simulated_streams, BeatClock};
+pub use stream::{
+    simulated_streams, with_simulated_streams, BeatClock, End, Inbound, Open, Receiver, Sender,
+};

@@ -19,6 +19,8 @@ use ustore_sim::{
     FastMap, FastSet, LookaheadMatrix, Routed, Sim, SimTime, TraceLevel, TrafficMatrix,
 };
 
+use crate::stream::Tallies;
+
 /// A network address (host name). Cheap to clone and safe to move across
 /// shard threads.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -213,6 +215,8 @@ struct Inner {
     notice_handlers: FastMap<Addr, NoticeHandler>,
     /// Hooks told about every drop-rule change before it applies.
     rule_hooks: Vec<RuleHook>,
+    /// The halves of computed streams, counted in closed form.
+    tallies: Tallies,
     /// Endpoint teardown hooks, run once by [`Network::teardown`].
     /// Endpoints whose handler tables cycle back to their owning
     /// components (see [`Network::on_teardown`]) register breakers here.
@@ -270,6 +274,7 @@ impl Network {
                 dropped: 0,
                 notice_handlers: FastMap::default(),
                 rule_hooks: Vec::new(),
+                tallies: Tallies::default(),
                 teardown_hooks: Vec::new(),
             })),
         }
@@ -355,13 +360,22 @@ impl Network {
         self.inner.borrow().nodes.get(addr).is_some_and(|n| n.up)
     }
 
-    /// Adds messages whose send or delivery was computed rather than
-    /// simulated to the `(sent, delivered, dropped)` counters.
-    pub fn count_computed(&self, sent: u64, delivered: u64, dropped: u64) {
-        let mut i = self.inner.borrow_mut();
-        i.sent += sent;
-        i.delivered += delivered;
-        i.dropped += dropped;
+    /// Runs `f` on this network's computed-stream tallies (see
+    /// [`crate::stream`]) with what they count into ([`Count`]).
+    pub(crate) fn tallies<R>(&self, f: impl FnOnce(&mut Tallies, &mut Count) -> R) -> R {
+        let mut guard = self.inner.borrow_mut();
+        let i = &mut *guard;
+        let (nodes, sent, delivered, dropped) =
+            (&i.nodes, &mut i.sent, &mut i.delivered, &mut i.dropped);
+        f(&mut i.tallies, &mut |to, n| {
+            let up = to.is_none_or(|a| nodes.get(a).is_some_and(|n| n.up));
+            *match (to, up) {
+                (None, _) => &mut *sent,
+                (_, true) => &mut *delivered,
+                _ => &mut *dropped,
+            } += n;
+            up
+        })
     }
 
     /// Installs the notice handler for `addr` (replacing any previous).
@@ -379,7 +393,7 @@ impl Network {
     /// handler whatever the drop rules say. It counts in no counter. A
     /// notice keeps a computed model in step with the simulated one; it
     /// is not traffic.
-    pub fn notify(&self, sim: &Sim, from: &Addr, to: &Addr, payload: Payload) {
+    pub(crate) fn notify(&self, sim: &Sim, from: &Addr, to: &Addr, payload: Payload) {
         let (at, remote_dst) = {
             let i = self.inner.borrow();
             let remote_dst = i.routing.as_ref().and_then(|r| {
@@ -407,6 +421,10 @@ impl Network {
     }
 
     fn rule_change(&self, sim: &Sim, change: RuleChange) {
+        // Computed arrivals so far count under the rule they arrived under.
+        if let RuleChange::Down(a) | RuleChange::Up(a) = &change {
+            self.tallies(|ts, c| ts.count_node(a, sim.now(), c));
+        }
         let hooks = self.inner.borrow().rule_hooks.clone();
         for hook in hooks {
             hook(sim, &change);
@@ -719,7 +737,8 @@ impl Network {
                 .map(|r| std::mem::take(&mut r.outbox))
                 .unwrap_or_default();
             let hooks = std::mem::take(&mut i.teardown_hooks);
-            (handlers, outbox, hooks, notices, rules)
+            let tallies = std::mem::take(&mut i.tallies);
+            (handlers, outbox, hooks, notices, (rules, tallies))
         };
         // Run hooks (and drop closures) outside the borrow: a handler drop
         // may release the last strong ref to a component that holds this
@@ -732,6 +751,11 @@ impl Network {
         drop((notices, rules));
     }
 }
+
+/// `count(to, n)` counts `n` messages of a computed stream: sent (`to` is
+/// `None`), or arrived at `to`, delivered while it is up and dropped while
+/// down. Returns whether they counted as sent or delivered.
+pub(crate) type Count<'a> = dyn FnMut(Option<&Addr>, u64) -> bool + 'a;
 
 /// FNV-1a of an address: a stable per-name key for keyed flows.
 fn addr_hash(a: &Addr) -> u64 {

@@ -4,9 +4,10 @@
 //! modeled pod; this module measures **wall-clock** behavior of the
 //! simulator — where the host CPU actually goes while the sharded engine
 //! grinds through epochs. It exists to diagnose the parallel engine's
-//! synchronization tax (ROADMAP item 1): barrier waits, epoch granularity,
-//! lookahead utilization, and which world pairs generate the cross-shard
-//! traffic that forces the lookahead bound.
+//! synchronization tax (ROADMAP "Actually parallel on the cores we
+//! have"): barrier waits, epoch granularity, lookahead utilization, and
+//! which world pairs generate the cross-shard traffic that forces the
+//! lookahead bound.
 //!
 //! Design constraints:
 //!

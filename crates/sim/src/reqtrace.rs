@@ -6,7 +6,8 @@
 //! transit, endpoint queue, **spin-up wait**, seek, transfer, and retry.
 //! At completion the per-request stage vector is folded into per-stage
 //! histograms and a dominant-stage counter, so `repro slo` can answer
-//! "where did the p99.9 read spend its time?" (ROADMAP item 4).
+//! "where did the p99.9 read spend its time?" (the ROADMAP north star's
+//! layer-by-layer TTFB).
 //!
 //! Accounting model — *mark* and *absorb*:
 //!

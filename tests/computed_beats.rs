@@ -317,6 +317,37 @@ fn partition_from_the_master_matches() {
     });
 }
 
+/// Host 3's link to the active Master is blocked exactly on one of its
+/// beats' send instants, 21 s: every EndPoint of the system is built at 0
+/// and beats on the 300 ms grid from there, so that is beat 70. Ticks are
+/// early events, so beat 70 counts as sent before the block applies, in
+/// both runs; the stream ends with it, and the re-armed tick must send
+/// beat 71 at 21.3 s. An off-by-one in either moves the counts.
+#[test]
+fn a_stream_ended_on_a_send_instant_resumes_with_the_next_beat() {
+    assert_system_matches("block on a send instant", |s| {
+        let host = ustore::system::unit_host_addr(UnitId(0), HostId(3));
+        let master = s.active_master().expect("active").addr();
+        let sent = |sim: &Sim, host: &Addr| {
+            let metrics = sim.metrics_snapshot();
+            metrics.counter(host.as_str(), "endpoint.heartbeats_sent")
+        };
+        let at = SimTime::from_millis(21_000);
+        let before = Rc::new(RefCell::new(0));
+        let (b, h) = (before.clone(), host.clone());
+        let just_before = SimTime::from_nanos(at.as_nanos() - 1);
+        s.sim
+            .schedule_at(just_before, move |sim| *b.borrow_mut() = sent(sim, &h));
+        let net = s.net.clone();
+        s.sim.schedule_at(at, move |sim| {
+            assert_eq!(sent(sim, &host), *before.borrow() + 1, "beat 70 sent");
+            net.block(sim, &host, &master);
+            let net = net.clone();
+            sim.schedule_in(Duration::from_secs(1), move |sim| net.heal(sim));
+        });
+    });
+}
+
 #[test]
 fn ready_set_change_matches() {
     assert_system_matches("ready set change", |s| {
