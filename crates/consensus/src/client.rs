@@ -16,6 +16,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use ustore_net::{Addr, Network, Replicas, RetryPolicy, RpcNode, Verdict};
+use ustore_sim::faultgen::mix_seed;
 use ustore_sim::{Sim, TraceLevel};
 
 use crate::rsm::{ClientReq, ClientResp, ReadOp, ReadResult, WatchNotification, WatchReg};
@@ -80,6 +81,8 @@ struct C {
     config: ClientConfig,
     session: Option<SessionId>,
     pinging: bool,
+    /// Sessions this client has asked for, which keys the next one's id.
+    connects: u64,
     next_watch: u64,
     watches: HashMap<u64, WatchCb>,
 }
@@ -116,6 +119,7 @@ impl CoordClient {
                 config,
                 session: None,
                 pinging: false,
+                connects: 0,
                 next_watch: 0,
                 watches: HashMap::new(),
             })),
@@ -202,14 +206,21 @@ impl CoordClient {
 
     // ---- Session ----------------------------------------------------------
 
-    /// Establishes a session; `cb` receives the session id. Pings start
+    /// Establishes a session; `cb` receives the session id, keyed by the
+    /// client's address and how many sessions it has asked for. Pings start
     /// automatically to keep the session (and its ephemerals) alive.
     pub fn connect(
         &self,
         sim: &Sim,
         cb: impl FnOnce(&Sim, Result<SessionId, ClientError>) + 'static,
     ) {
-        let id: SessionId = sim.with_rng(|r| r.next_u64() | 1);
+        let connects = {
+            let mut c = self.inner.borrow_mut();
+            c.connects += 1;
+            c.connects
+        };
+        let rpc = self.rpc();
+        let id: SessionId = mix_seed(rpc.network().key_of(rpc.addr()), connects) | 1;
         let this = self.clone();
         self.write(sim, Command::CreateSession { id }, move |sim, r| match r {
             Ok(_) => {
@@ -605,7 +616,7 @@ mod tests {
 
     fn fixture(seed: u64) -> Fixture {
         let sim = Sim::new(seed);
-        let net = Network::new(NetConfig::default());
+        let net = Network::new(NetConfig::default(), sim.seed());
         let addrs: Vec<Addr> = (0..5).map(|i| Addr::new(format!("coord-{i}"))).collect();
         let servers = (0..5)
             .map(|i| CoordServer::new(&sim, &net, i, addrs.clone(), CoordConfig::default()))

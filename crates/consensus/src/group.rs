@@ -110,7 +110,7 @@ mod tests {
     #[test]
     fn groups_are_independent_logs() {
         let sim = Sim::new(71);
-        let net = Network::new(NetConfig::default());
+        let net = Network::new(NetConfig::default(), sim.seed());
         let base: Vec<Addr> = (0..3).map(|i| Addr::new(format!("coord-{i}"))).collect();
         let base_servers: Vec<CoordServer> = (0..3)
             .map(|i| CoordServer::new(&sim, &net, i, base.clone(), CoordConfig::default()))

@@ -226,7 +226,8 @@ struct S {
     paused: bool,
 
     // Timers.
-    /// Key of this server's election-timeout stream.
+    /// Key of this server's election-timeout stream: the run seed keyed
+    /// by its address.
     election_key: u64,
     /// When an election starts unless something moves it first; `None`
     /// while leading or paused.
@@ -423,6 +424,7 @@ impl CoordServer {
             .map(|_| Sender::new(&rpc, id, cast, interval, None))
             .collect();
         let inbound = Receiver::new(net, rpc.addr().clone());
+        let election_key = net.key_of(rpc.addr());
         let server = CoordServer {
             rpc,
             metrics,
@@ -433,7 +435,7 @@ impl CoordServer {
                 peers,
                 config,
                 paused: false,
-                election_key: sim.with_rng(|r| r.next_u64()),
+                election_key,
                 deadline: None,
                 timer: None,
                 sweep_origin: sim.now(),
@@ -1407,7 +1409,7 @@ mod tests {
     use ustore_net::NetConfig;
 
     fn cluster(sim: &Sim, n: usize) -> (Network, Vec<CoordServer>) {
-        let net = Network::new(NetConfig::default());
+        let net = Network::new(NetConfig::default(), sim.seed());
         let addrs: Vec<Addr> = (0..n).map(|i| Addr::new(format!("coord-{i}"))).collect();
         let servers = (0..n)
             .map(|i| CoordServer::new(sim, &net, i as u32, addrs.clone(), CoordConfig::default()))

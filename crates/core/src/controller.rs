@@ -97,7 +97,7 @@ mod tests {
 
     fn setup() -> (Sim, Network, Rc<Controller>, RpcNode) {
         let sim = Sim::new(41);
-        let net = Network::new(NetConfig::default());
+        let net = Network::new(NetConfig::default(), sim.seed());
         let runtime = FabricRuntime::prototype(&sim);
         let ctl_rpc = RpcNode::new(&net, Addr::new("host-0"));
         let ctl = Controller::new(UnitId(0), ctl_rpc, runtime);

@@ -1396,7 +1396,7 @@ impl Master {
     /// exists, the failure is reported for repair.
     fn sweep_missing_disks(&self, sim: &Sim) {
         let now = sim.now();
-        let missing: Vec<(UnitId, DiskId, Vec<HostId>, Vec<Addr>)> = {
+        let missing: Vec<(UnitId, Vec<DiskId>, Vec<HostId>, Vec<Addr>)> = {
             let mut guard = self.inner.borrow_mut();
             let m = &mut *guard;
             if !m.active {
@@ -1409,8 +1409,8 @@ impl Master {
             let retry = m.config.disk_retry;
             m.promote(now);
             let mut out = Vec::new();
-            // Read every unit's configuration in place: only a disk that
-            // is actually missing takes a copy of its targets and
+            // Read every unit's configuration in place: only a unit with a
+            // disk actually missing takes a copy of its targets and
             // controllers. A disk a covering stream lists was seen too
             // recently to be selected.
             for ((&unit, conf), cover) in m.units.iter().zip(m.cover.values()) {
@@ -1425,6 +1425,7 @@ impl Master {
                 if !conf.hosts.iter().any(|(h, _)| alive(h)) {
                     continue;
                 }
+                let mut disks = Vec::new();
                 for (d, _) in &conf.disks {
                     let key = (unit, *d);
                     if m.disk_cover.get(&key).is_some_and(|n| *n > 0) {
@@ -1447,24 +1448,26 @@ impl Master {
                         }
                     }
                     m.disk_recovery_attempted.insert(key, now);
-                    let targets = conf
-                        .hosts
-                        .iter()
-                        .map(|(h, _)| *h)
-                        .filter(|h| alive(h))
-                        .collect();
-                    out.push((unit, *d, targets, conf.controllers.clone()));
+                    disks.push(*d);
+                }
+                // One plan for the unit's missing disks: a vanished hub
+                // takes its whole cohort, which one reroute moves.
+                if !disks.is_empty() {
+                    let targets = conf.hosts.iter().map(|(h, _)| *h).filter(alive);
+                    out.push((unit, disks, targets.collect(), conf.controllers.clone()));
                 }
             }
             out
         };
-        for (unit, d, targets, controllers) in missing {
+        for (unit, disks, targets, controllers) in missing {
+            let what = disks.iter().map(ToString::to_string).collect::<Vec<_>>();
+            let what = what.join(",");
             sim.trace(
                 TraceLevel::Warn,
                 "master",
-                format!("{unit} {d} vanished from all USB trees; rerouting"),
+                format!("{unit} {what} vanished from all USB trees; rerouting"),
             );
-            self.reroute(sim, unit, vec![d], targets, controllers, false, |_, _| {});
+            self.reroute(sim, unit, disks, targets, controllers, false, |_, _| {});
         }
     }
 

@@ -26,6 +26,7 @@ use std::time::Duration;
 use ustore_consensus::{group_addrs, CoordGroup, CoordServer};
 use ustore_fabric::{HostId, Topology};
 use ustore_net::{Addr, Envelope, Network};
+use ustore_sim::faultgen::mix_seed;
 use ustore_sim::{
     FastMap, LookaheadMatrix, ProfSnapshot, Profiler, RequestTracer, Routed, Scraper,
     ScraperConfig, ShardCoordinator, ShardWorld, Sim, SimTime, TraceLevel, TraceSnapshot,
@@ -165,18 +166,6 @@ impl ShardWorld for PodWorld {
     }
 }
 
-/// Derives a world's root seed from the run seed: every world gets an
-/// independent, deterministic RNG stream regardless of shard count.
-fn world_seed(root: u64, world: usize) -> u64 {
-    let mut z = root
-        ^ (world as u64)
-            .wrapping_add(1)
-            .wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 /// Units per unit-group world.
 fn units_per_group(units: u32, groups: u32) -> u32 {
     units.div_ceil(groups)
@@ -290,10 +279,11 @@ impl WorldSpec {
     fn build_world(self) -> PodWorld {
         let sys = &self.cfg.system;
         let id = self.id;
-        let sim = Sim::new(world_seed(self.seed, id));
+        let sim = Sim::new(mix_seed(self.seed, id as u64));
         sim.with_trace(|t| t.set_min_level(self.cfg.trace_level));
         sim.set_reqtracer(self.tracer);
-        let net = network(&sim, sys);
+        // Keyed draws start from the scenario's seed, as in one world.
+        let net = network(&sim, sys, self.seed);
         net.enable_shard_routing(id, self.placement, self.lookahead);
         if let Some(m) = self.traffic {
             net.set_traffic_matrix(m);

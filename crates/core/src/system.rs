@@ -154,11 +154,11 @@ pub fn unit_conf_for(unit: UnitId, config: &SystemConfig) -> UnitConf {
     }
 }
 
-/// The shared network of one world. Tearing the simulator down also
-/// severs the network/RPC closure tables, so repeated in-process builds
-/// don't accumulate heap.
-pub(crate) fn network(sim: &Sim, sys: &SystemConfig) -> Network {
-    let net = Network::new(sys.net.clone());
+/// The shared network of one world of the run seeded `seed`. Tearing the
+/// simulator down also severs the network/RPC closure tables, so repeated
+/// in-process builds don't accumulate heap.
+pub(crate) fn network(sim: &Sim, sys: &SystemConfig, seed: u64) -> Network {
+    let net = Network::new(sys.net.clone(), seed);
     let net2 = net.clone();
     sim.on_teardown(move || net2.teardown());
     net
@@ -269,11 +269,10 @@ pub(crate) fn unit_hardware(
     hw
 }
 
-/// Starts a world's telemetry pipeline: a gauge publisher (disk residency
-/// and network counters) and a [`Scraper`] recording the whole registry
-/// at `config.interval`. The publisher timer is registered *before* the
-/// scraper at the same cadence, so each scrape observes freshly published
-/// gauges (the simulator fires same-instant timers in registration order).
+/// Starts a world's telemetry pipeline: a [`Scraper`] recording the whole
+/// registry at `config.interval`, which at each sweep settles the registry
+/// once and then publishes the disk residency and network gauges before it
+/// samples them.
 pub(crate) fn start_pipeline(
     sim: &Sim,
     net: &Network,
@@ -281,13 +280,14 @@ pub(crate) fn start_pipeline(
     config: ScraperConfig,
 ) -> Scraper {
     let net = net.clone();
-    sim.every(config.interval, config.interval, move |sim| {
+    let scraper = Scraper::start(sim, config);
+    scraper.before_scrape(move |sim| {
         for rt in &runtimes {
             rt.publish_residency(sim);
         }
         net.publish_metrics(sim);
     });
-    Scraper::start(sim, config)
+    scraper
 }
 
 /// Kills host `h` of `unit`: the machine drops off the network, its USB
@@ -359,7 +359,7 @@ impl UStoreSystem {
     /// the master election take that long, as they do in reality.
     pub fn build(sim: Sim, config: SystemConfig) -> UStoreSystem {
         assert!(config.units >= 1, "need at least one deploy unit");
-        let net = network(&sim, &config);
+        let net = network(&sim, &config, sim.seed());
         let coord = coord_servers(&sim, &net, &config);
         let partition_groups = partition_groups(&sim, &net, &config, |_| true);
         let masters = masters(&sim, &net, &config);

@@ -364,10 +364,13 @@ mod tests {
 
     fn setup() -> (Sim, Network, IscsiServer, RpcNode) {
         let sim = Sim::new(4);
-        let net = Network::new(NetConfig {
-            jitter: Duration::ZERO,
-            ..NetConfig::default()
-        });
+        let net = Network::new(
+            NetConfig {
+                jitter: Duration::ZERO,
+                ..NetConfig::default()
+            },
+            sim.seed(),
+        );
         let server_rpc = RpcNode::new(&net, Addr::new("endpoint-0"));
         let server = IscsiServer::new(server_rpc);
         let client = RpcNode::new(&net, Addr::new("client-0"));

@@ -17,7 +17,7 @@
 //! use ustore_net::{Addr, IscsiServer, IscsiSession, MemDevice, NetConfig, Network, RpcNode};
 //!
 //! let sim = Sim::new(0);
-//! let net = Network::new(NetConfig::default());
+//! let net = Network::new(NetConfig::default(), sim.seed());
 //! let server = IscsiServer::new(RpcNode::new(&net, Addr::new("ep0")));
 //! server.expose("lun0", Rc::new(MemDevice::new(4096, Duration::ZERO)));
 //! let client = RpcNode::new(&net, Addr::new("c0"));

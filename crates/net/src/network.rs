@@ -4,7 +4,10 @@
 //! rate, and every pair of nodes is connected with a base propagation
 //! latency plus jitter. Failure injection covers node crashes, link
 //! partitions and random message loss — enough to exercise the UStore
-//! stack's heartbeating, failover and retry behaviour.
+//! stack's heartbeating, failover and retry behaviour. Every message's
+//! jitter and loss are keyed by (run seed, `from`, `to`, its number in the
+//! flow), so no message moves another flow's latencies; the destination's
+//! liveness is judged at arrival, wherever it lives.
 
 use std::any::Any;
 use std::cell::RefCell;
@@ -106,14 +109,17 @@ struct Node {
     handler: Option<Rc<dyn Fn(&Sim, Envelope)>>,
     nic_busy: SimTime,
     up: bool,
+    /// Per destination: the key of the node's ordinary messages to it and
+    /// how many it has sent.
+    flows: FastMap<Addr, (u64, u64)>,
 }
 
 /// The timing of one keyed flow: every message `n` of the flow
 /// `from → to` takes base latency + serialization + a jitter drawn from a
-/// stream keyed by `(from, to, n)`, and never queues on the sender's NIC.
-/// Its latency is therefore a pure function that the sender and the
-/// receiver can both evaluate, in any world, without simulating the
-/// message.
+/// stream keyed by `(run seed, from, to, n)`. A stream's messages never
+/// queue on the sender's NIC, so their latency is a pure function that
+/// the sender and the receiver can both evaluate, in any world, without
+/// simulating the message.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct KeyedFlow {
     key: u64,
@@ -124,11 +130,7 @@ pub struct KeyedFlow {
 impl KeyedFlow {
     /// Latency of message `n`.
     pub fn latency(&self, n: u64) -> Duration {
-        if self.jitter_ns == 0.0 {
-            return self.fixed;
-        }
-        // 53 high bits of the keyed draw: a uniform f64 in [0, 1).
-        let u = (mix_seed(self.key, n) >> 11) as f64 / (1u64 << 53) as f64;
+        let u = unit(mix_seed(self.key, n));
         self.fixed + Duration::from_nanos((self.jitter_ns * u) as u64)
     }
 
@@ -205,6 +207,8 @@ struct Routing {
 
 struct Inner {
     config: NetConfig,
+    /// The run seed every keyed draw starts from.
+    seed: u64,
     nodes: FastMap<Addr, Node>,
     blocked: FastSet<(Addr, Addr)>,
     routing: Option<Routing>,
@@ -232,7 +236,7 @@ struct Inner {
 /// use ustore_net::{Addr, NetConfig, Network};
 ///
 /// let sim = Sim::new(1);
-/// let net = Network::new(NetConfig::default());
+/// let net = Network::new(NetConfig::default(), sim.seed());
 /// let a = Addr::new("a");
 /// let b = Addr::new("b");
 /// net.register(&a);
@@ -261,11 +265,13 @@ impl fmt::Debug for Network {
 }
 
 impl Network {
-    /// Creates an empty network.
-    pub fn new(config: NetConfig) -> Self {
+    /// Creates an empty network whose keyed draws start from the run
+    /// seed `seed` (the scenario's seed, in every world of a sharded run).
+    pub fn new(config: NetConfig, seed: u64) -> Self {
         Network {
             inner: Rc::new(RefCell::new(Inner {
                 config,
+                seed,
                 nodes: FastMap::default(),
                 blocked: FastSet::default(),
                 routing: None,
@@ -290,6 +296,7 @@ impl Network {
                 handler: None,
                 nic_busy: SimTime::ZERO,
                 up: true,
+                flows: FastMap::default(),
             });
     }
 
@@ -306,42 +313,20 @@ impl Network {
 
     /// Sends a message. Delivery is asynchronous; lost/blocked messages
     /// vanish silently (like UDP — reliability belongs to the RPC layer).
-    ///
-    /// With shard routing enabled, a destination placed in another world
-    /// is buffered into the outbox (with the delivery instant already
-    /// computed, so the sender-side NIC/jitter accounting is identical to
-    /// a local send) instead of being scheduled here.
     pub fn send(&self, sim: &Sim, from: &Addr, to: &Addr, bytes: u64, payload: Payload) {
-        self.transmit(sim, from, to, bytes, payload, None);
-    }
-
-    /// Sends message `n` of the keyed flow `flow` (see [`KeyedFlow`]):
-    /// the same drop rules as [`Network::send`], but the latency is
-    /// `flow.latency(n)` and the sender's NIC is neither waited for nor
-    /// occupied.
-    #[allow(clippy::too_many_arguments)]
-    pub fn send_keyed(
-        &self,
-        sim: &Sim,
-        from: &Addr,
-        to: &Addr,
-        bytes: u64,
-        payload: Payload,
-        flow: &KeyedFlow,
-        n: u64,
-    ) {
-        self.transmit(sim, from, to, bytes, payload, Some(flow.latency(n)));
+        self.send_keyed(sim, from, to, bytes, payload, None);
     }
 
     /// The keyed flow `from → to` for messages of `bytes` on the wire.
     pub fn keyed_flow(&self, from: &Addr, to: &Addr, bytes: u64) -> KeyedFlow {
         let i = self.inner.borrow();
-        let c = &i.config;
-        KeyedFlow {
-            key: mix_seed(addr_hash(from), addr_hash(to)),
-            fixed: c.base_latency + Duration::from_secs_f64(bytes as f64 / c.nic_rate),
-            jitter_ns: c.jitter.as_nanos() as f64,
-        }
+        flow(&i.config, flow_key(i.seed, from, to), bytes)
+    }
+
+    /// The root of every draw this run keys by `addr`: the run seed mixed
+    /// with the address.
+    pub fn key_of(&self, addr: &Addr) -> u64 {
+        mix_seed(self.inner.borrow().seed, addr_hash(addr))
     }
 
     /// Whether a message `from -> to` sent now passes every sender-side
@@ -394,24 +379,14 @@ impl Network {
     /// notice keeps a computed model in step with the simulated one; it
     /// is not traffic.
     pub(crate) fn notify(&self, sim: &Sim, from: &Addr, to: &Addr, payload: Payload) {
-        let (at, remote_dst) = {
-            let i = self.inner.borrow();
-            let remote_dst = i.routing.as_ref().and_then(|r| {
-                let dst = r.placement.get(to).copied()?;
-                (dst != r.world).then_some(dst)
-            });
-            (sim.now() + i.config.base_latency, remote_dst)
-        };
         let env = Envelope {
             from: from.clone(),
             to: to.clone(),
             bytes: 0,
             payload: Arc::new(Notice(payload)),
         };
-        match remote_dst {
-            None => self.schedule_delivery(sim, at, env),
-            Some(dst_world) => self.route(sim, at, dst_world, env),
-        }
+        let at = sim.now() + self.inner.borrow().config.base_latency;
+        self.route(sim, at, env);
     }
 
     /// Registers a hook told about every drop-rule change (node up/down,
@@ -431,80 +406,80 @@ impl Network {
         }
     }
 
-    fn transmit(
+    /// Sends a message as [`Network::send`] does, or, when `keyed` is
+    /// `Some((flow, n))`, as message `n` of the stream `flow` (see
+    /// [`KeyedFlow`]): numbered by the caller, not by the network, and
+    /// off the sender's NIC, so its latency is exactly `flow.latency(n)`.
+    pub(crate) fn send_keyed(
         &self,
         sim: &Sim,
         from: &Addr,
         to: &Addr,
         bytes: u64,
         payload: Payload,
-        keyed: Option<Duration>,
+        keyed: Option<(&KeyedFlow, u64)>,
     ) {
-        // None = dropped; Some((at, Some(dst))) = route to world `dst`.
-        let disposition = {
-            let mut i = self.inner.borrow_mut();
+        let at = {
+            let mut guard = self.inner.borrow_mut();
+            let i = &mut *guard;
             i.sent += 1;
-            let now = sim.now();
-            let remote_dst = i.routing.as_ref().and_then(|r| {
-                let dst = r.placement.get(to).copied()?;
-                (dst != r.world).then_some(dst)
-            });
-            let up_from = i.nodes.get(from).is_some_and(|n| n.up);
-            // A destination in another world is liveness-checked at
-            // delivery time by its own Network; so is the destination of
-            // a keyed message in any world, which keeps a keyed flow's
-            // accounting independent of placement.
-            let up_to =
-                remote_dst.is_some() || keyed.is_some() || i.nodes.get(to).is_some_and(|n| n.up);
             // No partitions installed (the common case) skips the tuple
             // hash entirely.
             let blocked = !i.blocked.is_empty() && i.blocked.contains(&(from.clone(), to.clone()));
-            // Down/blocked links drop unconditionally; live links draw the
-            // loss dice (short-circuit keeps the RNG stream identical).
-            if !up_from
-                || !up_to
-                || blocked
-                || (i.config.loss_probability > 0.0
-                    && sim.with_rng(|r| r.chance(i.config.loss_probability)))
-            {
-                i.dropped += 1;
-                None
-            } else if let Some(latency) = keyed {
-                Some((now + latency, remote_dst))
-            } else {
-                let ser = Duration::from_secs_f64(bytes as f64 / i.config.nic_rate);
-                let jitter = if i.config.jitter > Duration::ZERO {
-                    let j = sim.with_rng(|r| r.f64());
-                    Duration::from_secs_f64(i.config.jitter.as_secs_f64() * j)
-                } else {
-                    Duration::ZERO
+            let (c, seed, now) = (&i.config, i.seed, sim.now());
+            let at = i.nodes.get_mut(from).and_then(|sender| {
+                let (flow, n) = match keyed {
+                    Some((flow, n)) => (*flow, n),
+                    None => {
+                        // Ordinary messages draw apart from the flow's
+                        // streams, which number their own.
+                        let f = sender
+                            .flows
+                            .entry(to.clone())
+                            .or_insert_with(|| (mix_seed(flow_key(seed, from, to), u64::MAX), 0));
+                        f.1 += 1;
+                        (flow(c, f.0, bytes), f.1)
+                    }
                 };
-                let sender = i.nodes.get_mut(from).expect("sender exists");
-                let start = now.max(sender.nic_busy);
-                sender.nic_busy = start + ser;
-                Some((start + ser + i.config.base_latency + jitter, remote_dst))
-            }
+                let loss = c.loss_probability;
+                if !sender.up || blocked || unit(mix_seed(mix_seed(flow.key, n), 0)) < loss {
+                    return None;
+                }
+                let mut start = now;
+                if keyed.is_none() {
+                    start = now.max(sender.nic_busy);
+                    // Serialization occupies the NIC.
+                    sender.nic_busy = start + (flow.fixed - c.base_latency);
+                }
+                Some(start + flow.latency(n))
+            });
+            i.dropped += u64::from(at.is_none());
+            at
         };
-        let Some((at, remote_dst)) = disposition else {
-            return;
-        };
-        let env = Envelope {
-            from: from.clone(),
-            to: to.clone(),
-            bytes,
-            payload,
-        };
-        match remote_dst {
-            None => self.schedule_delivery(sim, at, env),
-            Some(dst_world) => self.route(sim, at, dst_world, env),
+        if let Some(at) = at {
+            let env = Envelope {
+                from: from.clone(),
+                to: to.clone(),
+                bytes,
+                payload,
+            };
+            self.route(sim, at, env);
         }
     }
 
-    /// Buffers a cross-world delivery into the outbox.
-    fn route(&self, sim: &Sim, at: SimTime, dst_world: usize, env: Envelope) {
+    /// Delivers `env` at `at`: scheduled here, or buffered into the outbox
+    /// when its destination lives in another world.
+    fn route(&self, sim: &Sim, at: SimTime, env: Envelope) {
         let mut i = self.inner.borrow_mut();
         let base_latency = i.config.base_latency;
-        let r = i.routing.as_mut().expect("routing enabled");
+        let remote = i.routing.as_mut().and_then(|r| {
+            let dst = r.placement.get(&env.to).copied()?;
+            (dst != r.world).then_some((r, dst))
+        });
+        let Some((r, dst_world)) = remote else {
+            drop(i);
+            return self.schedule_delivery(sim, at, env);
+        };
         let m = &r.lookahead;
         assert!(
             m.reachable(r.world, dst_world),
@@ -687,12 +662,12 @@ impl Network {
         (i.sent, i.delivered, i.dropped)
     }
 
-    /// Publishes the fabric-wide message totals as gauges under component
-    /// `"net"` (gauges, not counter deltas, so re-publishing on every
-    /// scrape is idempotent). A rising `net.dropped` between scrapes is a
-    /// watchdog-visible sign of partitions or crashed peers.
+    /// Publishes the fabric-wide message totals, as of the last
+    /// [`Sim::settle`], as gauges under component `"net"` (gauges, not
+    /// counter deltas, so re-publishing on every scrape is idempotent). A
+    /// rising `net.dropped` between scrapes is a watchdog-visible sign of
+    /// partitions or crashed peers.
     pub fn publish_metrics(&self, sim: &Sim) {
-        sim.settle();
         let (sent, delivered, dropped) = self.stats();
         sim.gauge_set("net", "net.sent", sent as f64);
         sim.gauge_set("net", "net.delivered", delivered as f64);
@@ -757,6 +732,25 @@ impl Network {
 /// down. Returns whether they counted as sent or delivered.
 pub(crate) type Count<'a> = dyn FnMut(Option<&Addr>, u64) -> bool + 'a;
 
+/// The keyed flow of `bytes`-byte messages whose draws start from `key`.
+fn flow(c: &NetConfig, key: u64, bytes: u64) -> KeyedFlow {
+    KeyedFlow {
+        key,
+        fixed: c.base_latency + Duration::from_secs_f64(bytes as f64 / c.nic_rate),
+        jitter_ns: c.jitter.as_nanos() as f64,
+    }
+}
+
+/// The key of the flow `from → to` in the run seeded `seed`.
+fn flow_key(seed: u64, from: &Addr, to: &Addr) -> u64 {
+    mix_seed(mix_seed(seed, addr_hash(from)), addr_hash(to))
+}
+
+/// The 53 high bits of a keyed draw: a uniform f64 in [0, 1).
+fn unit(h: u64) -> f64 {
+    (h >> 11) as f64 / (1u64 << 53) as f64
+}
+
 /// FNV-1a of an address: a stable per-name key for keyed flows.
 fn addr_hash(a: &Addr) -> u64 {
     a.as_str().bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
@@ -771,10 +765,13 @@ mod tests {
 
     fn setup() -> (Sim, Network, Addr, Addr) {
         let sim = Sim::new(5);
-        let net = Network::new(NetConfig {
-            jitter: Duration::ZERO,
-            ..NetConfig::default()
-        });
+        let net = Network::new(
+            NetConfig {
+                jitter: Duration::ZERO,
+                ..NetConfig::default()
+            },
+            sim.seed(),
+        );
         let a = Addr::new("a");
         let b = Addr::new("b");
         net.register(&a);
@@ -863,11 +860,14 @@ mod tests {
     #[test]
     fn loss_probability_drops_some() {
         let sim = Sim::new(9);
-        let net = Network::new(NetConfig {
-            loss_probability: 0.5,
-            jitter: Duration::ZERO,
-            ..NetConfig::default()
-        });
+        let net = Network::new(
+            NetConfig {
+                loss_probability: 0.5,
+                jitter: Duration::ZERO,
+                ..NetConfig::default()
+            },
+            sim.seed(),
+        );
         let a = Addr::new("a");
         let b = Addr::new("b");
         net.register(&a);
@@ -881,6 +881,92 @@ mod tests {
         sim.run();
         let got = count.get();
         assert!(got > 60 && got < 140, "got {got} of 200 at 50% loss");
+    }
+
+    /// Arrival instants at `b` and `d` of messages `a → b` and `c → d`,
+    /// one each per millisecond for 20 ms, with one more message `e → f`
+    /// at 5 ms when `extra`.
+    fn flow_arrivals(seed: u64, extra: bool) -> Vec<(Addr, SimTime)> {
+        let sim = Sim::new(seed);
+        let net = Network::new(NetConfig::default(), sim.seed());
+        let got = Rc::new(RefCell::new(Vec::new()));
+        for name in ["a", "b", "c", "d", "e", "f"] {
+            let addr = Addr::new(name);
+            net.register(&addr);
+            let g = got.clone();
+            net.bind(&addr, move |sim, env| {
+                g.borrow_mut().push((env.to, sim.now()))
+            });
+        }
+        let mut sends = Vec::new();
+        for k in 0..20 {
+            sends.push((k, "a", "b"));
+            sends.push((k, "c", "d"));
+        }
+        if extra {
+            sends.push((5, "e", "f"));
+        }
+        for (k, from, to) in sends {
+            let net = net.clone();
+            sim.schedule_at(SimTime::from_millis(k), move |sim| {
+                net.send(sim, &Addr::new(from), &Addr::new(to), 100, Arc::new(()));
+            });
+        }
+        sim.run();
+        let f = Addr::new("f");
+        let got = got.borrow();
+        got.iter().filter(|(to, _)| *to != f).cloned().collect()
+    }
+
+    #[test]
+    fn a_message_on_one_flow_moves_no_other_flows_arrivals() {
+        let base = flow_arrivals(7, false);
+        assert_eq!(base.len(), 40);
+        assert_eq!(flow_arrivals(7, true), base, "the e → f message moved them");
+        assert_ne!(flow_arrivals(8, false), base, "the seed decides the draws");
+    }
+
+    #[test]
+    fn a_destination_down_at_send_is_judged_at_arrival() {
+        // Down when the message leaves, up 1 µs later, long before it
+        // arrives: delivered, whether it travels in one world or two.
+        let arrive = |remote: bool| {
+            let (sim, net, a, b) = setup();
+            let at = Rc::new(Cell::new(None));
+            let dst = if remote {
+                let mut placement = FastMap::default();
+                placement.insert(a.clone(), 0usize);
+                placement.insert(b.clone(), 1usize);
+                let placement = Arc::new(placement);
+                let matrix = Arc::new(LookaheadMatrix::uniform(2, net.config().base_latency));
+                net.enable_shard_routing(0, placement.clone(), matrix.clone());
+                let dst = (Sim::new(6), Network::new(net.config(), 5));
+                dst.1.enable_shard_routing(1, placement, matrix);
+                dst.1.register(&b);
+                dst
+            } else {
+                (sim.clone(), net.clone())
+            };
+            let (dsim, dnet) = &dst;
+            let a2 = at.clone();
+            dnet.bind(&b, move |sim, _| a2.set(Some(sim.now())));
+            dnet.set_down(dsim, &b);
+            net.send(&sim, &a, &b, 10, Arc::new(()));
+            let mut out = Vec::new();
+            net.drain_outbox_into(&mut out);
+            for r in out {
+                dnet.deliver_remote(dsim, r);
+            }
+            let up = dnet.clone();
+            let b2 = b.clone();
+            dsim.schedule_in(Duration::from_micros(1), move |sim| up.set_up(sim, &b2));
+            dsim.run();
+            (at.get(), dnet.stats().1, dnet.stats().2)
+        };
+        let local = arrive(false);
+        assert_eq!(local.0, Some(SimTime::from_nanos(8 + 100_000)));
+        assert_eq!((local.1, local.2), (1, 0), "delivered, not dropped");
+        assert_eq!(local, arrive(true));
     }
 
     #[test]
@@ -930,7 +1016,7 @@ mod tests {
             ..NetConfig::default()
         };
         let sim0 = Sim::new(1);
-        let net0 = Network::new(cfg.clone());
+        let net0 = Network::new(cfg.clone(), 1);
         let matrix = Arc::new(LookaheadMatrix::uniform(2, cfg.base_latency));
         net0.enable_shard_routing(0, placement.clone(), matrix.clone());
         let a = Addr::new("a");
@@ -938,7 +1024,7 @@ mod tests {
         net0.register(&a);
 
         let sim1 = Sim::new(2);
-        let net1 = Network::new(cfg);
+        let net1 = Network::new(cfg, 1);
         net1.enable_shard_routing(1, placement, matrix);
         net1.register(&b);
         let got = Rc::new(Cell::new(false));
@@ -984,7 +1070,7 @@ mod tests {
             jitter: Duration::ZERO,
             ..NetConfig::default()
         };
-        let net = Network::new(cfg.clone());
+        let net = Network::new(cfg.clone(), sim.seed());
         let lookahead = Arc::new(LookaheadMatrix::uniform(2, cfg.base_latency));
         net.enable_shard_routing(0, placement, lookahead);
         let a = Addr::new("a");
@@ -1012,7 +1098,7 @@ mod tests {
             jitter: Duration::ZERO,
             ..NetConfig::default()
         };
-        let net = Network::new(cfg.clone());
+        let net = Network::new(cfg.clone(), sim.seed());
         let matrix = if reachable {
             LookaheadMatrix::uniform(2, cfg.base_latency)
         } else {

@@ -158,10 +158,13 @@ mod tests {
     /// and a client replica set over them.
     fn setup(n: usize) -> (Sim, Network, Replicas) {
         let sim = Sim::new(3);
-        let net = Network::new(NetConfig {
-            jitter: Duration::ZERO,
-            ..NetConfig::default()
-        });
+        let net = Network::new(
+            NetConfig {
+                jitter: Duration::ZERO,
+                ..NetConfig::default()
+            },
+            sim.seed(),
+        );
         for i in 0..n {
             RpcNode::new(&net, Addr::new(format!("s{i}")))
                 .serve("who", move |sim, _, r| r.reply(sim, Arc::new(i), 8));
@@ -265,12 +268,13 @@ mod tests {
         // The backoff is the only event the delayed retry adds.
         assert_eq!(events(10 * MS), events(Duration::ZERO) + 1);
         // Zero backoff costs exactly the two calls' own events: s0's
-        // timeout, then s1's request and reply deliveries.
+        // request (dropped on arrival) and timeout, then s1's request and
+        // reply deliveries.
         let (sim, _net, replicas) = setup(2);
         who(&sim, &replicas, policy(1, Duration::ZERO), |_, r| {
             Verdict::Done(*r.expect("s0 answers"))
         });
         sim.run();
-        assert_eq!(events(Duration::ZERO), 1 + sim.events_processed());
+        assert_eq!(events(Duration::ZERO), 2 + sim.events_processed());
     }
 }

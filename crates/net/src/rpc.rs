@@ -111,7 +111,7 @@ struct Inner {
 /// use ustore_net::{Addr, NetConfig, Network, RpcNode};
 ///
 /// let sim = Sim::new(1);
-/// let net = Network::new(NetConfig::default());
+/// let net = Network::new(NetConfig::default(), sim.seed());
 /// let server = RpcNode::new(&net, Addr::new("server"));
 /// let client = RpcNode::new(&net, Addr::new("client"));
 /// server.serve("add1", |sim, req, responder| {
@@ -278,35 +278,23 @@ impl RpcNode {
     /// overhead, and nothing else (no id, no pending call, no timeout, no
     /// `rpc.*` metric). Lost like any datagram.
     pub fn cast(&self, sim: &Sim, to: &Addr, method: &'static str, body: Payload, bytes: u64) {
-        let msg = RpcMsg::Cast { method, body };
-        self.net
-            .send(sim, &self.addr, to, bytes + HEADER_BYTES, Arc::new(msg));
+        self.cast_keyed(sim, to, method, body, bytes, None);
     }
 
-    /// Sends message `n` of the keyed flow `flow` one way (see
-    /// [`Network::send_keyed`]), with the same wire overhead as
-    /// [`RpcNode::cast`].
-    #[allow(clippy::too_many_arguments)]
-    pub fn cast_keyed(
+    /// [`RpcNode::cast`], as message `n` of the stream `flow` when `keyed`
+    /// is `Some((flow, n))` (see [`Network::send_keyed`]).
+    pub(crate) fn cast_keyed(
         &self,
         sim: &Sim,
         to: &Addr,
         method: &'static str,
         body: Payload,
         bytes: u64,
-        flow: &KeyedFlow,
-        n: u64,
+        keyed: Option<(&KeyedFlow, u64)>,
     ) {
-        let msg = RpcMsg::Cast { method, body };
-        self.net.send_keyed(
-            sim,
-            &self.addr,
-            to,
-            bytes + HEADER_BYTES,
-            Arc::new(msg),
-            flow,
-            n,
-        );
+        let (msg, wire) = (RpcMsg::Cast { method, body }, bytes + HEADER_BYTES);
+        self.net
+            .send_keyed(sim, &self.addr, to, wire, Arc::new(msg), keyed);
     }
 
     /// Bytes a cast of a `bytes`-byte body puts on the wire.
@@ -464,10 +452,13 @@ mod tests {
 
     fn setup() -> (Sim, Network, RpcNode, RpcNode) {
         let sim = Sim::new(2);
-        let net = Network::new(NetConfig {
-            jitter: Duration::ZERO,
-            ..NetConfig::default()
-        });
+        let net = Network::new(
+            NetConfig {
+                jitter: Duration::ZERO,
+                ..NetConfig::default()
+            },
+            sim.seed(),
+        );
         let server = RpcNode::new(&net, Addr::new("server"));
         let client = RpcNode::new(&net, Addr::new("client"));
         (sim, net, server, client)

@@ -346,7 +346,7 @@ impl<K: Clone + Send + Sync + 'static, P: Clone + Send + Sync + 'static> Sender<
         };
         let ((method, bytes), flow) = (self.cast, self.flow(to));
         self.rpc
-            .cast_keyed(sim, to, method, body(n), bytes, &flow, n);
+            .cast_keyed(sim, to, method, body(n), bytes, Some((&flow, n)));
         let net = self.rpc.network();
         if !steady
             || self.simulated
@@ -651,7 +651,7 @@ mod tests {
         assert_eq!(clock.last_sent_by(SimTime::from_millis(299)), None);
         assert_eq!(clock.last_sent_by(SimTime::from_millis(300)), Some(5));
         assert_eq!(clock.last_sent_by(SimTime::from_millis(899)), Some(6));
-        let net = Network::new(NetConfig::default());
+        let net = Network::new(NetConfig::default(), 1);
         let flow = net.keyed_flow(&Addr::new("h"), &Addr::new("m"), 248);
         let arrival = clock.arrival(6, &flow);
         assert_eq!(arrival, clock.sent_at(6) + flow.latency(6));
@@ -740,7 +740,7 @@ mod tests {
     /// instant, and the engine's event count.
     fn stream_case(seed: u64) -> (Vec<(u64, u64, u64)>, Vec<(u64, SimTime)>, u64) {
         let sim = Sim::new(seed);
-        let net = Network::new(NetConfig::default());
+        let net = Network::new(NetConfig::default(), sim.seed());
         let (from, to) = (Addr::new("s"), Addr::new("r"));
         let (srpc, rrpc) = (
             RpcNode::new(&net, from.clone()),

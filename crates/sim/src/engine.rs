@@ -157,6 +157,7 @@ struct Inner {
     /// Pending events that have not been cancelled — the true queue depth
     /// (the heap itself may briefly hold cancelled entries until they pop).
     live_pending: usize,
+    seed: u64,
     rng: SimRng,
     trace: Trace,
     metrics: MetricsRegistry,
@@ -249,6 +250,7 @@ impl Sim {
                 timers: SlotArena::default(),
                 queue: BinaryHeap::with_capacity(QUEUE_PREALLOC),
                 live_pending: 0,
+                seed,
                 rng: SimRng::seed_from(seed),
                 trace: Trace::new(),
                 metrics: MetricsRegistry::new(),
@@ -554,17 +556,14 @@ impl Sim {
         self.inner.borrow_mut().drain_cancelled_head()
     }
 
-    /// Applies `f` to the simulation's RNG.
-    ///
-    /// Taking a closure (rather than returning a guard) prevents accidental
-    /// re-entrant borrows while the RNG is held.
-    pub fn with_rng<R>(&self, f: impl FnOnce(&mut SimRng) -> R) -> R {
-        f(&mut self.inner.borrow_mut().rng)
+    /// The seed the simulator was created with.
+    pub fn seed(&self) -> u64 {
+        self.inner.borrow().seed
     }
 
     /// Derives an independent RNG stream for a component.
     pub fn fork_rng(&self, label: &str) -> SimRng {
-        self.with_rng(|r| r.fork(label))
+        self.inner.borrow_mut().rng.fork(label)
     }
 
     /// Records a trace event at the current virtual time.
@@ -1084,9 +1083,9 @@ mod tests {
     #[test]
     fn deterministic_rng_across_clones() {
         let sim = Sim::new(77);
-        let a = sim.clone().with_rng(|r| r.next_u64());
+        let a = sim.clone().fork_rng("x").next_u64();
         let sim2 = Sim::new(77);
-        let b = sim2.with_rng(|r| r.next_u64());
+        let b = sim2.fork_rng("x").next_u64();
         assert_eq!(a, b);
     }
 

@@ -247,6 +247,7 @@ pub struct Scraper {
     inner: Rc<RefCell<ScraperInner>>,
     // Held separately so observers may re-enter series accessors.
     observers: Rc<RefCell<Vec<ScrapeObserver>>>,
+    publishers: Rc<RefCell<Vec<Box<dyn Fn(&Sim)>>>>,
     timer: TimerId,
 }
 
@@ -283,6 +284,7 @@ impl Scraper {
         let scraper = Scraper {
             inner,
             observers,
+            publishers: Rc::default(),
             timer,
         };
         *handle.borrow_mut() = Some(scraper.clone());
@@ -292,6 +294,12 @@ impl Scraper {
     /// Stops the periodic sweep (already-collected samples stay readable).
     pub fn stop(&self, sim: &Sim) {
         sim.cancel_timer(self.timer);
+    }
+
+    /// Registers a callback that publishes gauges into the registry at
+    /// every sweep, after the sweep settles it and before it samples.
+    pub fn before_scrape(&self, publish: impl Fn(&Sim) + 'static) {
+        self.publishers.borrow_mut().push(Box::new(publish));
     }
 
     /// Registers a callback invoked after every sweep. Callbacks may read
@@ -308,6 +316,9 @@ impl Scraper {
     pub fn scrape(&self, sim: &Sim) {
         let now = sim.now();
         sim.settle();
+        for publish in self.publishers.borrow().iter() {
+            publish(sim);
+        }
         sim.publish_engine_gauges();
         {
             let mut i = self.inner.borrow_mut();

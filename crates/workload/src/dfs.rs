@@ -758,7 +758,7 @@ mod tests {
 
     fn fixture(seed: u64, datanodes: usize) -> Fixture {
         let sim = Sim::new(seed);
-        let net = Network::new(NetConfig::default());
+        let net = Network::new(NetConfig::default(), sim.seed());
         let config = DfsConfig {
             block_bytes: 1 << 20,
             ..DfsConfig::default()
@@ -827,10 +827,13 @@ mod tests {
         let d = done.clone();
         let client = f.client.clone();
         let net = f.net.clone();
+        // The first block's pipeline starts at the first datanode to
+        // register.
+        let head = f.nn.inner.borrow().datanodes[0].clone();
         f.client.put(&f.sim, "/f", data, move |sim, r| {
             r.expect("put");
             // Kill the first replica's datanode; the read must still work.
-            net.set_down(sim, &Addr::new("dn-0"));
+            net.set_down(sim, &head);
             client.get(sim, "/f", move |_, r| {
                 assert_eq!(r.expect("get despite dead replica"), expect);
                 d.set(true);

@@ -340,6 +340,18 @@ fn host_side_hub_failure_reroutes_disks_automatically() {
         );
         assert!(s.runtime.disk_ready(*d), "{d} enumerated on its new host");
     }
+    // The vanished cohort moves with one plan: one reroute, none failed.
+    let reroutes = s.sim.with_trace(|t| {
+        t.for_component("master")
+            .filter(|e| e.message.starts_with("reroute of "))
+            .map(|e| e.message.clone())
+            .collect::<Vec<_>>()
+    });
+    assert_eq!(
+        reroutes,
+        ["reroute of unit0 disk0,disk1,disk2,disk3 complete"],
+        "one reroute for the cohort"
+    );
 }
 
 #[test]
